@@ -11,14 +11,13 @@ model reproduces the file byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ValidationError
 
 MAGIC = b"TAPERCKP"
 VERSION = 1
@@ -68,19 +67,29 @@ def read_checkpoint(path: str) -> tuple:
         header = json.loads(raw[start : start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header ({e})")
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header (not an object)")
     if header.get("kind") not in KINDS:
         raise CheckpointError(f"{path}: unknown section kind {header.get('kind')!r}")
+    missing = sorted({"config", "vocab_hash", "params"} - set(header))
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {missing}")
+    if not isinstance(header["config"], dict):
+        raise CheckpointError(f"{path}: header config is not an object")
+    try:
+        entries = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["params"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: corrupt parameter list in header ({e!r})")
 
     params = {}
     offset = start + hlen
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 4
-        if offset + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated parameter {entry['name']!r}")
+        if count < 0 or offset + nbytes > len(raw):
+            raise CheckpointError(f"{path}: truncated parameter {name!r}")
         flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        params[entry["name"]] = flat.reshape(shape).astype(np.float64)
+        params[name] = flat.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after parameters")
@@ -100,10 +109,11 @@ def expect_vocab_hash(path: str, got: str, want: str) -> None:
         )
 
 
-def parameter_hash(named_params: Sequence) -> str:
-    """Fingerprint of parameter values, used to assert models stay frozen."""
-    h = hashlib.sha256()
-    for name, arr in named_params:
-        h.update(name.encode("utf-8"))
-        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    return h.hexdigest()
+def header_config(path: str, config: dict, key: str, cls):
+    """The config dataclass stored under `key` of a checkpoint's header config."""
+    if key not in config:
+        raise CheckpointError(f"{path}: header config lacks the {key!r} section")
+    try:
+        return cls.from_json(config[key])
+    except ValidationError as e:
+        raise CheckpointError(f"{path}: {e}") from e

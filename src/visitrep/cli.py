@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import evaluation as ev
 from .cohort import (
@@ -68,18 +68,6 @@ def _write_json(path: str, obj) -> None:
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _write_history(path: str, history) -> None:
-    _write_json(
-        path,
-        {
-            "train_loss": history.train_loss,
-            "val_loss": history.val_loss,
-            "lrs": history.lrs,
-            "best_epoch": history.best_epoch,
-        },
-    )
 
 
 def _load_preprocessed(cfg: RunConfig):
@@ -142,7 +130,7 @@ def cmd_train_code(cfg: RunConfig, args) -> None:
     code_cfg = replace(cfg.code_embedder, seed=derive_seed(cfg.seed, "train-code"))
     model, history = train_code_embedder(pre.subset(train_ids), vocab, code_cfg)
     save_code_model(_p(cfg, "code.ckpt"), model)
-    _write_history(_p(cfg, "code_history.json"), history)
+    _write_json(_p(cfg, "code_history.json"), asdict(history))
     print(f"wrote {_p(cfg, 'code.ckpt')} (best epoch {history.best_epoch})")
 
 
@@ -153,7 +141,7 @@ def cmd_train_text(cfg: RunConfig, args) -> None:
     encoder, model, history = train_summarizer(pre.subset(train_ids), summ_cfg)
     _write_json(_p(cfg, "token_vocab.json"), encoder.vocab.to_json())
     save_summarizer(_p(cfg, "text.ckpt"), encoder, model)
-    _write_history(_p(cfg, "text_history.json"), history)
+    _write_json(_p(cfg, "text_history.json"), asdict(history))
     print(f"wrote {_p(cfg, 'text.ckpt')} ({len(encoder.vocab)} tokens)")
 
 
@@ -215,7 +203,7 @@ def cmd_train_task(cfg: RunConfig, args) -> None:
     model, history = train_task(X, y, task, head_cfg)
     path = _p(cfg, f"head_{cfg.task}.ckpt")
     save_classifier(path, model, head_cfg, vocab.content_hash())
-    _write_history(_p(cfg, f"head_{cfg.task}_history.json"), history)
+    _write_json(_p(cfg, f"head_{cfg.task}_history.json"), asdict(history))
     print(f"wrote {path} ({X.shape[0]} training visits)")
 
 

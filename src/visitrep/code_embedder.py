@@ -21,14 +21,23 @@ from typing import Optional
 import numpy as np
 
 from . import numerics as nm
-from .checkpoint import expect_kind, expect_vocab_hash, read_checkpoint, write_checkpoint
+from .checkpoint import (
+    expect_kind,
+    expect_vocab_hash,
+    header_config,
+    read_checkpoint,
+    write_checkpoint,
+)
 from .cohort import Cohort, CodeVocabulary, encode_visit_codes
 from .errors import ValidationError
-from .numerics import Parameter, Tensor, TrainHistory
+from .jsonconfig import JsonConfig
+from .numerics import Parameter, Tensor
 
 
 @dataclass(frozen=True)
-class CodeEmbedderConfig:
+class CodeEmbedderConfig(JsonConfig):
+    json_name = "code embedder config"
+
     d_code: int = 128
     n_layers: int = 2
     n_heads: int = 8
@@ -63,28 +72,6 @@ class CodeEmbedderConfig:
             raise ValidationError(f"code embedder: prob_clip outside (0, 0.5)")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValidationError("code embedder: val_fraction outside [0, 1)")
-
-    def to_json(self) -> dict:
-        return {
-            "d_code": self.d_code,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_head": self.d_head,
-            "window": self.window,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr0": self.lr0,
-            "lr_period": self.lr_period,
-            "lr_min": self.lr_min,
-            "val_fraction": self.val_fraction,
-            "prob_clip": self.prob_clip,
-            "output_activation": self.output_activation,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "CodeEmbedderConfig":
-        return CodeEmbedderConfig(**obj)
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -199,13 +186,6 @@ class CodeEmbedderModel:
         out.extend([self.out_w, self.out_b])
         return out
 
-    def named_parameters(self) -> list:
-        return [(p.name, p) for p in self.parameters()]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def _positions(self, t: int) -> np.ndarray:
         if t not in self._pos_cache:
             self._pos_cache[t] = positional_encoding(t, self.config.d_code)
@@ -250,28 +230,7 @@ class CodeEmbedderModel:
         return x, chat
 
     def state_arrays(self) -> list:
-        return [(name, p.data.copy()) for name, p in self.named_parameters()]
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        for name, p in self.named_parameters():
-            if name not in arrays:
-                raise ValidationError(f"state: missing parameter {name!r}")
-            if arrays[name].shape != p.data.shape:
-                raise ValidationError(
-                    f"state: parameter {name!r} has shape {arrays[name].shape}, "
-                    f"expected {p.data.shape}"
-                )
-            p.data = arrays[name].astype(np.float64)
-
-
-def embed_codes(model: CodeEmbedderModel, multi_hot: np.ndarray) -> np.ndarray:
-    """Input-side embedding: a multi-hot row maps to the sum of its code rows."""
-    x = np.asarray(multi_hot, dtype=np.float64)
-    if x.shape[-1] != model.vocab_size:
-        raise ValidationError(
-            f"embed_codes: input width {x.shape[-1]} != vocabulary size {model.vocab_size}"
-        )
-    return x @ model.embed.data
+        return [(p.name, p.data.copy()) for p in self.parameters()]
 
 
 def skip_gram_loss(
@@ -366,50 +325,22 @@ def train_code_embedder(
     if not train_ids:
         raise ValidationError("train_code_embedder: validation split consumed every patient")
 
-    params = model.parameters()
-    state = nm.init_adam(params)
-    sched = nm.CosineAnnealing(lr0=config.lr0, period=config.lr_period, lr_min=config.lr_min)
-    history = TrainHistory()
-    best = None
-
-    def epoch_loss(pids, train: bool, lr: float) -> float:
-        total, pairs = 0.0, 0
+    def batches(pids):
         for start in range(0, len(pids), config.batch_size):
             chunk = pids[start : start + config.batch_size]
             batch = build_batch([mats[pid] for pid in chunk], chunk)
             _, chat = model.forward(batch)
-            loss, n = skip_gram_loss(
-                chat, batch.codes, batch.real, config.window, config.prob_clip
-            )
-            value = float(loss.data.reshape(()))
-            if not np.isfinite(value):
-                raise RuntimeError(
-                    f"train_code_embedder: loss diverged to {value} "
-                    f"(lr {lr}, batch starting at {start})"
-                )
-            if train:
-                model.zero_grad()
-                loss.backward()
-                nm.adam_step(params, state, lr)
-            total += value * n
-            pairs += n
-        if pairs == 0:
-            raise ValidationError("train_code_embedder: no usable pairs in split")
-        return total / pairs
+            yield skip_gram_loss(chat, batch.codes, batch.real, config.window, config.prob_clip)
 
-    for epoch in range(config.epochs):
-        lr = nm.lr_at(sched, epoch)
-        shuffled = [train_ids[i] for i in rng.permutation(len(train_ids))]
-        tr = epoch_loss(shuffled, train=True, lr=lr)
-        va = epoch_loss(val_ids, train=False, lr=lr)
-        history.train_loss.append(tr)
-        history.val_loss.append(va)
-        history.lrs.append(lr)
-        if best is None or va < best[0]:
-            best = (va, epoch, dict(model.state_arrays()))
-    if best is not None:
-        history.best_epoch = best[1]
-        model.load_state_arrays(best[2])
+    history = nm.fit(
+        model.parameters(),
+        nm.CosineAnnealing(lr0=config.lr0, period=config.lr_period, lr_min=config.lr_min),
+        config.epochs,
+        rng,
+        len(train_ids),
+        lambda order: batches([train_ids[i] for i in order]),
+        lambda: batches(val_ids),
+    )
     return model, history
 
 
@@ -463,8 +394,8 @@ def load_code_model(path, vocab: CodeVocabulary) -> CodeEmbedderModel:
     kind, config, vocab_hash, arrays = read_checkpoint(path)
     expect_kind(path, kind, "code")
     expect_vocab_hash(path, vocab_hash, vocab.content_hash())
-    cfg = CodeEmbedderConfig.from_json(config["code_embedder"])
+    cfg = header_config(path, config, "code_embedder", CodeEmbedderConfig)
     model = CodeEmbedderModel(len(vocab), cfg, np.random.default_rng(0))
-    model.load_state_arrays(arrays)
+    nm.load_state(model.parameters(), arrays)
     model.vocab_hash = vocab_hash
     return model

@@ -19,15 +19,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import ValidationError
-
-log = logging.getLogger(__name__)
 
 HOUR = 3600
 DAY = 86400
@@ -199,12 +196,8 @@ def _parse_record(obj: dict, where: str) -> PatientRecord:
     )
 
 
-def ingest_cohort(path: str, lenient: bool = False) -> Cohort:
-    """Parse a JSONL cohort file.
-
-    Strict mode raises on the first bad line; lenient mode drops invalid
-    records and logs each one with its line number.
-    """
+def ingest_cohort(path: str) -> Cohort:
+    """Parse a JSONL cohort file; the first bad line raises, naming its number."""
     patients: list[PatientRecord] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -213,20 +206,12 @@ def ingest_cohort(path: str, lenient: bool = False) -> Cohort:
                 continue
             where = f"line {lineno}"
             try:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ValidationError(f"{where}: malformed JSON ({e.msg})")
-                record = _parse_record(obj, where)
-                if record.patient_id in seen:
-                    raise ValidationError(
-                        f"{where}: duplicate patient_id {record.patient_id!r}"
-                    )
-            except ValidationError as e:
-                if lenient and "duplicate patient_id" not in str(e):
-                    log.warning("skipping record: %s", e)
-                    continue
-                raise
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValidationError(f"{where}: malformed JSON ({e.msg})")
+            record = _parse_record(obj, where)
+            if record.patient_id in seen:
+                raise ValidationError(f"{where}: duplicate patient_id {record.patient_id!r}")
             seen.add(record.patient_id)
             patients.append(record)
     if not patients:

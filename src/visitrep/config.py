@@ -8,12 +8,13 @@ are rejected at every level rather than silently ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .cohort import TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_READMISSION
 from .code_embedder import CodeEmbedderConfig
 from .errors import ValidationError
 from .evaluation import EvalConfig
+from .jsonconfig import JsonConfig
 from .synth import SynthConfig
 from .tasks import TaskHeadConfig
 from .text_embedder import SummarizerConfig
@@ -27,14 +28,14 @@ TASK_ALIASES = {
 
 
 @dataclass(frozen=True)
-class Paths:
+class Paths(JsonConfig):
     cohort: str = ""
     group_map: str = ""
     out: str = "run"
 
 
 @dataclass(frozen=True)
-class PreprocessConfig:
+class PreprocessConfig(JsonConfig):
     min_code_freq: int = 5
     min_age: int = 18
     min_visits: int = 1
@@ -48,34 +49,8 @@ class PreprocessConfig:
             raise ValidationError(f"preprocess: min_visits must be >= 1, got {self.min_visits}")
 
 
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _section_to_json(cfg) -> dict:
-    return {f.name: _plain(getattr(cfg, f.name)) for f in fields(cfg)}
-
-
-def _section_from_json(cls, obj, where: str, pair_tuples=(), int_tuples=()):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = dict(obj)
-    for name in pair_tuples:
-        if name in kwargs:
-            kwargs[name] = tuple(tuple(pair) for pair in kwargs[name])
-    for name in int_tuples:
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
-    return cls(**kwargs)
-
-
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(JsonConfig):
     seed: int = 0
     task: str = "mortality"
     paths: Paths = field(default_factory=Paths)
@@ -101,65 +76,6 @@ class RunConfig:
     @property
     def internal_task(self) -> str:
         return TASK_ALIASES[self.task]
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "task": self.task,
-            "paths": _section_to_json(self.paths),
-            "preprocess": _section_to_json(self.preprocess),
-            "synth": _section_to_json(self.synth),
-            "code_embedder": _section_to_json(self.code_embedder),
-            "summarizer": _section_to_json(self.summarizer),
-            "task_head": _section_to_json(self.task_head),
-            "eval": _section_to_json(self.eval),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RunConfig":
-        if not isinstance(obj, dict):
-            raise ValidationError(f"config: expected an object, got {type(obj).__name__}")
-        known = {
-            "seed", "task", "paths", "preprocess", "synth",
-            "code_embedder", "summarizer", "task_head", "eval",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise ValidationError(f"config: unknown keys {sorted(unknown)}")
-        kwargs = {}
-        if "seed" in obj:
-            kwargs["seed"] = int(obj["seed"])
-        if "task" in obj:
-            kwargs["task"] = obj["task"]
-        if "paths" in obj:
-            kwargs["paths"] = _section_from_json(Paths, obj["paths"], "config.paths")
-        if "preprocess" in obj:
-            kwargs["preprocess"] = _section_from_json(
-                PreprocessConfig, obj["preprocess"], "config.preprocess"
-            )
-        if "synth" in obj:
-            kwargs["synth"] = _section_from_json(
-                SynthConfig, obj["synth"], "config.synth", pair_tuples=("vocab_sizes",)
-            )
-        if "code_embedder" in obj:
-            kwargs["code_embedder"] = _section_from_json(
-                CodeEmbedderConfig, obj["code_embedder"], "config.code_embedder"
-            )
-        if "summarizer" in obj:
-            kwargs["summarizer"] = _section_from_json(
-                SummarizerConfig, obj["summarizer"], "config.summarizer"
-            )
-        if "task_head" in obj:
-            kwargs["task_head"] = _section_from_json(
-                TaskHeadConfig, obj["task_head"], "config.task_head"
-            )
-        if "eval" in obj:
-            kwargs["eval"] = _section_from_json(
-                EvalConfig, obj["eval"], "config.eval", int_tuples=("recall_ks",)
-            )
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
 
 
 def load_run_config(path: str) -> RunConfig:

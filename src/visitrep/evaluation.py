@@ -35,6 +35,7 @@ from .code_embedder import (
     train_code_embedder,
 )
 from .errors import ValidationError
+from .jsonconfig import JsonConfig
 from .numerics import derive_seed
 from .patient_rep import RepresentationPipeline, join_representations, zero_segments
 from .tasks import TaskHeadConfig, balance_for_los, predict, train_task
@@ -63,22 +64,6 @@ def recall_at_k(ranked, truth, k: int) -> float:
         raise ValidationError("recall_at_k: empty truth set")
     top = set(list(ranked)[:k])
     return len(top & truth) / len(truth)
-
-
-def mean_recall_at_k(rankings, truths, k: int):
-    """Average recall@k over samples; empty-truth samples are skipped.
-
-    Returns (mean, n_skipped); errors if every sample was skipped.
-    """
-    values, skipped = [], 0
-    for ranked, truth in zip(rankings, truths):
-        if not set(truth):
-            skipped += 1
-            continue
-        values.append(recall_at_k(ranked, truth, k))
-    if not values:
-        raise ValidationError("mean_recall_at_k: every sample had an empty truth set")
-    return float(np.mean(values)), skipped
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -170,12 +155,6 @@ def write_report_json(path, reports: dict) -> None:
         fh.write("\n")
 
 
-def read_report_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return {name: MetricReport(name, obj["folds"]) for name, obj in sorted(payload.items())}
-
-
 def write_report_csv(path, reports: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -204,7 +183,9 @@ def frequency_baseline(cohort: Cohort, vocab: CodeVocabulary) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(JsonConfig):
+    json_name = "eval config"
+
     folds: int = 7
     recall_ks: tuple = (10, 20, 30)
     seed: int = 0
@@ -214,21 +195,6 @@ class EvalConfig:
             raise ValidationError(f"eval: folds must be >= 2, got {self.folds}")
         if not self.recall_ks or any(k < 1 for k in self.recall_ks):
             raise ValidationError(f"eval: recall_ks must be positive, got {self.recall_ks}")
-
-    def to_json(self) -> dict:
-        return {"folds": self.folds, "recall_ks": list(self.recall_ks), "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EvalConfig":
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"eval config: unknown keys {sorted(unknown)}")
-        obj = dict(obj)
-        if "recall_ks" in obj:
-            obj["recall_ks"] = tuple(obj["recall_ks"])
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
 
 
 def _complement(cohort: Cohort, held_out_ids) -> Cohort:

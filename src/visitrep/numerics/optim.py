@@ -1,22 +1,26 @@
-"""Adam with bias correction, plus the two learning-rate schedules used by
-the training loops (cosine annealing with warm restarts, and step decay)."""
+"""Adam with bias correction, the two learning-rate schedules (cosine
+annealing with warm restarts, and step decay), and fit(), the one training
+loop every model in the package runs."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .tensor import Parameter
 
-__all__ = ["AdamState", "init_adam", "adam_step", "CosineAnnealing", "StepDecay", "lr_at"]
+__all__ = [
+    "AdamState", "init_adam", "adam_step", "CosineAnnealing", "StepDecay", "lr_at",
+    "TrainHistory", "fit",
+]
 
 
 @dataclass
 class TrainHistory:
-    """Per-epoch traces recorded by the training loops."""
+    """Per-epoch traces recorded by fit()."""
 
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
@@ -36,16 +40,12 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def init_adam(
-    params: Sequence[Parameter],
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    state = AdamState(beta1=beta1, beta2=beta2, eps=eps)
-    state.m = [np.zeros_like(p.data) for p in params]
-    state.v = [np.zeros_like(p.data) for p in params]
-    return state
+def init_adam(params: Sequence[Parameter]) -> AdamState:
+    """Zero moment estimates for each parameter, default decay rates."""
+    return AdamState(
+        m=[np.zeros_like(p.data) for p in params],
+        v=[np.zeros_like(p.data) for p in params],
+    )
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState, lr: float) -> None:
@@ -127,3 +127,75 @@ def lr_at(schedule: Schedule, epoch: int) -> float:
     if lr <= 0.0:
         raise ValueError(f"lr_at: schedule emitted a non-positive rate {lr} at epoch {epoch}")
     return lr
+
+
+# A batch generator yields (scalar loss Tensor, weight of the batch in the
+# epoch mean), for example (loss, rows in the batch).
+Batches = Iterable[tuple]
+
+
+def _epoch_mean(batches: Batches, where: str, step: Optional[Callable] = None) -> float:
+    """Weighted mean batch loss; `step(loss)` runs after each batch's check."""
+    total, count = 0.0, 0
+    for i, (loss, weight) in enumerate(batches):
+        value = float(loss.data.reshape(()))
+        if not math.isfinite(value):
+            raise RuntimeError(f"fit: loss diverged to {value} at {where}, batch {i}")
+        if step is not None:
+            step(loss)
+        total += value * weight
+        count += weight
+    if count == 0:
+        raise ValueError(f"fit: no batches at {where}")
+    return total / count
+
+
+def fit(
+    params: Sequence[Parameter],
+    schedule: Schedule,
+    epochs: int,
+    rng: np.random.Generator,
+    n_train: int,
+    train_batches: Callable[[np.ndarray], Batches],
+    val_batches: Optional[Callable[[], Batches]] = None,
+) -> TrainHistory:
+    """Adam on `params` over `epochs` epochs; returns the loss history.
+
+    Each epoch draws one permutation of the n_train training rows from
+    `rng` and trains on train_batches(order): every batch loss is checked
+    to be finite, then only `params` are zeroed, back-propagated into and
+    stepped. With val_batches the parameters of the epoch with the lowest
+    validation loss are restored at the end; without it the last epoch's
+    parameters stay and count as the best epoch.
+    """
+    params = list(params)
+    state = init_adam(params)
+    history = TrainHistory()
+    best_val, best = math.inf, None
+    for epoch in range(epochs):
+        lr = lr_at(schedule, epoch)
+
+        def step(loss):
+            for p in params:
+                p.zero_grad()
+            loss.backward()
+            adam_step(params, state, lr)
+
+        order = rng.permutation(n_train)
+        history.train_loss.append(
+            _epoch_mean(train_batches(order), f"epoch {epoch} (lr {lr}), training", step)
+        )
+        history.lrs.append(lr)
+        if val_batches is None:
+            continue
+        val = _epoch_mean(val_batches(), f"epoch {epoch} (lr {lr}), validation")
+        history.val_loss.append(val)
+        if val < best_val:
+            best_val, best = val, [p.data.copy() for p in params]
+            history.best_epoch = epoch
+    if best is None:
+        history.best_epoch = epochs - 1
+    else:
+        for p, data in zip(params, best):
+            p.data = data
+    return history

@@ -32,6 +32,7 @@ __all__ = [
     "reshape",
     "gather_rows",
     "slice_axis",
+    "load_state",
     "uniform_init",
 ]
 
@@ -227,6 +228,19 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
+
+
+def load_state(params, arrays: dict) -> None:
+    """Set each parameter to the {name: array} entry of its name, as float64."""
+    for p in params:
+        if p.name not in arrays:
+            raise ValueError(f"state: missing parameter {p.name!r}")
+        value = arrays[p.name]
+        if value.shape != p.data.shape:
+            raise ValueError(
+                f"state: parameter {p.name!r} has shape {value.shape}, expected {p.data.shape}"
+            )
+        p.data = np.array(value, dtype=np.float64)
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

@@ -31,13 +31,7 @@ from .cohort import (
 )
 from .code_embedder import CodeEmbedderModel, encode_history
 from .errors import ValidationError
-from .text_embedder import (
-    PrecomputedVectorEncoder,
-    SummarizerModel,
-    sentence_matrix,
-    summarize,
-    visit_key,
-)
+from .text_embedder import BagEncoder, SummarizerModel, sentence_matrix, summarize
 
 SEGMENTS = ("code", "text", "demo")
 
@@ -116,7 +110,7 @@ class RepresentationPipeline:
     def __init__(
         self,
         code_model: CodeEmbedderModel,
-        encoder,
+        encoder: BagEncoder,
         summarizer: SummarizerModel,
         demo_codec: DemographicsCodec,
         vocab: CodeVocabulary,
@@ -133,12 +127,8 @@ class RepresentationPipeline:
         )
 
     def _text_vector(self, record: PatientRecord, vi: int, task: str) -> np.ndarray:
-        if isinstance(self.encoder, PrecomputedVectorEncoder):
-            # Imported vectors are per visit; task windows do not apply.
-            mat = self.encoder.matrix_for(visit_key(record.patient_id, vi))
-        else:
-            text = select_task_text(record.visits[vi], task)
-            mat = sentence_matrix(text, self.encoder, self.summarizer.config.chunk_size)
+        text = select_task_text(record.visits[vi], task)
+        mat = sentence_matrix(text, self.encoder, self.summarizer.config.chunk_size)
         if mat is None:
             return np.zeros(self.space.d_enc)
         return summarize(self.summarizer, mat)

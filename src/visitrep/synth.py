@@ -24,12 +24,13 @@ import numpy as np
 
 from .cohort import DAY, HOUR, Cohort, Code, Note, PatientRecord, Visit
 from .errors import ValidationError
+from .jsonconfig import JsonConfig
 
 SYSTEM_PREFIX = {"dx": "D", "proc": "P", "med": "M"}
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(JsonConfig):
     n_patients: int = 200
     n_conditions: int = 8
     codes_per_condition: int = 6

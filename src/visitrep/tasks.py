@@ -15,17 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .checkpoint import expect_kind, expect_vocab_hash, read_checkpoint, write_checkpoint
+from .checkpoint import (
+    expect_kind,
+    expect_vocab_hash,
+    header_config,
+    read_checkpoint,
+    write_checkpoint,
+)
 from .cohort import N_LOS_CLASSES, TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_READMISSION
-from .errors import ValidationError
-from .numerics import Parameter, Tensor, TrainHistory
+from .errors import CheckpointError, ValidationError
+from .jsonconfig import JsonConfig
+from .numerics import Parameter, Tensor
 
 BINARY_TASKS = (TASK_READMISSION, TASK_MORTALITY)
 PROB_CLIP = 1e-7
 
 
 @dataclass(frozen=True)
-class TaskHeadConfig:
+class TaskHeadConfig(JsonConfig):
+    json_name = "task head config"
+
     epochs: int = 30
     batch_size: int = 32
     lr0: float = 1e-2
@@ -39,18 +48,6 @@ class TaskHeadConfig:
                 raise ValidationError(f"task head: {name} must be >= 1, got {getattr(self, name)}")
         if self.lr0 <= 0:
             raise ValidationError(f"task head: lr0 must be positive, got {self.lr0}")
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TaskHeadConfig":
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"task head config: unknown keys {sorted(unknown)}")
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
 
 
 def task_output_width(task: str) -> int:
@@ -96,17 +93,6 @@ class ClassifierModel:
 
     def state_arrays(self):
         return [(p.name, p.data.copy()) for p in self.parameters()]
-
-    def load_state_arrays(self, arrays: dict):
-        for p in self.parameters():
-            if p.name not in arrays:
-                raise ValidationError(f"classifier state missing parameter {p.name!r}")
-            if arrays[p.name].shape != p.data.shape:
-                raise ValidationError(
-                    f"classifier parameter {p.name!r}: shape {arrays[p.name].shape} "
-                    f"does not match {p.data.shape}"
-                )
-            p.data = arrays[p.name].astype(np.float64).copy()
 
     def meta(self) -> dict:
         return {"d_in": self.d_in, "task": self.task}
@@ -174,31 +160,22 @@ def train_task(X: np.ndarray, y: np.ndarray, task: str, config: TaskHeadConfig =
 
     rng = np.random.default_rng(config.seed)
     model = ClassifierModel(X.shape[1], task, rng)
-    params = model.parameters()
-    adam = nm.init_adam(params)
-    schedule = nm.StepDecay(lr0=config.lr0, factor=config.lr_factor, every=config.lr_every)
-    history = TrainHistory()
-
     n = len(X)
-    for epoch in range(config.epochs):
-        lr = nm.lr_at(schedule, epoch)
-        perm = rng.permutation(n)
-        total = 0.0
+
+    def batches(order):
         for start in range(0, n, config.batch_size):
-            rows = perm[start : start + config.batch_size]
+            rows = order[start : start + config.batch_size]
             probs = model.forward(Tensor(X[rows]))
-            loss = classification_loss(probs, y[rows], task)
-            for p in params:
-                p.zero_grad()
-            loss.backward()
-            nm.adam_step(params, adam, lr)
-            total += float(loss.data.reshape(())) * len(rows)
-        epoch_loss = total / n
-        if not np.isfinite(epoch_loss):
-            raise RuntimeError(f"task training diverged at epoch {epoch}")
-        history.train_loss.append(epoch_loss)
-        history.lrs.append(lr)
-    history.best_epoch = config.epochs - 1
+            yield classification_loss(probs, y[rows], task), len(rows)
+
+    history = nm.fit(
+        model.parameters(),
+        nm.StepDecay(lr0=config.lr0, factor=config.lr_factor, every=config.lr_every),
+        config.epochs,
+        rng,
+        n,
+        batches,
+    )
     return model, history
 
 
@@ -240,7 +217,10 @@ def load_classifier(path, vocab_hash: str):
     kind, meta, stored_hash, arrays = read_checkpoint(path)
     expect_kind(path, kind, "classifier")
     expect_vocab_hash(path, stored_hash, vocab_hash)
-    config = TaskHeadConfig.from_json(meta["task_head"])
+    config = header_config(path, meta, "task_head", TaskHeadConfig)
+    missing = sorted({"d_in", "task"} - set(meta))
+    if missing:
+        raise CheckpointError(f"{path}: header config lacks {missing}")
     model = ClassifierModel.from_meta(meta, np.random.default_rng(0))
-    model.load_state_arrays(arrays)
+    nm.load_state(model.parameters(), arrays)
     return model, config

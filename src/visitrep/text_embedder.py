@@ -5,8 +5,7 @@ Text flows visit by visit. Raw note text is lowercased, stripped of
 non-alphanumeric characters, and split on whitespace; tokens are mapped
 through a frequency-capped vocabulary and chunked greedily into fixed-size
 windows that play the role of sentences. A sentence encoder turns each
-window into a d_text vector (the default is a trainable mean-pooled token
-embedding; precomputed per-visit vectors can be imported instead). A
+window into a d_text vector (a trainable mean-pooled token embedding). A
 two-layer bidirectional gated recurrent encoder reads the sentence matrix,
 an attention head pools the states into the visit's text representation,
 and a gated recurrent decoder is trained to reconstruct the sentence matrix
@@ -22,10 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .checkpoint import expect_kind, expect_vocab_hash, read_checkpoint, write_checkpoint
+from .checkpoint import (
+    expect_kind,
+    expect_vocab_hash,
+    header_config,
+    read_checkpoint,
+    write_checkpoint,
+)
 from .cohort import Cohort
 from .errors import ValidationError
-from .numerics import Parameter, Tensor, TrainHistory
+from .jsonconfig import JsonConfig
+from .numerics import Parameter, Tensor
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -130,47 +136,6 @@ class BagEncoder:
         return [self.table]
 
 
-class PrecomputedVectorEncoder:
-    """Per-visit sentence matrices imported from an external model."""
-
-    def __init__(self, table: dict):
-        if not table:
-            raise ValidationError("precomputed vector table is empty")
-        dims = {mat.shape[1] for mat in table.values()}
-        if len(dims) != 1:
-            raise ValidationError(f"inconsistent vector widths in import: {sorted(dims)}")
-        self.table = table
-        self.d_text = dims.pop()
-
-    def matrix_for(self, key: str):
-        return self.table.get(key)
-
-
-def visit_key(patient_id: str, visit_index: int) -> str:
-    return f"{patient_id}:{visit_index}"
-
-
-def load_precomputed_vectors(path) -> PrecomputedVectorEncoder:
-    """JSONL rows of {"visit_key": str, "vectors": [[...], ...]}."""
-    table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                key, vectors = obj["visit_key"], obj["vectors"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad vector row ({exc})") from exc
-            mat = np.asarray(vectors, dtype=np.float64)
-            if mat.ndim != 2 or mat.shape[0] == 0:
-                raise ValidationError(f"{path}:{lineno}: vectors must be a non-empty matrix")
-            if key in table:
-                raise ValidationError(f"{path}:{lineno}: duplicate visit_key {key!r}")
-            table[key] = mat
-    return PrecomputedVectorEncoder(table)
-
-
 def sentence_matrix(text: str, encoder: BagEncoder, chunk_size: int):
     """Text to a (m, d_text) matrix, or None when no tokens survive."""
     ids = encoder.vocab.encode(tokenize(text))
@@ -181,7 +146,9 @@ def sentence_matrix(text: str, encoder: BagEncoder, chunk_size: int):
 
 
 @dataclass(frozen=True)
-class SummarizerConfig:
+class SummarizerConfig(JsonConfig):
+    json_name = "summarizer config"
+
     d_text: int = 64
     d_enc: int = 128
     chunk_size: int = 32
@@ -215,18 +182,6 @@ class SummarizerConfig:
             raise ValidationError(
                 f"summarizer: min_token_freq must be >= 1, got {self.min_token_freq}"
             )
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SummarizerConfig":
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"summarizer config: unknown keys {sorted(unknown)}")
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
 
 
 class _GRUCell:
@@ -285,10 +240,6 @@ class SummarizerModel:
             params.extend(cell.parameters())
         params.extend([self.out_w, self.out_b])
         return params
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     def _sweep(self, fwd: _GRUCell, bwd: _GRUCell, u: Tensor) -> Tensor:
         """One bidirectional layer over (B, m, d_in); directions summed."""
@@ -353,20 +304,6 @@ class SummarizerModel:
                     x = y
         rows = [nm.reshape(y, (b, 1, d_t)) for y in outputs]
         return rows[0] if m == 1 else nm.concat(rows, axis=1)
-
-    def state_arrays(self):
-        return [(p.name, p.data.copy()) for p in self.parameters()]
-
-    def load_state_arrays(self, arrays: dict):
-        for p in self.parameters():
-            if p.name not in arrays:
-                raise ValidationError(f"summarizer state missing parameter {p.name!r}")
-            if arrays[p.name].shape != p.data.shape:
-                raise ValidationError(
-                    f"summarizer parameter {p.name!r}: shape {arrays[p.name].shape} "
-                    f"does not match {p.data.shape}"
-                )
-            p.data = arrays[p.name].astype(np.float64).copy()
 
 
 def attention_weights(states: Tensor, d_enc: int) -> Tensor:
@@ -461,8 +398,8 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
     (teacher forcing off for validation) are restored before returning.
     Returns (encoder, model, history).
 
-    With train_encoder=False the token table stays at its random draw and
-    only the recurrent parameters move. Joint training admits a degenerate
+    With train_encoder=False the token table stays at its random draw, takes
+    no gradient, and only the recurrent parameters move. Joint training admits a degenerate
     optimum (drive the trainable reconstruction targets toward zero), which
     erodes whatever the bag vectors encoded; freezing pins the targets so
     the autoencoder has to model real structure.
@@ -485,71 +422,32 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
     if not train_idx:
         raise ValidationError("validation split consumed every noted visit")
 
-    params = model.parameters()
-    if config.train_encoder:
-        params = encoder.parameters() + params
-    adam = nm.init_adam(params)
-    schedule = nm.StepDecay(lr0=config.lr0, factor=config.lr_factor, every=config.lr_every)
-    history = TrainHistory()
-    best_val = np.inf
-    best_state = None
+    if not config.train_encoder:
+        encoder.table.requires_grad = False
+    params = [p for p in encoder.parameters() + model.parameters() if p.requires_grad]
 
-    def run_epoch(indices, teacher_forcing, coin_rng, lr=None):
-        total, count = 0.0, 0
-        batches = _bucket_batches([(i, examples[i]) for i in indices], config.batch_size)
-        for batch_rows in batches:
-            chunk_lists = [examples[i][2] for i in batch_rows]
-            ids, mask = _pad_chunk_batch(chunk_lists)
+    def batches(indices, teacher_forcing, coin_rng):
+        for rows in _bucket_batches([(i, examples[i]) for i in indices], config.batch_size):
+            ids, mask = _pad_chunk_batch([examples[i][2] for i in rows])
             u = encoder.encode_batch(ids, mask)
-            states = model.encode(u)
-            u_hat = model.decode(states, u, teacher_forcing, coin_rng)
-            loss = reconstruction_loss(u_hat, u)
-            if lr is not None:
-                for p in encoder.parameters() + model.parameters():
-                    p.zero_grad()
-                loss.backward()
-                nm.adam_step(params, adam, lr)
-            total += float(loss.data.reshape(())) * len(batch_rows)
-            count += len(batch_rows)
-        return total / count
+            u_hat = model.decode(model.encode(u), u, teacher_forcing, coin_rng)
+            yield reconstruction_loss(u_hat, u), len(rows)
 
-    for epoch in range(config.epochs):
-        lr = nm.lr_at(schedule, epoch)
-        perm = rng.permutation(len(train_idx))
-        shuffled = [train_idx[int(i)] for i in perm]
-        train_loss = run_epoch(shuffled, config.teacher_forcing, rng, lr=lr)
-        val_loss = run_epoch(val_idx, 0.0, None)
-        if not np.isfinite(train_loss) or not np.isfinite(val_loss):
-            raise RuntimeError(f"summarizer training diverged at epoch {epoch}")
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        history.lrs.append(lr)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_state = [(p.name, p.data.copy()) for p in params]
-            history.best_epoch = epoch
-
-    by_name = dict(best_state)
-    for p in params:
-        p.data = by_name[p.name].copy()
+    history = nm.fit(
+        params,
+        nm.StepDecay(lr0=config.lr0, factor=config.lr_factor, every=config.lr_every),
+        config.epochs,
+        rng,
+        len(train_idx),
+        lambda order: batches([train_idx[i] for i in order], config.teacher_forcing, rng),
+        lambda: batches(val_idx, 0.0, None),
+    )
     return encoder, model, history
 
 
 def summarizer_state(encoder: BagEncoder, model: SummarizerModel):
     """Named arrays for the checkpoint container, encoder first."""
-    return [("tok.w", encoder.table.data.copy())] + model.state_arrays()
-
-
-def load_summarizer_state(encoder: BagEncoder, model: SummarizerModel, arrays: dict):
-    if "tok.w" not in arrays:
-        raise ValidationError("summarizer state missing parameter 'tok.w'")
-    if arrays["tok.w"].shape != encoder.table.data.shape:
-        raise ValidationError(
-            f"token table shape {arrays['tok.w'].shape} does not match "
-            f"{encoder.table.data.shape}"
-        )
-    encoder.table.data = arrays["tok.w"].astype(np.float64).copy()
-    model.load_state_arrays(arrays)
+    return [(p.name, p.data.copy()) for p in encoder.parameters() + model.parameters()]
 
 
 def save_summarizer(path, encoder: BagEncoder, model: SummarizerModel) -> None:
@@ -568,9 +466,9 @@ def load_summarizer(path, vocab: TokenVocabulary):
     kind, config, vocab_hash, arrays = read_checkpoint(path)
     expect_kind(path, kind, "text")
     expect_vocab_hash(path, vocab_hash, vocab.content_hash())
-    cfg = SummarizerConfig.from_json(config["summarizer"])
+    cfg = header_config(path, config, "summarizer", SummarizerConfig)
     rng = np.random.default_rng(0)
     encoder = BagEncoder(vocab, cfg.d_text, rng)
     model = SummarizerModel(cfg, rng)
-    load_summarizer_state(encoder, model, arrays)
+    nm.load_state(encoder.parameters() + model.parameters(), arrays)
     return encoder, model

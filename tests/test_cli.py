@@ -6,6 +6,9 @@ re-running a stage reproduces its files byte for byte.
 """
 
 import json
+import re
+import shutil
+import struct
 
 import pytest
 
@@ -165,6 +168,40 @@ class TestPrerequisites:
         _, base = run_dir
         assert main(["evaluate", *base, "--crossval", "--ablate", "notes"]) == 1
         assert "unknown segments" in capsys.readouterr().err
+
+
+def _tamper_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place through edit(header)."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 10)
+    header = json.loads(raw[14 : 14 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:10] + struct.pack("<I", len(blob)) + blob + raw[14 + hlen :])
+
+
+class TestTamperedCheckpoint:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h["config"]["code_embedder"].update(bogus=1), "unknown keys"),
+            (lambda h: h["config"]["code_embedder"].update(d_code="8"), "d_code"),
+            (lambda h: h["config"].pop("code_embedder"), "lacks the 'code_embedder'"),
+            (lambda h: h.pop("params"), "lacks \\['params'\\]"),
+            (lambda h: h["params"][0].pop("shape"), "corrupt parameter list"),
+        ],
+        ids=["unknown-key", "wrong-type", "no-section", "no-params", "bad-entry"],
+    )
+    def test_exits_1_naming_the_file(self, run_dir, tmp_path, capsys, edit, message):
+        out, _ = run_dir
+        for name in ("vocab.json", "code.ckpt"):
+            shutil.copy(out / name, tmp_path / name)
+        ckpt = tmp_path / "code.ckpt"
+        _tamper_header(ckpt, edit)
+        assert main(["export", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}" in err
+        assert re.search(message, err)
 
 
 class TestCrossvalCommand:

@@ -11,7 +11,6 @@ from visitrep.code_embedder import (
     VisitSequenceBatch,
     attention_blocked_mask,
     build_batch,
-    embed_codes,
     encode_history,
     patient_matrices,
     positional_encoding,
@@ -74,30 +73,6 @@ class TestPositionalEncoding:
         pe = positional_encoding(50, 128)
         assert np.abs(pe).max() <= 1.0
         assert pe.tobytes() == positional_encoding(50, 128).tobytes()
-
-
-class TestEmbedCodes:
-    def test_one_hot_returns_row(self):
-        model = tiny_model()
-        x = np.zeros(6)
-        x[3] = 1.0
-        np.testing.assert_array_equal(embed_codes(model, x), model.embed.data[3])
-
-    def test_multi_hot_sums_rows(self):
-        model = tiny_model()
-        x = np.zeros(6)
-        x[[1, 4]] = 1.0
-        np.testing.assert_allclose(
-            embed_codes(model, x), model.embed.data[1] + model.embed.data[4], atol=1e-15
-        )
-
-    def test_zero_vector_maps_to_zero(self):
-        model = tiny_model()
-        np.testing.assert_array_equal(embed_codes(model, np.zeros(6)), np.zeros(8))
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValidationError, match="width"):
-            embed_codes(tiny_model(), np.zeros(5))
 
 
 class TestBatchAndMask:

@@ -1,7 +1,6 @@
 """Ingestion, preprocessing, encodings, labels, text windows, and folds."""
 
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -77,17 +76,13 @@ class TestIngest:
         with pytest.raises(ValidationError, match="duplicate patient_id"):
             ingest_cohort(str(f))
 
-    def test_lenient_mode_skips_backwards_stay(self, tmp_path, caplog):
+    def test_backwards_stay_rejected(self, tmp_path):
         f = tmp_path / "c.jsonl"
         bad = _patient_obj("p2")
         bad["visits"][0]["discharge_time"] = bad["visits"][0]["admit_time"] - 1
         _write_jsonl(f, [_patient_obj("p1"), bad])
-        with pytest.raises(ValidationError, match="discharge_time"):
+        with pytest.raises(ValidationError, match="line 2.*discharge_time"):
             ingest_cohort(str(f))
-        with caplog.at_level(logging.WARNING):
-            cohort = ingest_cohort(str(f), lenient=True)
-        assert cohort.patient_ids() == ["p1"]
-        assert any("line 2" in r.getMessage() for r in caplog.records)
 
     def test_note_time_window_enforced(self, tmp_path):
         f = tmp_path / "c.jsonl"

@@ -1,4 +1,5 @@
-"""Adam update math and learning-rate schedules against closed forms."""
+"""Adam update math and learning-rate schedules against closed forms, and
+the fit() training loop on a small least-squares problem."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,14 @@ from visitrep.numerics import (
     CosineAnnealing,
     Parameter,
     StepDecay,
+    Tensor,
     adam_step,
+    fit,
     init_adam,
     lr_at,
+    matmul,
+    mul,
+    tsum,
 )
 
 
@@ -120,3 +126,78 @@ class TestSchedules:
             StepDecay(lr0=0.1, factor=0.0, every=10)
         with pytest.raises(ValueError):
             StepDecay(lr0=-0.1, factor=0.5, every=10)
+
+
+class LeastSquares:
+    """y = X @ [1.5, -0.5]; batches of two rows in the order fit() draws."""
+
+    def __init__(self, n=6):
+        data = np.random.default_rng(0)
+        self.X = data.normal(size=(n, 2))
+        self.y = self.X @ np.array([[1.5], [-0.5]])
+        self.w = Parameter(np.zeros((2, 1)), "w")
+        self.after_epoch = []  # w after each epoch's last step
+
+    def loss(self, rows):
+        err = matmul(Tensor(self.X[rows]), self.w) - Tensor(self.y[rows])
+        return tsum(mul(err, err)) * (1.0 / len(rows))
+
+    def train_batches(self, order):
+        for start in range(0, len(order), 2):
+            rows = order[start : start + 2]
+            yield self.loss(rows), len(rows)
+        self.after_epoch.append(self.w.data.copy())
+
+    def fit(self, rng, epochs=4, val_batches=None):
+        return fit(
+            [self.w], StepDecay(0.1, 0.5, 2), epochs, rng, len(self.X),
+            self.train_batches, val_batches,
+        )
+
+
+class TestFit:
+    def test_restores_best_validation_epoch(self):
+        task = LeastSquares()
+        val_values = iter([3.0, 1.0, 2.0, 4.0])
+
+        def val_batches():
+            yield Tensor(next(val_values)), 1
+
+        history = task.fit(np.random.default_rng(1), val_batches=val_batches)
+        assert history.val_loss == [3.0, 1.0, 2.0, 4.0]
+        assert history.best_epoch == 1
+        assert task.w.data.tobytes() == task.after_epoch[1].tobytes()
+        assert task.w.data.tobytes() != task.after_epoch[-1].tobytes()
+
+    def test_without_validation_keeps_last_epoch(self):
+        task = LeastSquares()
+        history = task.fit(np.random.default_rng(1), epochs=3)
+        assert history.best_epoch == 2
+        assert history.val_loss == []
+        assert len(history.train_loss) == 3
+        np.testing.assert_allclose(history.lrs, [0.1, 0.1, 0.05], rtol=1e-15)
+        assert task.w.data.tobytes() == task.after_epoch[-1].tobytes()
+        assert history.train_loss[-1] < history.train_loss[0]
+
+    def test_non_finite_loss_raises_before_any_step(self):
+        task = LeastSquares()
+
+        def nan_batches(order):
+            loss = task.loss(order[:2])
+            loss.data = np.array(np.nan)
+            yield loss, 2
+
+        with pytest.raises(RuntimeError, match=r"diverged to nan at epoch 0 \(lr 0.1\).*batch 0"):
+            fit([task.w], StepDecay(0.1, 0.5, 2), 2, np.random.default_rng(1), 6, nan_batches)
+        np.testing.assert_array_equal(task.w.data, 0.0)
+        np.testing.assert_array_equal(task.w.grad, 0.0)
+
+    def test_equal_rng_states_give_identical_histories(self):
+        def run(seed):
+            task = LeastSquares()
+            history = task.fit(np.random.default_rng(seed))
+            return history.train_loss, history.lrs, task.w.data.tobytes()
+
+        assert run(7) == run(7)
+        # The drawn row order reaches the result, so the check above has teeth.
+        assert run(7)[0] != run(8)[0]

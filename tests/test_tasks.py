@@ -6,7 +6,7 @@ import pytest
 
 from visitrep.cohort import TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_READMISSION
 from visitrep.errors import ValidationError
-from visitrep.numerics import Tensor, max_relative_error
+from visitrep.numerics import Tensor, load_state, max_relative_error
 from visitrep.tasks import (
     PROB_CLIP,
     ClassifierModel,
@@ -185,7 +185,7 @@ class TestTraining:
         model, _ = train_task(X, y, TASK_MORTALITY, TaskHeadConfig(epochs=3))
         arrays = dict(model.state_arrays())
         clone = ClassifierModel.from_meta(model.meta(), np.random.default_rng(99))
-        clone.load_state_arrays(arrays)
+        load_state(clone.parameters(), arrays)
         np.testing.assert_array_equal(predict(model, X), predict(clone, X))
 
 

@@ -6,11 +6,10 @@ import pytest
 from conftest import make_cohort, make_record, make_visit
 
 from visitrep.errors import ValidationError
-from visitrep.numerics import Tensor, max_relative_error, tsum
+from visitrep.numerics import Tensor, load_state, max_relative_error, tsum
 from visitrep.synth import SynthConfig, generate_cohort
 from visitrep.text_embedder import (
     BagEncoder,
-    PrecomputedVectorEncoder,
     SummarizerConfig,
     SummarizerModel,
     TokenVocabulary,
@@ -18,8 +17,6 @@ from visitrep.text_embedder import (
     attention_weights,
     build_token_vocabulary,
     chunk_tokens,
-    load_precomputed_vectors,
-    load_summarizer_state,
     noted_visit_examples,
     reconstruct,
     reconstruction_loss,
@@ -28,7 +25,6 @@ from visitrep.text_embedder import (
     summarizer_state,
     tokenize,
     train_summarizer,
-    visit_key,
 )
 
 TINY_CFG = SummarizerConfig(d_text=4, d_enc=3, chunk_size=3, epochs=2, batch_size=4)
@@ -182,39 +178,6 @@ class TestBagEncoder:
         enc = self.make()
         with pytest.raises(ValidationError, match="at least one real token"):
             enc.encode_batch(np.zeros((1, 1, 2), dtype=np.int64), np.zeros((1, 1, 2)))
-
-
-class TestPrecomputedVectors:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "vecs.jsonl"
-        path.write_text(
-            '{"visit_key": "p1:0", "vectors": [[1.0, 2.0], [3.0, 4.0]]}\n'
-            '{"visit_key": "p1:1", "vectors": [[5.0, 6.0]]}\n'
-        )
-        enc = load_precomputed_vectors(path)
-        assert enc.d_text == 2
-        np.testing.assert_array_equal(enc.matrix_for(visit_key("p1", 0)), [[1, 2], [3, 4]])
-        assert enc.matrix_for("p9:0") is None
-
-    def test_inconsistent_widths_rejected(self, tmp_path):
-        path = tmp_path / "vecs.jsonl"
-        path.write_text(
-            '{"visit_key": "a:0", "vectors": [[1.0, 2.0]]}\n'
-            '{"visit_key": "b:0", "vectors": [[1.0]]}\n'
-        )
-        with pytest.raises(ValidationError, match="inconsistent"):
-            load_precomputed_vectors(path)
-
-    def test_duplicate_key_and_bad_rows(self, tmp_path):
-        path = tmp_path / "vecs.jsonl"
-        path.write_text(
-            '{"visit_key": "a:0", "vectors": [[1.0]]}\n{"visit_key": "a:0", "vectors": [[2.0]]}\n'
-        )
-        with pytest.raises(ValidationError, match="duplicate"):
-            load_precomputed_vectors(path)
-        path.write_text('{"vectors": [[1.0]]}\n')
-        with pytest.raises(ValidationError, match="bad vector row"):
-            load_precomputed_vectors(path)
 
 
 class TestSummarize:
@@ -426,8 +389,9 @@ class TestTraining:
         assert mean_val_loss(enc, model) < mean_val_loss(enc0, model0)
 
     def test_frozen_encoder_keeps_token_table(self):
-        """train_encoder=False leaves tok.w at its draw; the autoencoder
-        still improves against those fixed targets."""
+        """train_encoder=False leaves tok.w at its draw and out of the
+        backward pass; the autoencoder still improves against those fixed
+        targets."""
         cohort = tiny_text_cohort()
         cfg = SummarizerConfig(
             d_text=8, d_enc=6, chunk_size=8, epochs=4, batch_size=8,
@@ -439,6 +403,7 @@ class TestTraining:
         vocab = build_token_vocabulary(cohort, cfg.min_token_freq, cfg.max_tokens)
         enc0 = BagEncoder(vocab, cfg.d_text, rng)
         assert enc.table.data.tobytes() == enc0.table.data.tobytes()
+        np.testing.assert_array_equal(enc.table.grad, 0.0)
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_joint_training_moves_token_table(self):
@@ -492,7 +457,7 @@ class TestTraining:
         rng = np.random.default_rng(99)
         enc2 = BagEncoder(enc.vocab, cfg.d_text, rng)
         model2 = SummarizerModel(cfg, rng)
-        load_summarizer_state(enc2, model2, arrays)
+        load_state(enc2.parameters() + model2.parameters(), arrays)
         u = sentence_matrix("c0t1 c0t2 noise3", enc, cfg.chunk_size)
         u2 = sentence_matrix("c0t1 c0t2 noise3", enc2, cfg.chunk_size)
         assert u.tobytes() == u2.tobytes()
