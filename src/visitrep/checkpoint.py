@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CheckpointError, ValidationError
+from .numerics import load_state
 
 MAGIC = b"TAPERCKP"
 VERSION = 1
@@ -107,6 +108,15 @@ def expect_vocab_hash(path: str, got: str, want: str) -> None:
             f"{path}: checkpoint was trained against a different vocabulary "
             f"(hash {got[:12]}.. != current {want[:12]}..)"
         )
+
+
+def load_params(path: str, params, arrays: dict, stage: str) -> None:
+    """Set params from a checkpoint's arrays; a missing name or a wrong shape
+    is an error naming the file and the stage that rewrites it."""
+    try:
+        load_state(params, arrays)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}; re-run {stage}") from e
 
 
 def header_config(path: str, config: dict, key: str, cls):

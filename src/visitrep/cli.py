@@ -65,22 +65,32 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_artifact(cfg: RunConfig, name: str, stage: str, parse):
+    """parse(JSON of run-directory file `name`); a missing or malformed file
+    is an error naming the file and the stage that writes it."""
+    path = _need(_p(cfg, name), f"run {stage} first")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}; re-run {stage}") from exc
 
 
 def _load_preprocessed(cfg: RunConfig):
     cohort = ingest_cohort(_need(_p(cfg, "preprocessed.jsonl"), "run preprocess first"))
-    vocab = CodeVocabulary.from_json(
-        _read_json(_need(_p(cfg, "vocab.json"), "run preprocess first"))
-    )
-    return cohort, vocab
+    return cohort, _read_artifact(cfg, "vocab.json", "preprocess", CodeVocabulary.from_json)
+
+
+def _split_ids(obj) -> tuple:
+    if not isinstance(obj, dict) or not all(
+        isinstance(obj.get(key), list) for key in ("train", "holdout")
+    ):
+        raise ValidationError("split: expected an object with 'train' and 'holdout' lists")
+    return obj["train"], obj["holdout"]
 
 
 def _read_split(cfg: RunConfig):
-    obj = _read_json(_need(_p(cfg, "split.json"), "run preprocess first"))
-    return obj["train"], obj["holdout"]
+    return _read_artifact(cfg, "split.json", "preprocess", _split_ids)
 
 
 # -- stages ------------------------------------------------------------------------
@@ -147,9 +157,7 @@ def cmd_train_text(cfg: RunConfig, args) -> None:
 
 def _load_models(cfg: RunConfig, vocab: CodeVocabulary):
     code_model = load_code_model(_need(_p(cfg, "code.ckpt"), "run train-code first"), vocab)
-    token_vocab = TokenVocabulary.from_json(
-        _read_json(_need(_p(cfg, "token_vocab.json"), "run train-text first"))
-    )
+    token_vocab = _read_artifact(cfg, "token_vocab.json", "train-text", TokenVocabulary.from_json)
     encoder, summarizer = load_summarizer(
         _need(_p(cfg, "text.ckpt"), "run train-text first"), token_vocab
     )
@@ -304,9 +312,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> None:
 
 
 def cmd_export(cfg: RunConfig, args) -> None:
-    vocab = CodeVocabulary.from_json(
-        _read_json(_need(_p(cfg, "vocab.json"), "run preprocess first"))
-    )
+    vocab = _read_artifact(cfg, "vocab.json", "preprocess", CodeVocabulary.from_json)
     model = load_code_model(_need(_p(cfg, "code.ckpt"), "run train-code first"), vocab)
     path = _p(cfg, "code_embeddings.csv")
     matrix = model.embed.data

@@ -25,6 +25,7 @@ from .checkpoint import (
     expect_kind,
     expect_vocab_hash,
     header_config,
+    load_params,
     read_checkpoint,
     write_checkpoint,
 )
@@ -344,16 +345,37 @@ def train_code_embedder(
     return model, history
 
 
-def encode_history(model: CodeEmbedderModel, matrix: np.ndarray) -> np.ndarray:
-    """Layer-stack outputs (T, d_code) for one unpadded visit-matrix prefix."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValidationError(f"encode_history: expected (T, |C|), got {m.shape}")
-    batch = VisitSequenceBatch(
-        codes=m[None, :, :], real=np.ones((1, m.shape[0]), dtype=bool), patient_ids=("_",)
-    )
-    outputs, _ = model.forward(batch)
-    return outputs.data[0]
+def forward_histories(model: CodeEmbedderModel, matrices) -> list:
+    """One padded forward over unpadded (T_i, |C|) visit matrices; per matrix,
+    its real rows as (outputs (T_i, d_code), code probabilities (T_i, |C|)).
+
+    The causal mask makes row t depend on visits 0..t only, so row t of chat
+    scores the next visit after the prefix ending at t."""
+    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
+    for m in mats:
+        if m.ndim != 2:
+            raise ValidationError(f"visit matrix: expected (T, |C|), got {m.shape}")
+    outputs, chat = model.forward(build_batch(mats, ["_"] * len(mats)))
+    return [(outputs.data[i, : len(m)], chat.data[i, : len(m)]) for i, m in enumerate(mats)]
+
+
+def encode_history(model: CodeEmbedderModel, matrices):
+    """Layer-stack outputs for a list of visit matrices, one padded forward:
+    a (T_i, d_code) array per (T_i, |C|) matrix. A single matrix gives its
+    (T, d_code) outputs."""
+    if isinstance(matrices, np.ndarray) and matrices.ndim == 2:
+        return encode_history(model, [matrices])[0]
+    return [outputs for outputs, _ in forward_histories(model, matrices)]
+
+
+def rank_codes(scores: np.ndarray, candidates: Optional[np.ndarray] = None) -> np.ndarray:
+    """Candidate vocabulary indices (default: all) by descending score; ties
+    break toward the smaller index so rankings are stable."""
+    if candidates is None:
+        cand = np.arange(len(scores), dtype=np.intp)
+    else:
+        cand = np.asarray(candidates, dtype=np.intp)
+    return cand[np.lexsort((cand, -scores[cand]))]
 
 
 def predict_next_codes(
@@ -362,20 +384,10 @@ def predict_next_codes(
     system_indices: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vocabulary indices ranked by next-visit probability at the last
-    position of the history. Ties break toward the smaller index so rankings
-    are stable. Optionally restricted to one coding system's indices."""
-    m = np.asarray(matrix, dtype=np.float64)
-    batch = VisitSequenceBatch(
-        codes=m[None, :, :], real=np.ones((1, m.shape[0]), dtype=bool), patient_ids=("_",)
-    )
-    _, chat = model.forward(batch)
-    scores = chat.data[0, -1]
-    if system_indices is not None:
-        cand = np.asarray(system_indices, dtype=np.intp)
-    else:
-        cand = np.arange(len(scores), dtype=np.intp)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order]
+    position of one history, optionally restricted to one coding system's
+    indices (see rank_codes)."""
+    [(_, chat)] = forward_histories(model, [matrix])
+    return rank_codes(chat[-1], system_indices)
 
 
 def save_code_model(path, model: CodeEmbedderModel) -> None:
@@ -396,6 +408,6 @@ def load_code_model(path, vocab: CodeVocabulary) -> CodeEmbedderModel:
     expect_vocab_hash(path, vocab_hash, vocab.content_hash())
     cfg = header_config(path, config, "code_embedder", CodeEmbedderConfig)
     model = CodeEmbedderModel(len(vocab), cfg, np.random.default_rng(0))
-    nm.load_state(model.parameters(), arrays)
+    load_params(path, model.parameters(), arrays, "train-code")
     model.vocab_hash = vocab_hash
     return model

@@ -366,11 +366,14 @@ class CodeVocabulary:
 
     @staticmethod
     def from_json(obj: dict) -> "CodeVocabulary":
-        entries = [
-            VocabEntry(system=e["system"], group_id=e["group_id"], index=i, freq=e["freq"])
-            for i, e in enumerate(obj["entries"])
-        ]
-        return CodeVocabulary(entries)
+        try:
+            entries = [
+                VocabEntry(system=e["system"], group_id=e["group_id"], index=i, freq=e["freq"])
+                for i, e in enumerate(obj["entries"])
+            ]
+            return CodeVocabulary(entries)
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"vocabulary: malformed entry list ({exc!r})") from exc
 
 
 def build_vocabulary(cohort: Cohort) -> CodeVocabulary:

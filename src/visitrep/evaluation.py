@@ -31,7 +31,8 @@ from .cohort import (
 )
 from .code_embedder import (
     CodeEmbedderConfig,
-    predict_next_codes,
+    forward_histories,
+    rank_codes,
     train_code_embedder,
 )
 from .errors import ValidationError
@@ -205,7 +206,10 @@ def _complement(cohort: Cohort, held_out_ids) -> Cohort:
 def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=None):
     """recall@k per system for next-visit codes; returns ({(sys, k): mean}, skipped).
 
-    With `ranking` given (a precomputed code ordering, e.g. the frequency
+    The model scores every prefix of a patient at once: row t of one causal
+    forward ranks the visit after t exactly as a forward over visits 0..t
+    would, and each batch of patients shares one padded forward. With
+    `ranking` given (a precomputed code ordering, e.g. the frequency
     baseline), that fixed ranking is scored instead of the model's.
     """
     per_system_values = {}
@@ -218,28 +222,33 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
         fixed = {
             s: [int(c) for c in ranking if int(c) in members[s]] for s in systems
         }
-    for record in cohort.patients:
-        if len(record.visits) < 2:
-            continue
-        matrix = np.stack([encode_visit_codes(v, vocab) for v in record.visits])
-        for t in range(len(record.visits) - 1):
-            truth_vec = matrix[t + 1]
-            for system in systems:
-                idx = sys_idx[system]
-                truth = set(idx[truth_vec[idx] > 0].tolist())
-                if not truth:
-                    skipped += 1
-                    continue
-                if fixed is not None:
-                    ranked = fixed[system]
-                else:
-                    ranked = predict_next_codes(
-                        model, matrix[: t + 1], system_indices=idx
-                    ).tolist()
-                for k in ks:
-                    per_system_values.setdefault((system, k), []).append(
-                        recall_at_k(ranked, truth, k)
-                    )
+    patients = [r for r in cohort.patients if len(r.visits) >= 2]
+    step = model.config.batch_size if fixed is None else max(len(patients), 1)
+    for start in range(0, len(patients), step):
+        matrices = [
+            np.stack([encode_visit_codes(v, vocab) for v in r.visits])
+            for r in patients[start : start + step]
+        ]
+        chats = [None] * len(matrices)
+        if fixed is None:
+            chats = [chat for _, chat in forward_histories(model, matrices)]
+        for matrix, chat in zip(matrices, chats):
+            for t in range(len(matrix) - 1):
+                truth_vec = matrix[t + 1]
+                for system in systems:
+                    idx = sys_idx[system]
+                    truth = set(idx[truth_vec[idx] > 0].tolist())
+                    if not truth:
+                        skipped += 1
+                        continue
+                    if fixed is not None:
+                        ranked = fixed[system]
+                    else:
+                        ranked = rank_codes(chat[t], idx).tolist()
+                    for k in ks:
+                        per_system_values.setdefault((system, k), []).append(
+                            recall_at_k(ranked, truth, k)
+                        )
     if not per_system_values:
         raise ValidationError("next_code_recall: no patient had a scorable next visit")
     means = {key: float(np.mean(vals)) for key, vals in per_system_values.items()}

@@ -8,6 +8,13 @@ one). The text segment summarizes the task's note window; a visit with no
 usable text gets a zero segment, as does the first visit's code segment.
 The demographics segment is the per-visit snapshot (age drifts with time).
 
+Inference is batched. The text pass builds every visit's sentence matrix
+first, groups the matrices by sentence count (as summarizer training
+does) and summarizes each group in chunks of the summarizer's batch size,
+so no stack is padded. The code pass encodes the histories of each
+code-model batch of patients in one padded forward; the causal and
+padding masks keep every row equal to its own unpadded forward.
+
 Extraction never mutates the upstream models, so segments can be zeroed
 after the fact to produce every ablation variant from one pass.
 """
@@ -25,13 +32,18 @@ from .cohort import (
     Cohort,
     CodeVocabulary,
     DemographicsCodec,
-    PatientRecord,
     encode_visit_codes,
     select_task_text,
 )
 from .code_embedder import CodeEmbedderModel, encode_history
 from .errors import ValidationError
-from .text_embedder import BagEncoder, SummarizerModel, sentence_matrix, summarize
+from .text_embedder import (
+    BagEncoder,
+    SummarizerModel,
+    bucket_batches,
+    sentence_matrix,
+    summarize,
+)
 
 SEGMENTS = ("code", "text", "demo")
 
@@ -126,39 +138,47 @@ class RepresentationPipeline:
             d_demo=demo_codec.dim,
         )
 
-    def _text_vector(self, record: PatientRecord, vi: int, task: str) -> np.ndarray:
-        text = select_task_text(record.visits[vi], task)
-        mat = sentence_matrix(text, self.encoder, self.summarizer.config.chunk_size)
-        if mat is None:
-            return np.zeros(self.space.d_enc)
-        return summarize(self.summarizer, mat)
-
-    def represent_patient(self, record: PatientRecord, task: str) -> list:
-        if task not in TASKS:
-            raise ValidationError(f"unknown task {task!r}, expected one of {TASKS}")
-        matrix = np.stack([encode_visit_codes(v, self.vocab) for v in record.visits])
-        history = encode_history(self.code_model, matrix)
-        out = []
-        for vi in range(len(record.visits)):
-            if task == TASK_CODES:
-                code_vec = history[vi]
-            elif vi == 0:
-                code_vec = np.zeros(self.space.d_code)
-            else:
-                code_vec = history[vi - 1]
-            z = assemble(
-                self.space,
-                code_vec,
-                self._text_vector(record, vi, task),
-                self.demo_codec.encode(record, vi),
-            )
-            out.append(PatientRepresentation(record.patient_id, vi, task, z))
+    def _text_vectors(self, cohort: Cohort, task: str) -> np.ndarray:
+        """(visits, d_enc) text segments in cohort visit order; a visit with
+        no usable text keeps a zero row."""
+        chunk_size = self.summarizer.config.chunk_size
+        mats = [
+            sentence_matrix(select_task_text(visit, task), self.encoder, chunk_size)
+            for record in cohort.patients
+            for visit in record.visits
+        ]
+        out = np.zeros((len(mats), self.space.d_enc))
+        lengths = [(i, len(m)) for i, m in enumerate(mats) if m is not None]
+        for rows in bucket_batches(lengths, self.summarizer.config.batch_size):
+            out[rows] = summarize(self.summarizer, np.stack([mats[i] for i in rows]))
         return out
 
     def represent_cohort(self, cohort: Cohort, task: str) -> list:
+        """One PatientRepresentation per visit, in cohort order."""
+        if task not in TASKS:
+            raise ValidationError(f"unknown task {task!r}, expected one of {TASKS}")
+        text = iter(self._text_vectors(cohort, task))
+        patients = cohort.patients
+        step = self.code_model.config.batch_size
         reps = []
-        for record in cohort.patients:
-            reps.extend(self.represent_patient(record, task))
+        for start in range(0, len(patients), step):
+            chunk = patients[start : start + step]
+            histories = encode_history(
+                self.code_model,
+                [np.stack([encode_visit_codes(v, self.vocab) for v in r.visits]) for r in chunk],
+            )
+            for record, history in zip(chunk, histories):
+                for vi in range(len(record.visits)):
+                    if task == TASK_CODES:
+                        code_vec = history[vi]
+                    elif vi == 0:
+                        code_vec = np.zeros(self.space.d_code)
+                    else:
+                        code_vec = history[vi - 1]
+                    z = assemble(
+                        self.space, code_vec, next(text), self.demo_codec.encode(record, vi)
+                    )
+                    reps.append(PatientRepresentation(record.patient_id, vi, task, z))
         return reps
 
 

@@ -19,6 +19,7 @@ from .checkpoint import (
     expect_kind,
     expect_vocab_hash,
     header_config,
+    load_params,
     read_checkpoint,
     write_checkpoint,
 )
@@ -222,5 +223,5 @@ def load_classifier(path, vocab_hash: str):
     if missing:
         raise CheckpointError(f"{path}: header config lacks {missing}")
     model = ClassifierModel.from_meta(meta, np.random.default_rng(0))
-    nm.load_state(model.parameters(), arrays)
+    load_params(path, model.parameters(), arrays, "train-task")
     return model, config

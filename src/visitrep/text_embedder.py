@@ -1,10 +1,10 @@
 """Note text pipeline: tokenization, sentence encoders, and the recurrent
 autoencoder that turns a visit's sentences into a single summary vector.
 
-Text flows visit by visit. Raw note text is lowercased, stripped of
-non-alphanumeric characters, and split on whitespace; tokens are mapped
-through a frequency-capped vocabulary and chunked greedily into fixed-size
-windows that play the role of sentences. A sentence encoder turns each
+Text flows visit by visit. Raw note text is lowercased and split into
+maximal runs of alphanumeric characters; tokens are mapped through a
+frequency-capped vocabulary and chunked greedily into fixed-size windows
+that play the role of sentences. A sentence encoder turns each
 window into a d_text vector (a trainable mean-pooled token embedding). A
 two-layer bidirectional gated recurrent encoder reads the sentence matrix,
 an attention head pools the states into the visit's text representation,
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .checkpoint import (
     expect_kind,
     expect_vocab_hash,
     header_config,
+    load_params,
     read_checkpoint,
     write_checkpoint,
 )
@@ -38,10 +40,8 @@ UNK_ID = 0
 
 
 def tokenize(text: str) -> list:
-    """Lowercase, replace non-alphanumeric characters with spaces, split."""
-    lowered = text.lower()
-    cleaned = "".join(ch if ch.isalnum() else " " for ch in lowered)
-    return cleaned.split()
+    """Lowercase, then the maximal runs of alphanumeric characters."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 def chunk_tokens(tokens, size: int) -> list:
@@ -78,7 +78,10 @@ class TokenVocabulary:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TokenVocabulary":
-        return cls(obj["tokens"])
+        tokens = obj.get("tokens") if isinstance(obj, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValidationError("token vocabulary: 'tokens' must be a list of strings")
+        return cls(tokens)
 
 
 def build_token_vocabulary(cohort: Cohort, min_freq: int = 2, max_tokens: int = 20000):
@@ -318,12 +321,18 @@ def attention_pool(states: Tensor, d_enc: int) -> Tensor:
 
 
 def summarize(model: SummarizerModel, u: np.ndarray) -> np.ndarray:
-    """One visit's (m, d_text) sentence matrix to its d_enc summary vector."""
+    """Summary vectors of a (B, m, d_text) stack of same-length sentence
+    matrices, as (B, d_enc). One visit's (m, d_text) matrix gives its d_enc
+    vector. Each row of the stack is encoded and pooled on its own."""
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] == 0:
-        raise ValidationError(f"summarize expects a non-empty (m, d_text) matrix, got {u.shape}")
-    states = model.encode(Tensor(u[None, :, :]))
-    return model.pool(states).data[0].copy()
+    if u.ndim == 2:
+        return summarize(model, u[None])[0]
+    if u.ndim != 3 or 0 in u.shape[:2]:
+        raise ValidationError(
+            f"summarize expects a non-empty (m, d_text) matrix or (B, m, d_text) stack, "
+            f"got {u.shape}"
+        )
+    return model.pool(model.encode(Tensor(u))).data.copy()
 
 
 def reconstruction_loss(u_hat: Tensor, u: Tensor) -> Tensor:
@@ -378,11 +387,14 @@ def _pad_chunk_batch(chunk_lists):
     return ids, mask
 
 
-def _bucket_batches(examples, batch_size):
-    """Group example indices by sentence count, then split into batches."""
+def bucket_batches(lengths, batch_size):
+    """Group indices by sentence count, then split into batches.
+
+    `lengths` is a sequence of (index, sentence count) pairs; buckets come
+    in ascending count, indices keep their input order within a bucket."""
     buckets: dict = {}
-    for idx, (_, _, chunks) in examples:
-        buckets.setdefault(len(chunks), []).append(idx)
+    for idx, m in lengths:
+        buckets.setdefault(m, []).append(idx)
     batches = []
     for m in sorted(buckets):
         rows = buckets[m]
@@ -427,7 +439,8 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
     params = [p for p in encoder.parameters() + model.parameters() if p.requires_grad]
 
     def batches(indices, teacher_forcing, coin_rng):
-        for rows in _bucket_batches([(i, examples[i]) for i in indices], config.batch_size):
+        lengths = [(i, len(examples[i][2])) for i in indices]
+        for rows in bucket_batches(lengths, config.batch_size):
             ids, mask = _pad_chunk_batch([examples[i][2] for i in rows])
             u = encoder.encode_batch(ids, mask)
             u_hat = model.decode(model.encode(u), u, teacher_forcing, coin_rng)
@@ -470,5 +483,5 @@ def load_summarizer(path, vocab: TokenVocabulary):
     rng = np.random.default_rng(0)
     encoder = BagEncoder(vocab, cfg.d_text, rng)
     model = SummarizerModel(cfg, rng)
-    nm.load_state(encoder.parameters() + model.parameters(), arrays)
+    load_params(path, encoder.parameters() + model.parameters(), arrays, "train-text")
     return encoder, model

@@ -204,6 +204,51 @@ class TestTamperedCheckpoint:
         assert re.search(message, err)
 
 
+    def test_renamed_parameter_names_file_and_stage(self, run_dir, tmp_path, capsys):
+        out, _ = run_dir
+        for name in ("vocab.json", "code.ckpt"):
+            shutil.copy(out / name, tmp_path / name)
+        ckpt = tmp_path / "code.ckpt"
+
+        def rename(header):
+            [entry] = [e for e in header["params"] if e["name"] == "embed.w"]
+            entry["name"] = "embed.renamed"
+
+        _tamper_header(ckpt, rename)
+        assert main(["export", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}" in err
+        assert "'embed.w'" in err and "re-run train-code" in err
+
+
+class TestMalformedArtifact:
+    @pytest.mark.parametrize(
+        "name, edit, command, writer",
+        [
+            ("token_vocab.json", lambda o: o.pop("tokens"), "represent", "train-text"),
+            ("token_vocab.json", lambda o: o["tokens"].append(["x"]), "represent", "train-text"),
+            ("split.json", lambda o: o.pop("train"), "train-code", "preprocess"),
+            ("vocab.json", lambda o: o["entries"][0].pop("group_id"), "export", "preprocess"),
+            ("vocab.json", lambda o: o["entries"][0].update(group_id=["x"]), "export", "preprocess"),
+        ],
+        ids=["token-vocab", "token-list", "split", "vocab", "vocab-group-list"],
+    )
+    def test_exits_1_naming_file_and_stage(
+        self, run_dir, tmp_path, capsys, name, edit, command, writer
+    ):
+        out, _ = run_dir
+        shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+        doc = json.loads((tmp_path / name).read_text())
+        edit(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+        config = dict(TINY_CONFIG, paths={"out": str(tmp_path)})
+        (tmp_path / "tiny_config.json").write_text(json.dumps(config))
+        assert main([command, "--config", str(tmp_path / "tiny_config.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / name}" in err
+        assert f"re-run {writer}" in err
+
+
 class TestCrossvalCommand:
     def test_writes_per_fold_report(self, run_dir):
         out, base = run_dir

@@ -14,8 +14,20 @@ from numpy.testing import assert_allclose
 
 from conftest import make_cohort, make_record, make_visit
 from visitrep import evaluation as ev
-from visitrep.cohort import TASK_CODES, TASK_LOS, TASK_MORTALITY, build_vocabulary
-from visitrep.code_embedder import CodeEmbedderConfig
+from visitrep.cohort import (
+    TASK_CODES,
+    TASK_LOS,
+    TASK_MORTALITY,
+    build_vocabulary,
+    encode_visit_codes,
+)
+from visitrep.code_embedder import (
+    CodeEmbedderConfig,
+    CodeEmbedderModel,
+    forward_histories,
+    predict_next_codes,
+    rank_codes,
+)
 from visitrep.errors import ValidationError
 from visitrep.synth import SynthConfig, generate_cohort
 from visitrep.tasks import TaskHeadConfig
@@ -245,6 +257,67 @@ class TestFrequencyBaseline:
                     counts[vocab.index_of(code.system, code.group_id)] += 1
         expect = sorted(range(len(vocab)), key=lambda i: (-counts[i], i))
         assert ev.frequency_baseline(cohort, vocab).tolist() == expect
+
+
+def per_prefix_recall(model, cohort, vocab, ks):
+    """next_code_recall's definition, one forward per (prefix, system) pair."""
+    values, skipped = {}, 0
+    systems = sorted({e.system for e in vocab.entries})
+    for record in cohort.patients:
+        matrix = np.stack([encode_visit_codes(v, vocab) for v in record.visits])
+        for t in range(len(record.visits) - 1):
+            for system in systems:
+                idx = vocab.system_indices(system)
+                truth = set(idx[matrix[t + 1][idx] > 0].tolist())
+                if not truth:
+                    skipped += 1
+                    continue
+                ranked = predict_next_codes(model, matrix[: t + 1], system_indices=idx)
+                for k in ks:
+                    values.setdefault((system, k), []).append(
+                        ev.recall_at_k(ranked.tolist(), truth, k)
+                    )
+    return {key: float(np.mean(v)) for key, v in values.items()}, skipped
+
+
+class TestBatchedNextCodeRecall:
+    """next_code_recall ranks every prefix from the causal rows of one padded
+    forward per batch of patients; rankings and recalls must equal the
+    per-prefix forward they replaced."""
+
+    def setup_model(self):
+        cohort, _ = generate_cohort(
+            SynthConfig(n_patients=24, n_conditions=3, visits_min=1, visits_max=5, seed=6)
+        )
+        vocab = build_vocabulary(cohort)
+        config = CodeEmbedderConfig(d_code=8, n_layers=2, n_heads=2, d_head=4, batch_size=5)
+        model = CodeEmbedderModel(len(vocab), config, np.random.default_rng(2))
+        assert len(cohort.patients) > 2 * config.batch_size
+        assert len({len(p.visits) for p in cohort.patients}) > 2
+        return cohort, vocab, model
+
+    def test_rankings_match_per_prefix_forward(self):
+        cohort, vocab, model = self.setup_model()
+        matrices = [
+            np.stack([encode_visit_codes(v, vocab) for v in p.visits]) for p in cohort.patients
+        ]
+        systems = sorted({e.system for e in vocab.entries})
+        for start in range(0, len(matrices), model.config.batch_size):
+            chunk = matrices[start : start + model.config.batch_size]
+            for matrix, (_, chat) in zip(chunk, forward_histories(model, chunk)):
+                for t in range(len(matrix)):
+                    for system in systems:
+                        idx = vocab.system_indices(system)
+                        assert (
+                            rank_codes(chat[t], idx).tolist()
+                            == predict_next_codes(model, matrix[: t + 1], idx).tolist()
+                        )
+
+    def test_recall_matches_per_prefix_oracle(self):
+        cohort, vocab, model = self.setup_model()
+        assert ev.next_code_recall(model, cohort, vocab, ks=(1, 3, 10)) == per_prefix_recall(
+            model, cohort, vocab, ks=(1, 3, 10)
+        )
 
 
 class TestEvalConfig:

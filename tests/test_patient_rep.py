@@ -1,6 +1,8 @@
 """Representation assembly: segment layout, history windows per task,
 missing-modality zeros, ablation zeroing, and the JSONL round trip."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import make_cohort, make_record, make_visit
@@ -12,11 +14,13 @@ from visitrep.cohort import (
     TASK_READMISSION,
     DemographicsCodec,
     VisitLabel,
+    Cohort,
     build_vocabulary,
+    encode_visit_codes,
     extract_labels,
     select_task_text,
 )
-from visitrep.code_embedder import CodeEmbedderConfig, CodeEmbedderModel
+from visitrep.code_embedder import CodeEmbedderConfig, CodeEmbedderModel, encode_history
 from visitrep.errors import ValidationError
 from visitrep.patient_rep import (
     PatientRepresentation,
@@ -29,11 +33,13 @@ from visitrep.patient_rep import (
     write_representations,
     zero_segments,
 )
+from visitrep.synth import SynthConfig, generate_cohort
 from visitrep.text_embedder import (
     SummarizerConfig,
     SummarizerModel,
     TokenVocabulary,
     BagEncoder,
+    build_token_vocabulary,
     sentence_matrix,
     summarize,
 )
@@ -146,24 +152,24 @@ class TestRepresentVisit:
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
         for task in (TASK_MORTALITY, TASK_LOS, TASK_READMISSION):
-            rep = pipe.represent_patient(cohort.patients[0], task)[0]
+            rep = pipe.represent_cohort(make_cohort(cohort.patients[0]), task)[0]
             np.testing.assert_array_equal(read_segment(pipe.space, rep.vector, "code"), 0.0)
 
     def test_code_prediction_includes_current_visit(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
-        rep = pipe.represent_patient(cohort.patients[0], TASK_CODES)[0]
+        rep = pipe.represent_cohort(make_cohort(cohort.patients[0]), TASK_CODES)[0]
         assert np.abs(read_segment(pipe.space, rep.vector, "code")).max() > 0
 
     def test_current_visit_codes_do_not_leak_into_clinical_segment(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
-        base = pipe.represent_patient(cohort.patients[0], TASK_MORTALITY)
+        base = pipe.represent_cohort(make_cohort(cohort.patients[0]), TASK_MORTALITY)
 
         visits = list(cohort.patients[0].visits)
         visits[1] = make_visit(40, 1, codes=[("dx", "a"), ("med", "x")], notes=[(1, "fever rash")])
         mutated = make_record("p1", visits, age=50)
-        changed = pipe.represent_patient(mutated, TASK_MORTALITY)
+        changed = pipe.represent_cohort(make_cohort(mutated), TASK_MORTALITY)
 
         seg = lambda rep: read_segment(pipe.space, rep.vector, "code")
         np.testing.assert_array_equal(seg(base[1]), seg(changed[1]))
@@ -172,14 +178,14 @@ class TestRepresentVisit:
     def test_missing_notes_zero_text_segment(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
-        reps = pipe.represent_patient(cohort.patients[0], TASK_MORTALITY)
+        reps = pipe.represent_cohort(make_cohort(cohort.patients[0]), TASK_MORTALITY)
         np.testing.assert_array_equal(read_segment(pipe.space, reps[2].vector, "text"), 0.0)
         assert np.abs(read_segment(pipe.space, reps[0].vector, "text")).max() > 0
 
     def test_text_segment_matches_direct_summarization(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
-        rep = pipe.represent_patient(cohort.patients[1], TASK_MORTALITY)[0]
+        rep = pipe.represent_cohort(make_cohort(cohort.patients[1]), TASK_MORTALITY)[0]
         text = select_task_text(cohort.patients[1].visits[0], TASK_MORTALITY)
         mat = sentence_matrix(text, pipe.encoder, pipe.summarizer.config.chunk_size)
         np.testing.assert_array_equal(
@@ -197,7 +203,7 @@ class TestRepresentVisit:
         )
         cohort = make_cohort(record)
         pipe = build_pipeline(cohort)
-        reps = pipe.represent_patient(record, TASK_MORTALITY)
+        reps = pipe.represent_cohort(make_cohort(record), TASK_MORTALITY)
         d0 = read_segment(pipe.space, reps[0].vector, "demo")
         d1 = read_segment(pipe.space, reps[1].vector, "demo")
         assert not np.array_equal(d0, d1)
@@ -219,7 +225,70 @@ class TestRepresentVisit:
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
         with pytest.raises(ValidationError, match="unknown task"):
-            pipe.represent_patient(cohort.patients[0], "los")
+            pipe.represent_cohort(make_cohort(cohort.patients[0]), "los")
+
+
+class TestBatchedOracle:
+    """represent_cohort summarizes visits in sentence-count buckets and
+    encodes patients in padded batches; every vector must match the
+    per-visit summarize and per-patient encode_history it replaced."""
+
+    CHUNK = 7  # 24-token notes give 4 or 7 sentences per visit
+
+    def build(self):
+        cohort, _ = generate_cohort(
+            SynthConfig(n_patients=20, n_conditions=3, visits_min=1, visits_max=4, seed=3)
+        )
+        first = cohort.patients[0]
+        silent = replace(first, visits=(replace(first.visits[0], notes=()), *first.visits[1:]))
+        cohort = Cohort([silent, *cohort.patients[1:]])
+        vocab = build_vocabulary(cohort)
+        rng = np.random.default_rng(4)
+        code_model = CodeEmbedderModel(
+            len(vocab),
+            CodeEmbedderConfig(d_code=4, n_layers=1, n_heads=2, d_head=2, batch_size=6),
+            rng,
+        )
+        summarizer = SummarizerModel(
+            SummarizerConfig(d_text=4, d_enc=3, chunk_size=self.CHUNK, batch_size=4), rng
+        )
+        encoder = BagEncoder(build_token_vocabulary(cohort, min_freq=1), 4, rng)
+        codec = DemographicsCodec.from_cohort(cohort)
+        return cohort, RepresentationPipeline(code_model, encoder, summarizer, codec, vocab)
+
+    @pytest.mark.parametrize("task", [TASK_MORTALITY, TASK_CODES])
+    def test_matches_per_visit_and_per_patient_oracle(self, task):
+        cohort, pipe = self.build()
+        reps = pipe.represent_cohort(cohort, task)
+        assert [(r.patient_id, r.visit_index) for r in reps] == [
+            (p.patient_id, vi) for p in cohort.patients for vi in range(len(p.visits))
+        ]
+        counts = []
+        reps = iter(reps)
+        for record in cohort.patients:
+            matrix = np.stack([encode_visit_codes(v, pipe.vocab) for v in record.visits])
+            history = encode_history(pipe.code_model, matrix)
+            for vi, visit in enumerate(record.visits):
+                rep = next(reps)
+                if task == TASK_CODES:
+                    code = history[vi]
+                else:
+                    code = history[vi - 1] if vi else np.zeros(pipe.space.d_code)
+                mat = sentence_matrix(select_task_text(visit, task), pipe.encoder, self.CHUNK)
+                counts.append(0 if mat is None else len(mat))
+                text = np.zeros(pipe.space.d_enc) if mat is None else summarize(pipe.summarizer, mat)
+                seg = lambda name: read_segment(pipe.space, rep.vector, name)
+                np.testing.assert_allclose(seg("code"), code, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(seg("text"), text, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(seg("demo"), pipe.demo_codec.encode(record, vi))
+        # The cohort spans several code batches, a visit without text and a
+        # sentence-count bucket larger than one text batch; the mortality
+        # window also mixes one-note and two-note visits.
+        assert len(cohort.patients) > 2 * pipe.code_model.config.batch_size
+        assert 0 in counts
+        assert max(counts.count(m) for m in set(counts) - {0}) > pipe.summarizer.config.batch_size
+        if task == TASK_MORTALITY:
+            assert len(set(counts)) == 3
 
 
 class TestExport:

@@ -1,6 +1,8 @@
 """Text pipeline: tokenization, vocab, bag encoding, and the recurrent
 autoencoder checked against a hand-rolled numpy GRU oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import make_cohort, make_record, make_visit
@@ -96,6 +98,20 @@ class TestTokenize:
     def test_empty_and_symbol_only_text(self):
         assert tokenize("") == []
         assert tokenize("  ?! --- ") == []
+
+    def test_matches_character_loop_on_every_code_point(self):
+        """The regex agrees with the per-character definition it replaced:
+        lowercase, map every non-alphanumeric character to a space, split."""
+
+        def loop_tokenize(text):
+            cleaned = "".join(ch if ch.isalnum() else " " for ch in text.lower())
+            return cleaned.split()
+
+        every = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"[^\W_]", every) == [ch for ch in every if ch.isalnum()]
+        spaced = " ".join(every)
+        assert tokenize(spaced) == loop_tokenize(spaced)
+        assert tokenize(every) == loop_tokenize(every)
 
     def test_chunks_are_greedy_fixed_windows(self):
         toks = list("abcdefg")
