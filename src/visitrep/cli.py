@@ -24,6 +24,7 @@ from .cohort import (
     TASK_CODES,
     TASK_LOS,
     CodeVocabulary,
+    Cohort,
     DemographicsCodec,
     build_vocabulary,
     extract_labels,
@@ -81,16 +82,23 @@ def _load_preprocessed(cfg: RunConfig):
     return cohort, _read_artifact(cfg, "vocab.json", "preprocess", CodeVocabulary.from_json)
 
 
-def _split_ids(obj) -> tuple:
-    if not isinstance(obj, dict) or not all(
-        isinstance(obj.get(key), list) for key in ("train", "holdout")
-    ):
-        raise ValidationError("split: expected an object with 'train' and 'holdout' lists")
-    return obj["train"], obj["holdout"]
+def _read_split(cfg: RunConfig, cohort: Cohort):
+    """(train ids, holdout ids) from split.json, each naming a patient of `cohort`."""
+    known = set(cohort.patient_ids())
 
+    def parse(obj):
+        ids = [obj.get(key) if isinstance(obj, dict) else None for key in ("train", "holdout")]
+        if not all(isinstance(x, list) and all(isinstance(i, str) for i in x) for x in ids):
+            raise ValidationError("split: expected 'train' and 'holdout' lists of patient ids")
+        unknown = sorted(set(ids[0] + ids[1]) - known)
+        if unknown:
+            raise ValidationError(
+                f"split: {len(unknown)} patient id(s) absent from preprocessed.jsonl, "
+                f"first {unknown[0]!r}"
+            )
+        return ids
 
-def _read_split(cfg: RunConfig):
-    return _read_artifact(cfg, "split.json", "preprocess", _split_ids)
+    return _read_artifact(cfg, "split.json", "preprocess", parse)
 
 
 # -- stages ------------------------------------------------------------------------
@@ -136,7 +144,7 @@ def cmd_preprocess(cfg: RunConfig, args) -> None:
 
 def cmd_train_code(cfg: RunConfig, args) -> None:
     pre, vocab = _load_preprocessed(cfg)
-    train_ids, _ = _read_split(cfg)
+    train_ids, _ = _read_split(cfg, pre)
     code_cfg = replace(cfg.code_embedder, seed=derive_seed(cfg.seed, "train-code"))
     model, history = train_code_embedder(pre.subset(train_ids), vocab, code_cfg)
     save_code_model(_p(cfg, "code.ckpt"), model)
@@ -146,7 +154,7 @@ def cmd_train_code(cfg: RunConfig, args) -> None:
 
 def cmd_train_text(cfg: RunConfig, args) -> None:
     pre, _ = _load_preprocessed(cfg)
-    train_ids, _ = _read_split(cfg)
+    train_ids, _ = _read_split(cfg, pre)
     summ_cfg = replace(cfg.summarizer, seed=derive_seed(cfg.seed, "train-text"))
     encoder, model, history = train_summarizer(pre.subset(train_ids), summ_cfg)
     _write_json(_p(cfg, "token_vocab.json"), encoder.vocab.to_json())
@@ -182,7 +190,7 @@ def _load_models(cfg: RunConfig, vocab: CodeVocabulary):
 
 def cmd_represent(cfg: RunConfig, args) -> None:
     pre, vocab = _load_preprocessed(cfg)
-    train_ids, _ = _read_split(cfg)
+    train_ids, _ = _read_split(cfg, pre)
     code_model, encoder, summarizer = _load_models(cfg, vocab)
     codec = DemographicsCodec.from_cohort(pre.subset(train_ids))
     pipeline = RepresentationPipeline(code_model, encoder, summarizer, codec, vocab)
@@ -200,7 +208,7 @@ def cmd_train_task(cfg: RunConfig, args) -> None:
             "run evaluate --task codes against code.ckpt instead"
         )
     pre, vocab = _load_preprocessed(cfg)
-    train_ids, _ = _read_split(cfg)
+    train_ids, _ = _read_split(cfg, pre)
     reps = read_representations(_need(_p(cfg, f"reps_{cfg.task}.jsonl"), "run represent first"))
     train_set = set(train_ids)
     X, y, _ = join_representations(
@@ -234,7 +242,7 @@ def _variant_from_ablate(ablate: str) -> str:
 def _evaluate_artifacts(cfg: RunConfig) -> dict:
     task = cfg.internal_task
     pre, vocab = _load_preprocessed(cfg)
-    train_ids, holdout = _read_split(cfg)
+    train_ids, holdout = _read_split(cfg, pre)
     if task == TASK_CODES:
         model = load_code_model(_need(_p(cfg, "code.ckpt"), "run train-code first"), vocab)
         values = ev.next_code_report(

@@ -94,7 +94,6 @@ class VisitSequenceBatch:
 
     codes: np.ndarray
     real: np.ndarray
-    patient_ids: tuple
 
     def __post_init__(self):
         if self.codes.ndim != 3 or self.real.shape != self.codes.shape[:2]:
@@ -105,7 +104,7 @@ class VisitSequenceBatch:
             raise ValidationError("batch: a row has no real visits")
 
 
-def build_batch(matrices: list, patient_ids: list) -> VisitSequenceBatch:
+def build_batch(matrices: list) -> VisitSequenceBatch:
     """Pad per-patient (T_i, |C|) matrices to the longest T in the batch."""
     if not matrices:
         raise ValidationError("build_batch: empty batch")
@@ -120,7 +119,7 @@ def build_batch(matrices: list, patient_ids: list) -> VisitSequenceBatch:
             )
         codes[i, : m.shape[0]] = m
         real[i, : m.shape[0]] = True
-    return VisitSequenceBatch(codes=codes, real=real, patient_ids=tuple(patient_ids))
+    return VisitSequenceBatch(codes=codes, real=real)
 
 
 def attention_blocked_mask(real: np.ndarray) -> np.ndarray:
@@ -150,16 +149,15 @@ class CodeEmbedderModel:
         self.embed = p("embed.w", (vocab_size, d), fan_in=vocab_size)
         self.layers = []
         for l in range(config.n_layers):
+            # Head h's q|k|v projections are column blocks of wqkv[h], drawn
+            # head by head in that order.
+            wqkv = np.stack(
+                [np.hstack([nm.uniform_init(rng, (d, dh), d) for _ in range(3)]) for _ in range(nh)]
+            )
+            wo = nm.uniform_init(rng, (nh * dh, d), nh * dh).reshape(nh, dh, d)
             layer = {
-                "heads": [
-                    (
-                        p(f"layer{l}.head{h}.wq", (d, dh), d),
-                        p(f"layer{l}.head{h}.wk", (d, dh), d),
-                        p(f"layer{l}.head{h}.wv", (d, dh), d),
-                    )
-                    for h in range(nh)
-                ],
-                "wo": p(f"layer{l}.wo", (nh * dh, d), nh * dh),
+                "wqkv": Parameter(wqkv, f"layer{l}.wqkv"),
+                "wo": Parameter(wo, f"layer{l}.wo"),
                 "bo": Parameter(np.zeros((1, d)), f"layer{l}.bo"),
                 "ln1_g": Parameter(np.ones((1, d)), f"layer{l}.ln1_g"),
                 "ln1_b": Parameter(np.zeros((1, d)), f"layer{l}.ln1_b"),
@@ -178,12 +176,7 @@ class CodeEmbedderModel:
     def parameters(self) -> list:
         out = [self.embed]
         for layer in self.layers:
-            for wq, wk, wv in layer["heads"]:
-                out.extend([wq, wk, wv])
-            out.extend(
-                layer[k]
-                for k in ("wo", "bo", "ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
-            )
+            out.extend(layer.values())
         out.extend([self.out_w, self.out_b])
         return out
 
@@ -193,16 +186,17 @@ class CodeEmbedderModel:
         return self._pos_cache[t]
 
     def _block(self, x: Tensor, blocked: np.ndarray, layer: dict) -> Tensor:
-        inv = 1.0 / np.sqrt(float(self.config.d_head))
-        heads = []
-        for wq, wk, wv in layer["heads"]:
-            q = nm.matmul(x, wq)
-            k = nm.matmul(x, wk)
-            v = nm.matmul(x, wv)
-            scores = nm.matmul(q, nm.transpose(k)) * inv
-            weights = nm.softmax(nm.masked_fill(scores, blocked))
-            heads.append(nm.matmul(weights, v))
-        att = nm.matmul(nm.concat(heads, axis=-1), layer["wo"]) + layer["bo"]
+        b, t, d = x.shape
+        nh, dh = self.config.n_heads, self.config.d_head
+        # (B, 1, T, d) @ (nh, d, 3·dh) -> (B, nh, T, 3·dh): every head at once.
+        qkv = nm.matmul(nm.reshape(x, (b, 1, t, d)), layer["wqkv"])
+        q = nm.slice_axis(qkv, 3, 0, dh)
+        k = nm.slice_axis(qkv, 3, dh, 2 * dh)
+        v = nm.slice_axis(qkv, 3, 2 * dh, 3 * dh)
+        scores = nm.matmul(q, nm.transpose(k)) * (1.0 / np.sqrt(float(dh)))
+        mask = np.broadcast_to(blocked[:, None], scores.shape)
+        weights = nm.softmax(nm.masked_fill(scores, mask))
+        att = nm.tsum(nm.matmul(nm.matmul(weights, v), layer["wo"]), axis=1) + layer["bo"]
         x = nm.layer_norm(x + att) * layer["ln1_g"] + layer["ln1_b"]
         inner = nm.relu(nm.matmul(x, layer["w1"]) + layer["b1"])
         ff = nm.matmul(inner, layer["w2"]) + layer["b2"]
@@ -258,37 +252,25 @@ def skip_gram_loss(
     log_p = nm.log(nm.clip(chat, eps, 1.0 - eps))
     log_q = nm.log(nm.clip(1.0 - chat, eps, 1.0 - eps))
 
-    total = None
+    # Per (b, t, code): how many valid target visits t + j hold the code
+    # (hit) and how many lack it (miss).
+    hit = np.zeros((b, t, c))
+    miss = np.zeros((b, t, c))
     n_pairs = 0
-    for j in list(range(-window, 0)) + list(range(1, window + 1)):
-        if j > 0:
-            width = t - j
-            if width <= 0:
-                continue
-            lp = nm.slice_axis(log_p, 1, 0, width)
-            lq = nm.slice_axis(log_q, 1, 0, width)
-            tg = targets[:, j:, :]
-            valid = real[:, :width] & real[:, j:]
-        else:
-            a = -j
-            width = t - a
-            if width <= 0:
-                continue
-            lp = nm.slice_axis(log_p, 1, a, t)
-            lq = nm.slice_axis(log_q, 1, a, t)
-            tg = targets[:, :width, :]
-            valid = real[:, a:] & real[:, :width]
-        if not valid.any():
+    for j in range(-window, window + 1):
+        lo, hi = max(0, -j), min(t, t - j)
+        if j == 0 or lo >= hi:
             continue
-        w = valid.astype(np.float64)[:, :, None]
-        term = ((lp * Tensor(tg)) + (lq * Tensor(1.0 - tg))) * Tensor(w)
-        total = term.sum() if total is None else total + term.sum()
+        valid = (real[:, lo:hi] & real[:, lo + j : hi + j])[:, :, None]
+        tg = targets[:, lo + j : hi + j, :]
+        hit[:, lo:hi] += tg * valid
+        miss[:, lo:hi] += (1.0 - tg) * valid
         n_pairs += int(valid.sum())
 
     if n_pairs == 0:
         raise ValidationError("skip_gram_loss: no valid (t, j) pairs in the batch")
-    loss = total * (-1.0 / n_pairs)
-    return loss, n_pairs
+    total = nm.tsum(log_p * Tensor(hit) + log_q * Tensor(miss))
+    return total * (-1.0 / n_pairs), n_pairs
 
 
 def patient_matrices(cohort: Cohort, vocab: CodeVocabulary) -> dict:
@@ -329,7 +311,7 @@ def train_code_embedder(
     def batches(pids):
         for start in range(0, len(pids), config.batch_size):
             chunk = pids[start : start + config.batch_size]
-            batch = build_batch([mats[pid] for pid in chunk], chunk)
+            batch = build_batch([mats[pid] for pid in chunk])
             _, chat = model.forward(batch)
             yield skip_gram_loss(chat, batch.codes, batch.real, config.window, config.prob_clip)
 
@@ -355,7 +337,7 @@ def forward_histories(model: CodeEmbedderModel, matrices) -> list:
     for m in mats:
         if m.ndim != 2:
             raise ValidationError(f"visit matrix: expected (T, |C|), got {m.shape}")
-    outputs, chat = model.forward(build_batch(mats, ["_"] * len(mats)))
+    outputs, chat = model.forward(build_batch(mats))
     return [(outputs.data[i, : len(m)], chat.data[i, : len(m)]) for i, m in enumerate(mats)]
 
 

@@ -188,31 +188,35 @@ class SummarizerConfig(JsonConfig):
 
 
 class _GRUCell:
-    """Standard gated recurrent cell with reset, update, and candidate gates."""
+    """Standard gated recurrent cell. w (d_in, 3h), u (h, 3h) and b (3h,)
+    hold the reset, update and candidate gates as column blocks."""
 
     def __init__(self, d_in: int, d_h: int, prefix: str, rng):
-        def w(shape, fan_in, name):
-            return Parameter(nm.uniform_init(rng, shape, fan_in=fan_in), name=f"{prefix}.{name}")
+        # Gate by gate, the input then the recurrent weights are drawn.
+        draws = [nm.uniform_init(rng, s, fan_in=s[0]) for s in [(d_in, d_h), (d_h, d_h)] * 3]
+        self.d_h = d_h
+        self.w = Parameter(np.hstack(draws[0::2]), name=f"{prefix}.w")
+        self.u = Parameter(np.hstack(draws[1::2]), name=f"{prefix}.u")
+        self.b = Parameter(np.zeros(3 * d_h), name=f"{prefix}.b")
 
-        self.wr = w((d_in, d_h), d_in, "wr")
-        self.ur = w((d_h, d_h), d_h, "ur")
-        self.br = Parameter(np.zeros(d_h), name=f"{prefix}.br")
-        self.wz = w((d_in, d_h), d_in, "wz")
-        self.uz = w((d_h, d_h), d_h, "uz")
-        self.bz = Parameter(np.zeros(d_h), name=f"{prefix}.bz")
-        self.wn = w((d_in, d_h), d_in, "wn")
-        self.un = w((d_h, d_h), d_h, "un")
-        self.bn = Parameter(np.zeros(d_h), name=f"{prefix}.bn")
+    def input_part(self, x: Tensor) -> Tensor:
+        """x W + b: the gate pre-activations that do not depend on h."""
+        return x @ self.w + self.b
 
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        r = nm.sigmoid(x @ self.wr + h @ self.ur + self.br)
-        z = nm.sigmoid(x @ self.wz + h @ self.uz + self.bz)
-        n = nm.tanh(x @ self.wn + nm.mul(r, h @ self.un) + self.bn)
+    def step(self, gx: Tensor, h: Tensor) -> Tensor:
+        """Next state from the input part gx (B, 3h) and the state h (B, h)."""
+        d = self.d_h
+        gh = h @ self.u
+        rz = nm.sigmoid(nm.slice_axis(gx + gh, 1, 0, 2 * d))
+        r = nm.slice_axis(rz, 1, 0, d)
+        z = nm.slice_axis(rz, 1, d, 2 * d)
+        gh_n = nm.slice_axis(gh, 1, 2 * d, 3 * d)
+        n = nm.tanh(nm.slice_axis(gx, 1, 2 * d, 3 * d) + nm.mul(r, gh_n))
         # h' = (1 - z) * n + z * h
         return n + nm.mul(z, h - n)
 
     def parameters(self):
-        return [self.wr, self.ur, self.br, self.wz, self.uz, self.bz, self.wn, self.un, self.bn]
+        return [self.w, self.u, self.b]
 
 
 class SummarizerModel:
@@ -246,19 +250,19 @@ class SummarizerModel:
 
     def _sweep(self, fwd: _GRUCell, bwd: _GRUCell, u: Tensor) -> Tensor:
         """One bidirectional layer over (B, m, d_in); directions summed."""
-        b, m, d_in = u.shape
+        b, m, _ = u.shape
         d_e = self.config.d_enc
-        steps = [nm.reshape(nm.slice_axis(u, 1, t, t + 1), (b, d_in)) for t in range(m)]
-        h = Tensor(np.zeros((b, d_e)))
-        forward = []
-        for t in range(m):
-            h = fwd.step(steps[t], h)
-            forward.append(h)
-        h = Tensor(np.zeros((b, d_e)))
-        backward = [None] * m
-        for t in reversed(range(m)):
-            h = bwd.step(steps[t], h)
-            backward[t] = h
+
+        def run(cell, order):
+            gx = cell.input_part(u)
+            h = Tensor(np.zeros((b, d_e)))
+            states = [None] * m
+            for t in order:
+                h = cell.step(nm.reshape(nm.slice_axis(gx, 1, t, t + 1), (b, 3 * d_e)), h)
+                states[t] = h
+            return states
+
+        forward, backward = run(fwd, range(m)), run(bwd, reversed(range(m)))
         rows = [nm.reshape(forward[t] + backward[t], (b, 1, d_e)) for t in range(m)]
         return rows[0] if m == 1 else nm.concat(rows, axis=1)
 
@@ -293,7 +297,7 @@ class SummarizerModel:
         x = Tensor(np.zeros((b, d_t)))
         outputs = []
         for t in range(m):
-            h = self.dec.step(x, h)
+            h = self.dec.step(self.dec.input_part(x), h)
             y = h @ self.out_w + self.out_b
             outputs.append(y)
             if t + 1 < m:

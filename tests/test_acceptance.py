@@ -110,7 +110,7 @@ def test_c1_gradient_suite():
     codes[:, :, 0] = 1.0
     real = np.array([[True, True, True], [True, True, False]])
     codes[1, 2] = 0.0
-    batch = VisitSequenceBatch(codes, real, ("a", "b"))
+    batch = VisitSequenceBatch(codes, real)
 
     def code_loss():
         _, chat = model.forward(batch)
@@ -163,7 +163,7 @@ def test_c2_causal_masking():
         codes[:, :, int(rng.integers(8))] = 1.0
         real = np.ones((1, t), dtype=bool)
         cut = int(rng.integers(0, t - 1))
-        out_a, chat_a = model.forward(VisitSequenceBatch(codes, real, ("p",)))
+        out_a, chat_a = model.forward(VisitSequenceBatch(codes, real))
 
         edited = codes.copy()
         for s in range(cut + 1, t):
@@ -171,7 +171,7 @@ def test_c2_causal_masking():
             if not edited[0, s].any():
                 edited[0, s, 0] = 1.0
         assert not np.array_equal(edited, codes)
-        out_b, chat_b = model.forward(VisitSequenceBatch(edited, real, ("p",)))
+        out_b, chat_b = model.forward(VisitSequenceBatch(edited, real))
 
         upto = cut + 1
         assert out_a.data[:, :upto].tobytes() == out_b.data[:, :upto].tobytes()

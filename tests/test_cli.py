@@ -228,10 +228,14 @@ class TestMalformedArtifact:
             ("token_vocab.json", lambda o: o.pop("tokens"), "represent", "train-text"),
             ("token_vocab.json", lambda o: o["tokens"].append(["x"]), "represent", "train-text"),
             ("split.json", lambda o: o.pop("train"), "train-code", "preprocess"),
+            ("split.json", lambda o: o["train"].append("nobody"), "train-code", "preprocess"),
             ("vocab.json", lambda o: o["entries"][0].pop("group_id"), "export", "preprocess"),
             ("vocab.json", lambda o: o["entries"][0].update(group_id=["x"]), "export", "preprocess"),
         ],
-        ids=["token-vocab", "token-list", "split", "vocab", "vocab-group-list"],
+        ids=[
+            "token-vocab", "token-list", "split", "split-unknown-patient", "vocab",
+            "vocab-group-list",
+        ],
     )
     def test_exits_1_naming_file_and_stage(
         self, run_dir, tmp_path, capsys, name, edit, command, writer

@@ -19,7 +19,7 @@ from visitrep.code_embedder import (
     train_code_embedder,
 )
 from visitrep.errors import ValidationError
-from visitrep.numerics import Tensor, max_relative_error
+from visitrep.numerics import Tensor, max_relative_error, uniform_init
 from visitrep.synth import SynthConfig, generate_cohort
 
 TINY = CodeEmbedderConfig(
@@ -59,6 +59,35 @@ def manual_skip_gram(chat, targets, real, window, eps=1e-7):
     return total / n, n
 
 
+def manual_forward(model, codes, real):
+    """The per-head attention loop in numpy: head h projects with the q|k|v
+    column blocks of wqkv[h], and the concatenated heads meet the rows of
+    wo stacked head by head."""
+    cfg = model.config
+    d, dh = cfg.d_code, cfg.d_head
+
+    def norm(v):
+        return (v - v.mean(-1, keepdims=True)) / np.sqrt(v.var(-1, keepdims=True) + 1e-5)
+
+    blocked = attention_blocked_mask(real)
+    x = codes @ model.embed.data + positional_encoding(codes.shape[1], d)
+    for layer in model.layers:
+        a = {k: p.data for k, p in layer.items()}
+        heads = []
+        for h in range(cfg.n_heads):
+            wq, wk, wv = np.split(a["wqkv"][h], 3, axis=1)
+            scores = (x @ wq) @ (x @ wk).swapaxes(-1, -2) * (1.0 / np.sqrt(dh))
+            scores = np.where(blocked, -np.inf, scores)
+            e = np.exp(scores - scores.max(-1, keepdims=True))
+            heads.append((e / e.sum(-1, keepdims=True)) @ (x @ wv))
+        att = np.concatenate(heads, axis=-1) @ a["wo"].reshape(-1, d) + a["bo"]
+        x = norm(x + att) * a["ln1_g"] + a["ln1_b"]
+        ff = np.maximum(x @ a["w1"] + a["b1"], 0.0) @ a["w2"] + a["b2"]
+        x = norm(x + ff) * a["ln2_g"] + a["ln2_b"]
+    logits = x @ model.out_w.data + model.out_b.data
+    return x, 1.0 / (1.0 + np.exp(-logits))
+
+
 class TestPositionalEncoding:
     def test_position_zero_alternates_zero_one(self):
         pe = positional_encoding(4, 6)
@@ -79,7 +108,7 @@ class TestBatchAndMask:
     def test_build_batch_pads_and_flags(self):
         a = np.ones((3, 4))
         b = np.ones((1, 4))
-        batch = build_batch([a, b], ["p1", "p2"])
+        batch = build_batch([a, b])
         assert batch.codes.shape == (2, 3, 4)
         np.testing.assert_array_equal(batch.real, [[True] * 3, [True, False, False]])
         np.testing.assert_array_equal(batch.codes[1, 1:], 0.0)
@@ -95,7 +124,7 @@ class TestBatchAndMask:
     def test_batch_with_empty_row_rejected(self):
         with pytest.raises(ValidationError, match="no real visits"):
             VisitSequenceBatch(
-                codes=np.zeros((1, 2, 3)), real=np.zeros((1, 2), dtype=bool), patient_ids=("p",)
+                codes=np.zeros((1, 2, 3)), real=np.zeros((1, 2), dtype=bool)
             )
 
 
@@ -103,7 +132,7 @@ class TestForward:
     def test_shapes_and_probability_range(self):
         model = tiny_model()
         rng = np.random.default_rng(1)
-        batch = build_batch([rng.integers(0, 2, size=(4, 6)).astype(float)], ["p"])
+        batch = build_batch([rng.integers(0, 2, size=(4, 6)).astype(float)])
         outputs, chat = model.forward(batch)
         assert outputs.shape == (1, 4, 8)
         assert chat.shape == (1, 4, 6)
@@ -111,31 +140,31 @@ class TestForward:
 
     def test_single_visit_sequence_works(self):
         model = tiny_model()
-        batch = build_batch([np.ones((1, 6))], ["p"])
+        batch = build_batch([np.ones((1, 6))])
         outputs, _ = model.forward(batch)
         assert outputs.shape == (1, 1, 8)
 
     def test_softmax_output_mode_normalizes_rows(self):
         model = tiny_model(output_activation="softmax")
-        batch = build_batch([np.ones((3, 6))], ["p"])
+        batch = build_batch([np.ones((3, 6))])
         _, chat = model.forward(batch)
         np.testing.assert_allclose(chat.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_vocab_width_checked(self):
         model = tiny_model()
         with pytest.raises(ValidationError, match="expects"):
-            model.forward(build_batch([np.ones((2, 5))], ["p"]))
+            model.forward(build_batch([np.ones((2, 5))]))
 
     def test_causality_is_bitwise(self):
         """Perturbing any future visit leaves earlier outputs identical."""
         model = tiny_model()
         rng = np.random.default_rng(5)
         base = rng.integers(0, 2, size=(5, 6)).astype(float)
-        out_base, chat_base = model.forward(build_batch([base], ["p"]))
+        out_base, chat_base = model.forward(build_batch([base]))
         for cut in range(1, 5):
             mutated = base.copy()
             mutated[cut:] = rng.integers(0, 2, size=(5 - cut, 6)).astype(float)
-            out_mut, chat_mut = model.forward(build_batch([mutated], ["p"]))
+            out_mut, chat_mut = model.forward(build_batch([mutated]))
             assert out_base.data[0, :cut].tobytes() == out_mut.data[0, :cut].tobytes()
             assert chat_base.data[0, :cut].tobytes() == chat_mut.data[0, :cut].tobytes()
 
@@ -145,10 +174,43 @@ class TestForward:
         rng = np.random.default_rng(6)
         short = rng.integers(0, 2, size=(2, 6)).astype(float)
         long = rng.integers(0, 2, size=(5, 6)).astype(float)
-        alone, _ = model.forward(build_batch([short], ["a"]))
-        padded, _ = model.forward(build_batch([short, long], ["a", "b"]))
+        alone, _ = model.forward(build_batch([short]))
+        padded, _ = model.forward(build_batch([short, long]))
         np.testing.assert_array_equal(alone.data[0], padded.data[0, :2])
 
+
+    def test_fused_heads_match_per_head_oracle(self):
+        """Padded 2-layer batch, n_heads * d_head != d_code."""
+        model = tiny_model(vocab_size=7, d_code=6, n_layers=2, n_heads=3, d_head=4, seed=2)
+        rng = np.random.default_rng(10)
+        batch = build_batch(
+            [rng.integers(0, 2, size=(n, 7)).astype(float) for n in (5, 2, 4)]
+        )
+        outputs, chat = model.forward(batch)
+        want_out, want_chat = manual_forward(model, batch.codes, batch.real)
+        np.testing.assert_allclose(outputs.data, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chat.data, want_chat, rtol=0, atol=1e-12)
+
+    def test_fused_initial_arrays_equal_per_head_draws(self):
+        """wqkv[h] is head h's wq|wk|wv and wo its (nh·dh, d) matrix, drawn
+        in that order, so a seed gives the values of separate parameters."""
+        d, nh, dh, vocab = 6, 3, 4, 7
+        model = tiny_model(vocab_size=vocab, d_code=d, n_layers=2, n_heads=nh, d_head=dh, seed=4)
+        assert len(model.parameters()) == 11 * 2 + 3
+        rng = np.random.default_rng(4)
+
+        def draw(shape):
+            return uniform_init(rng, shape, shape[0]).tobytes()
+
+        assert model.embed.data.tobytes() == draw((vocab, d))
+        for layer in model.layers:
+            for h in range(nh):
+                for block in np.split(layer["wqkv"].data[h], 3, axis=1):
+                    assert block.tobytes() == draw((d, dh))
+            assert layer["wo"].data.reshape(nh * dh, d).tobytes() == draw((nh * dh, d))
+            assert layer["w1"].data.tobytes() == draw((d, 4 * d))
+            assert layer["w2"].data.tobytes() == draw((4 * d, d))
+        assert model.out_w.data.tobytes() == draw((d, vocab))
 
 class TestSkipGramLoss:
     def test_matches_direct_summation_oracle_exactly(self):
@@ -228,7 +290,7 @@ class TestGradient:
         model = CodeEmbedderModel(6, cfg, np.random.default_rng(11))
         rng = np.random.default_rng(12)
         codes = rng.integers(0, 2, size=(1, 3, 6)).astype(float)
-        batch = build_batch([codes[0]], ["p"])
+        batch = build_batch([codes[0]])
 
         def build():
             _, chat = model.forward(batch)
@@ -308,7 +370,7 @@ class TestPrediction:
         ranked = predict_next_codes(model, history)
         assert sorted(ranked.tolist()) == list(range(6))
         # Equal scores must come back in index order.
-        _, chat = model.forward(build_batch([history], ["p"]))
+        _, chat = model.forward(build_batch([history]))
         scores = chat.data[0, -1]
         tied = np.full_like(scores, 0.3)
         order = np.lexsort((np.arange(6), -tied))

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_cohort, make_record, make_visit
 
 from visitrep.errors import ValidationError
-from visitrep.numerics import Tensor, load_state, max_relative_error, tsum
+from visitrep.numerics import Tensor, load_state, max_relative_error, tsum, uniform_init
 from visitrep.synth import SynthConfig, generate_cohort
 from visitrep.text_embedder import (
     BagEncoder,
@@ -53,9 +53,13 @@ def manual_gru_step(cell, x, h):
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    r = sig(x @ cell.wr.data + h @ cell.ur.data + cell.br.data)
-    z = sig(x @ cell.wz.data + h @ cell.uz.data + cell.bz.data)
-    n = np.tanh(x @ cell.wn.data + r * (h @ cell.un.data) + cell.bn.data)
+    # Reset, update and candidate gates are column blocks of w, u and b.
+    wr, wz, wn = np.split(cell.w.data, 3, axis=1)
+    ur, uz, un = np.split(cell.u.data, 3, axis=1)
+    br, bz, bn = np.split(cell.b.data, 3)
+    r = sig(x @ wr + h @ ur + br)
+    z = sig(x @ wz + h @ uz + bz)
+    n = np.tanh(x @ wn + r * (h @ un) + bn)
     return n + z * (h - n)
 
 
@@ -249,6 +253,26 @@ class TestSummarize:
         with pytest.raises(ValidationError, match="d_text"):
             summarize(model, np.zeros((2, 5)))
 
+
+    def test_fused_initial_arrays_equal_per_gate_draws(self):
+        """Each cell draws W then U per gate (reset, update, candidate) and
+        fuses them column-wise, so a seed gives the values of separate
+        per-gate parameters."""
+        model = SummarizerModel(TINY_CFG, np.random.default_rng(6))
+        assert len(model.parameters()) == 17
+        rng = np.random.default_rng(6)
+
+        def draw(shape):
+            return uniform_init(rng, shape, shape[0])
+
+        d_e = TINY_CFG.d_enc
+        for cell in (model.enc1f, model.enc1b, model.enc2f, model.enc2b, model.dec):
+            d_in = cell.w.shape[0]
+            wr, ur, wz, uz, wn, un = [draw(s) for s in [(d_in, d_e), (d_e, d_e)] * 3]
+            assert cell.w.data.tobytes() == np.concatenate([wr, wz, wn], axis=1).tobytes()
+            assert cell.u.data.tobytes() == np.concatenate([ur, uz, un], axis=1).tobytes()
+            assert cell.b.data.tobytes() == np.zeros(3 * d_e).tobytes()
+        assert model.out_w.data.tobytes() == draw((d_e, TINY_CFG.d_text)).tobytes()
 
 class TestReconstruct:
     def test_teacher_forced_path_matches_manual_decoder(self):
