@@ -111,8 +111,9 @@ def expect_vocab_hash(path: str, got: str, want: str) -> None:
 
 
 def load_params(path: str, params, arrays: dict, stage: str) -> None:
-    """Set params from a checkpoint's arrays; a missing name or a wrong shape
-    is an error naming the file and the stage that rewrites it."""
+    """Set params from a checkpoint's arrays; a missing name, a wrong shape or
+    a non-finite entry is an error naming the file and the stage that
+    rewrites it."""
     try:
         load_state(params, arrays)
     except ValueError as e:

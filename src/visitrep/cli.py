@@ -46,7 +46,7 @@ from .patient_rep import (
     write_representations,
 )
 from .synth import generate_cohort, write_ground_truth
-from .tasks import balance_for_los, load_classifier, predict, save_classifier, train_task
+from .tasks import balance_for_los, load_classifier, save_classifier, train_task
 from .text_embedder import TokenVocabulary, load_summarizer, save_summarizer, train_summarizer
 
 
@@ -279,12 +279,9 @@ def _evaluate_artifacts(cfg: RunConfig) -> dict:
         _, (X_test, y_test) = balance_for_los(
             train_xy, (X_test, y_test), seed=derive_seed(cfg.seed, "balance")
         )
-        top1 = predict(model, X_test).argmax(axis=1) + 1
-        return {"top1": ev.MetricReport("top1", [ev.top1_accuracy(top1, y_test.astype(int))])}
-    scores = predict(model, X_test)
     return {
-        "auroc": ev.MetricReport("auroc", [ev.auc_roc(scores, y_test)]),
-        "auprc": ev.MetricReport("auprc", [ev.pr_auc(scores, y_test)]),
+        name: ev.MetricReport(name, [value])
+        for name, value in ev.score_head(model, X_test, y_test, task).items()
     }
 
 

@@ -102,12 +102,6 @@ class Cohort:
     def patient_ids(self) -> list[str]:
         return [p.patient_id for p in self.patients]
 
-    def by_id(self, patient_id: str) -> PatientRecord:
-        for p in self.patients:
-            if p.patient_id == patient_id:
-                return p
-        raise KeyError(patient_id)
-
     def subset(self, ids: Iterable[str]) -> "Cohort":
         wanted = set(ids)
         return Cohort([p for p in self.patients if p.patient_id in wanted])
@@ -342,12 +336,6 @@ class CodeVocabulary:
 
     def __contains__(self, key) -> bool:
         return tuple(key) in self._index
-
-    def index_of(self, system: str, group_id: str) -> int:
-        try:
-            return self._index[(system, group_id)]
-        except KeyError:
-            raise KeyError(f"code {system}:{group_id} not in vocabulary")
 
     def system_indices(self, system: str) -> np.ndarray:
         return np.array([e.index for e in self.entries if e.system == system], dtype=np.intp)

@@ -130,6 +130,17 @@ def top1_accuracy(pred_classes, true_classes) -> float:
     return float(np.mean(pred == true))
 
 
+def score_head(model, X, y, task) -> dict:
+    """A trained head's metrics on (X, y): for length of stay the top-1
+    accuracy of the argmax class (classes count from 1), otherwise AUROC and
+    AUPRC of the scores."""
+    if task == TASK_LOS:
+        top1 = predict(model, X).argmax(axis=1) + 1
+        return {"top1": top1_accuracy(top1, y.astype(int))}
+    scores = predict(model, X)
+    return {"auroc": auc_roc(scores, y), "auprc": pr_auc(scores, y)}
+
+
 @dataclass
 class MetricReport:
     name: str
@@ -394,11 +405,6 @@ def _run_fold(
         )
         model, _ = train_task(Xtr, y_train, task, head_cfg)
         suffix = "" if variant == "full" else f"[{variant}]"
-        if task == TASK_LOS:
-            top1 = predict(model, Xte).argmax(axis=1) + 1
-            out[f"top1{suffix}"] = top1_accuracy(top1, y_test.astype(int))
-        else:
-            scores = predict(model, Xte)
-            out[f"auroc{suffix}"] = auc_roc(scores, y_test)
-            out[f"auprc{suffix}"] = pr_auc(scores, y_test)
+        for name, value in score_head(model, Xte, y_test, task).items():
+            out[f"{name}{suffix}"] = value
     return out

@@ -5,6 +5,14 @@ parents that need gradients. Calling ``backward()`` on a scalar walks the
 recorded graph in reverse topological order and accumulates gradients into
 the leaves. All arithmetic is float64; checkpointing elsewhere narrows to
 float32, never this module.
+
+Every value is checked for finiteness once, where it is made: as a leaf
+(``Tensor(...)``), as an op's output (``_make_node``) or as loaded state
+(``load_state``), so kernels trust their inputs. ``masked_fill`` is the one
+exception: its ``-inf`` entries exist by contract for ``softmax``, and its
+other entries were checked where they were made. An op's error names the
+op, the output shape and any ``Parameter`` among its direct inputs, e.g.
+``matmul: NaN in output (32, 7, 32); inputs include parameter 'layer0.wqkv'``.
 """
 
 from __future__ import annotations
@@ -37,15 +45,16 @@ __all__ = [
 ]
 
 
-def _check_values(arr: np.ndarray, op: str, allow_neg_inf: bool = False) -> None:
-    """Reject NaN always; reject infinities except -inf where masking allows it."""
-    if np.isnan(arr).any():
-        raise ValueError(f"{op}: NaN in input")
-    if allow_neg_inf:
-        if np.isposinf(arr).any():
-            raise ValueError(f"{op}: +inf in input")
-    elif np.isinf(arr).any():
-        raise ValueError(f"{op}: non-finite input")
+def _check_finite(data: np.ndarray, op: str, what: str, inputs=()) -> None:
+    """One pass over `data` when it is finite. The error, built only on
+    failure, says NaN whenever one is present and names every Parameter
+    among `inputs`."""
+    if np.isfinite(data).all():
+        return
+    kind = "NaN" if np.isnan(data).any() else "inf"
+    names = [f"parameter {t.name!r}" for t in inputs if isinstance(t, Parameter)]
+    origin = f"; inputs include {', '.join(names)}" if names else ""
+    raise ValueError(f"{op}: {kind} in {what} {data.shape}{origin}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -66,7 +75,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        _check_values(arr, "tensor")
+        _check_finite(arr, "tensor", "value")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -87,7 +96,9 @@ class Tensor:
     # -- graph construction -------------------------------------------------
 
     @staticmethod
-    def _make_node(data: np.ndarray, parents_and_vjps) -> "Tensor":
+    def _make_node(op: str, data: np.ndarray, parents_and_vjps) -> "Tensor":
+        if op != "masked_fill":
+            _check_finite(data, op, "output", (p for p, _ in parents_and_vjps))
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -182,35 +193,8 @@ class Tensor:
 
     # -- method forms ----------------------------------------------------------
 
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
-    def softmax(self):
-        return softmax(self)
-
-    def log(self):
-        return log(self)
-
-    def clip(self, lo: float, hi: float):
-        return clip(self, lo, hi)
-
-    def mean(self, axis=None):
-        return mean(self, axis)
-
     def sum(self, axis=None):
         return tsum(self, axis)
-
-    def transpose(self):
-        return transpose(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
 
 
 class Parameter(Tensor):
@@ -231,7 +215,8 @@ class Parameter(Tensor):
 
 
 def load_state(params, arrays: dict) -> None:
-    """Set each parameter to the {name: array} entry of its name, as float64."""
+    """Set each parameter to the {name: array} entry of its name, as float64;
+    a missing name, a wrong shape or a non-finite entry is an error."""
     for p in params:
         if p.name not in arrays:
             raise ValueError(f"state: missing parameter {p.name!r}")
@@ -240,7 +225,9 @@ def load_state(params, arrays: dict) -> None:
             raise ValueError(
                 f"state: parameter {p.name!r} has shape {value.shape}, expected {p.data.shape}"
             )
-        p.data = np.array(value, dtype=np.float64)
+        value = np.array(value, dtype=np.float64)
+        _check_finite(value, "state", f"parameter {p.name!r}")
+        p.data = value
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -255,13 +242,12 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_values(a.data, "add")
-    _check_values(b.data, "add")
     try:
         out = a.data + b.data
     except ValueError:
         raise ValueError(f"add: shapes {a.shape} and {b.shape} are not broadcastable")
     return Tensor._make_node(
+        "add",
         out,
         [
             (a, lambda g: _unbroadcast(g, a.data.shape)),
@@ -271,14 +257,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_values(a.data, "mul")
-    _check_values(b.data, "mul")
     try:
         out = a.data * b.data
     except ValueError:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} are not broadcastable")
     ad, bd = a.data, b.data
     return Tensor._make_node(
+        "mul",
         out,
         [
             (a, lambda g: _unbroadcast(g * bd, ad.shape)),
@@ -288,19 +273,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    _check_values(a.data, "scale")
     s = float(s)
-    return Tensor._make_node(a.data * s, [(a, lambda g: g * s)])
+    return Tensor._make_node("scale", a.data * s, [(a, lambda g: g * s)])
 
 
 def shift(a: Tensor, s: float) -> Tensor:
-    _check_values(a.data, "shift")
-    return Tensor._make_node(a.data + float(s), [(a, lambda g: g)])
+    return Tensor._make_node("shift", a.data + float(s), [(a, lambda g: g)])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_values(a.data, "matmul")
-    _check_values(b.data, "matmul")
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul: operands must be at least 2-d, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -314,15 +295,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp_b(g):
         return _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
 
-    return Tensor._make_node(out, [(a, vjp_a), (b, vjp_b)])
+    return Tensor._make_node("matmul", out, [(a, vjp_a), (b, vjp_b)])
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat: empty tensor list")
-    for t in tensors:
-        _check_values(t.data, "concat")
     try:
         out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
@@ -342,37 +321,33 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
         pairs.append((t, vjp))
         offset += width
-    return Tensor._make_node(out, pairs)
+    return Tensor._make_node("concat", out, pairs)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    _check_values(a.data, "sigmoid")
     x = a.data
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return Tensor._make_node(out, [(a, lambda g: g * out * (1.0 - out))])
+    return Tensor._make_node("sigmoid", out, [(a, lambda g: g * out * (1.0 - out))])
 
 
 def tanh(a: Tensor) -> Tensor:
-    _check_values(a.data, "tanh")
     out = np.tanh(a.data)
-    return Tensor._make_node(out, [(a, lambda g: g * (1.0 - out * out))])
+    return Tensor._make_node("tanh", out, [(a, lambda g: g * (1.0 - out * out))])
 
 
 def relu(a: Tensor) -> Tensor:
-    _check_values(a.data, "relu")
     out = np.maximum(a.data, 0.0)
     mask = a.data > 0.0
-    return Tensor._make_node(out, [(a, lambda g: g * mask)])
+    return Tensor._make_node("relu", out, [(a, lambda g: g * mask)])
 
 
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis. -inf logits (from masked_fill)
     contribute exactly zero probability; a fully masked row is an error."""
-    _check_values(a.data, "softmax", allow_neg_inf=True)
     x = a.data
     m = np.max(x, axis=-1, keepdims=True)
     if np.isneginf(m).any():
@@ -384,12 +359,11 @@ def softmax(a: Tensor) -> Tensor:
         inner = (g * out).sum(axis=-1, keepdims=True)
         return (g - inner) * out
 
-    return Tensor._make_node(out, [(a, vjp)])
+    return Tensor._make_node("softmax", out, [(a, vjp)])
 
 
 def masked_fill(a: Tensor, mask: np.ndarray) -> Tensor:
     """Set entries where mask is True to -inf (for consumption by softmax)."""
-    _check_values(a.data, "masked_fill")
     mask = np.asarray(mask)
     if mask.dtype != np.bool_:
         raise ValueError(f"masked_fill: mask must be boolean, got dtype {mask.dtype}")
@@ -397,12 +371,11 @@ def masked_fill(a: Tensor, mask: np.ndarray) -> Tensor:
         raise ValueError(f"masked_fill: mask shape {mask.shape} != logits shape {a.shape}")
     out = np.where(mask, -np.inf, a.data)
     keep = ~mask
-    return Tensor._make_node(out, [(a, lambda g: g * keep)])
+    return Tensor._make_node("masked_fill", out, [(a, lambda g: g * keep)])
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance (no affine)."""
-    _check_values(a.data, "layer_norm")
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -414,16 +387,17 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
         gym = (g * out).mean(axis=-1, keepdims=True)
         return inv * (g - gm - out * gym)
 
-    return Tensor._make_node(out, [(a, vjp)])
+    return Tensor._make_node("layer_norm", out, [(a, vjp)])
 
 
 def mean(a: Tensor, axis=None) -> Tensor:
-    _check_values(a.data, "mean")
     if axis is None:
         out = np.asarray(a.data.mean())
         size = a.data.size
         shape = a.data.shape
-        return Tensor._make_node(out, [(a, lambda g: np.broadcast_to(g / size, shape).copy())])
+        return Tensor._make_node(
+            "mean", out, [(a, lambda g: np.broadcast_to(g / size, shape).copy())]
+        )
     out = a.data.mean(axis=axis)
     count = a.data.shape[axis]
     shape = a.data.shape
@@ -431,63 +405,57 @@ def mean(a: Tensor, axis=None) -> Tensor:
     def vjp(g):
         return np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy()
 
-    return Tensor._make_node(out, [(a, vjp)])
+    return Tensor._make_node("mean", out, [(a, vjp)])
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    _check_values(a.data, "sum")
     if axis is None:
         out = np.asarray(a.data.sum())
         shape = a.data.shape
-        return Tensor._make_node(out, [(a, lambda g: np.broadcast_to(g, shape).copy())])
+        return Tensor._make_node("sum", out, [(a, lambda g: np.broadcast_to(g, shape).copy())])
     out = a.data.sum(axis=axis)
     shape = a.data.shape
 
     def vjp(g):
         return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
 
-    return Tensor._make_node(out, [(a, vjp)])
+    return Tensor._make_node("sum", out, [(a, vjp)])
 
 
 def log(a: Tensor) -> Tensor:
-    _check_values(a.data, "log")
     if (a.data <= 0.0).any():
         raise ValueError("log: non-positive input")
     out = np.log(a.data)
     ad = a.data
-    return Tensor._make_node(out, [(a, lambda g: g / ad)])
+    return Tensor._make_node("log", out, [(a, lambda g: g / ad)])
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient is 1 strictly inside the interval, else 0."""
-    _check_values(a.data, "clip")
     if not lo < hi:
         raise ValueError(f"clip: require lo < hi, got [{lo}, {hi}]")
     out = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
-    return Tensor._make_node(out, [(a, lambda g: g * inside)])
+    return Tensor._make_node("clip", out, [(a, lambda g: g * inside)])
 
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
-    _check_values(a.data, "transpose")
     if a.ndim < 2:
         raise ValueError(f"transpose: needs at least 2 dims, got shape {a.shape}")
     out = a.data.swapaxes(-1, -2).copy()
-    return Tensor._make_node(out, [(a, lambda g: g.swapaxes(-1, -2))])
+    return Tensor._make_node("transpose", out, [(a, lambda g: g.swapaxes(-1, -2))])
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    _check_values(a.data, "reshape")
     shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
     out = a.data.reshape(shape)
     orig = a.data.shape
-    return Tensor._make_node(out, [(a, lambda g: g.reshape(orig))])
+    return Tensor._make_node("reshape", out, [(a, lambda g: g.reshape(orig))])
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows of a 2-d tensor; gradients scatter-add back into the rows."""
-    _check_values(a.data, "gather_rows")
     if a.ndim != 2:
         raise ValueError(f"gather_rows: expected a 2-d table, got shape {a.shape}")
     idx = np.asarray(indices, dtype=np.intp)
@@ -505,12 +473,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         np.add.at(z, idx, g)
         return z
 
-    return Tensor._make_node(out, [(a, vjp)])
+    return Tensor._make_node("gather_rows", out, [(a, vjp)])
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous slice along one axis; gradient scatters into the slice."""
-    _check_values(a.data, "slice_axis")
     if not 0 <= axis < a.ndim:
         raise ValueError(f"slice_axis: axis {axis} out of range for shape {a.shape}")
     n = a.shape[axis]
@@ -527,4 +494,4 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         z[index] = g
         return z
 
-    return Tensor._make_node(out, [(a, vjp)])
+    return Tensor._make_node("slice_axis", out, [(a, vjp)])

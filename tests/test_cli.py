@@ -220,6 +220,22 @@ class TestTamperedCheckpoint:
         assert f"error: {ckpt}" in err
         assert "'embed.w'" in err and "re-run train-code" in err
 
+    def test_nan_parameter_names_file_parameter_and_stage(self, run_dir, tmp_path, capsys):
+        out, _ = run_dir
+        for name in ("vocab.json", "code.ckpt"):
+            shutil.copy(out / name, tmp_path / name)
+        ckpt = tmp_path / "code.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        (hlen,) = struct.unpack_from("<I", raw, 10)
+        first = json.loads(raw[14 : 14 + hlen])["params"][0]["name"]
+        struct.pack_into("<f", raw, 14 + hlen, float("nan"))
+        ckpt.write_bytes(bytes(raw))
+        assert main(["export", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}" in err
+        assert f"NaN in parameter {first!r}" in err and "re-run train-code" in err
+        assert not (tmp_path / "code_embeddings.csv").exists()
+
 
 class TestMalformedArtifact:
     @pytest.mark.parametrize(

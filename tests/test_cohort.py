@@ -60,7 +60,7 @@ class TestIngest:
         _write_jsonl(f, [_patient_obj("p1"), _patient_obj("p2", n_visits=3)])
         cohort = ingest_cohort(str(f))
         assert cohort.patient_ids() == ["p1", "p2"]
-        assert len(cohort.by_id("p2").visits) == 3
+        assert len(cohort.patients[1].visits) == 3
 
     def test_missing_field_names_field_and_line(self, tmp_path):
         f = tmp_path / "c.jsonl"
@@ -98,7 +98,9 @@ class TestIngest:
         obj["visits"] = obj["visits"][::-1]
         _write_jsonl(f, [obj])
         cohort = ingest_cohort(str(f))
-        admits = [v.admit_time for v in cohort.by_id("p1").visits]
+        [record] = cohort.patients
+        assert record.patient_id == "p1"
+        admits = [v.admit_time for v in record.visits]
         assert admits == sorted(admits)
 
         obj["visits"][0]["admit_time"] = obj["visits"][1]["admit_time"]
@@ -231,7 +233,8 @@ class TestVocabularyAndEncoding:
         vocab = build_vocabulary(self._cohort())
         again = CodeVocabulary.from_json(vocab.to_json())
         assert again.content_hash() == vocab.content_hash()
-        assert again.index_of("proc", "p1") == 2
+        entry = again.entries[2]
+        assert (entry.system, entry.group_id, entry.index) == ("proc", "p1", 2)
 
     def test_system_indices(self):
         vocab = build_vocabulary(self._cohort())

@@ -6,6 +6,7 @@ import pytest
 from visitrep.numerics import (
     Parameter,
     Tensor,
+    add,
     clip,
     concat,
     gather_rows,
@@ -15,6 +16,7 @@ from visitrep.numerics import (
     matmul,
     max_relative_error,
     mean,
+    mul,
     relu,
     reshape,
     sigmoid,
@@ -117,6 +119,34 @@ class TestErrorContracts:
     def test_nonfinite_leaf_rejected(self):
         with pytest.raises(ValueError):
             Tensor([1.0, np.inf])
+
+    @pytest.mark.parametrize("kernel", [mul, add, matmul], ids=["mul", "add", "matmul"])
+    def test_overflow_of_finite_inputs_names_the_op(self, kernel):
+        x = Tensor(np.full((2, 2), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=rf"^{kernel.__name__}: inf in output \(2, 2\)$"
+        ):
+            kernel(x, x)
+
+    def test_masked_fill_inf_reaches_softmax_only(self):
+        x = Tensor(np.zeros((2, 3)))
+        mask = np.eye(2, 3, dtype=bool)
+        filled = masked_fill(x, mask)
+        assert np.isneginf(filled.data[mask]).all()
+        np.testing.assert_allclose(softmax(filled).data, [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        with pytest.raises(ValueError, match=r"^add: inf in output \(2, 3\)$"):
+            add(filled, x)
+
+    def test_nonfinite_parameter_is_named(self):
+        w = Parameter(np.ones((3, 2)), "layer0.wqkv")
+        # As a diverged optimizer step would leave it: inf and NaN both
+        # present, so the error must say NaN.
+        w.data[0] = [np.inf, np.nan]
+        with pytest.raises(
+            ValueError,
+            match=r"^matmul: NaN in output \(4, 2\); inputs include parameter 'layer0.wqkv'$",
+        ):
+            matmul(Tensor(np.ones((4, 3))), w)
 
     def test_backward_without_graph(self):
         with pytest.raises(ValueError, match="before any forward"):
