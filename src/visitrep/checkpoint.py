@@ -77,6 +77,8 @@ def read_checkpoint(path: str) -> tuple:
         raise CheckpointError(f"{path}: header lacks {missing}")
     if not isinstance(header["config"], dict):
         raise CheckpointError(f"{path}: header config is not an object")
+    if not isinstance(header["vocab_hash"], str):
+        raise CheckpointError(f"{path}: header vocab_hash is not a string")
     try:
         entries = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["params"]]
     except (KeyError, TypeError, ValueError) as e:

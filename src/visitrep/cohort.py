@@ -46,7 +46,8 @@ AGE_BUCKETS = ((18, 30), (30, 50), (50, 70), (70, None))
 
 @dataclass(frozen=True)
 class Code:
-    """One coded event. group_id equals raw_id until a grouping map is applied."""
+    """One coded event. `make` sets group_id = raw_id; a grouped code is
+    made from its group, so a written cohort keeps the grouping."""
 
     system: str
     raw_id: str
@@ -266,7 +267,9 @@ def preprocess(
 ) -> Cohort:
     """Group codes, drop under-age / short-history patients, drop rare codes.
 
-    Codes missing from the grouping map keep group_id = raw_id. Frequencies
+    A mapped code becomes `Code.make(system, group)`, so the cohort written
+    from the result re-ingests to the same group keys; codes missing from
+    the grouping map stay as they are. Frequencies
     are counted once per visit occurrence over the corpus that survives the
     patient filters, which makes the whole function idempotent.
     """
@@ -278,7 +281,7 @@ def preprocess(
             new_visits = []
             for v in p.visits:
                 codes = frozenset(
-                    replace(c, group_id=group_map.get(c.raw_id, c.raw_id)) for c in v.codes
+                    Code.make(c.system, group_map.get(c.raw_id, c.raw_id)) for c in v.codes
                 )
                 new_visits.append(replace(v, codes=codes))
             grouped.append(replace(p, visits=tuple(new_visits)))
@@ -444,17 +447,6 @@ class DemographicsCodec:
                 bucket,
             ]
         )
-
-    def to_json(self) -> dict:
-        return {"genders": self.genders, "races": self.races}
-
-    @staticmethod
-    def from_json(obj: dict) -> "DemographicsCodec":
-        return DemographicsCodec(genders=obj["genders"], races=obj["races"])
-
-    def content_hash(self) -> str:
-        payload = json.dumps(self.to_json(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # -- labels --------------------------------------------------------------------

@@ -8,10 +8,12 @@ one). The text segment summarizes the task's note window; a visit with no
 usable text gets a zero segment, as does the first visit's code segment.
 The demographics segment is the per-visit snapshot (age drifts with time).
 
-Inference is batched. The text pass builds every visit's sentence matrix
-first, groups the matrices by sentence count (as summarizer training
-does) and summarizes each group in chunks of the summarizer's batch size,
-so no stack is padded. The code pass encodes the histories of each
+Inference is batched. The text pass chunks every visit's task text into
+token-id windows and hands them to `text_embedder.sentence_batches`, the
+path summarizer training uses: visits are grouped by sentence count, each
+batch of the summarizer's batch size is bag-encoded in one `encode_batch`
+and summarized in one `summarize`, so no visit is padded with extra
+sentences. The code pass encodes the histories of each
 code-model batch of patients in one padded forward; the causal and
 padding masks keep every row equal to its own unpadded forward.
 
@@ -40,9 +42,9 @@ from .errors import ValidationError
 from .text_embedder import (
     BagEncoder,
     SummarizerModel,
-    bucket_batches,
-    sentence_matrix,
+    sentence_batches,
     summarize,
+    text_chunks,
 )
 
 SEGMENTS = ("code", "text", "demo")
@@ -141,16 +143,15 @@ class RepresentationPipeline:
     def _text_vectors(self, cohort: Cohort, task: str) -> np.ndarray:
         """(visits, d_enc) text segments in cohort visit order; a visit with
         no usable text keeps a zero row."""
-        chunk_size = self.summarizer.config.chunk_size
-        mats = [
-            sentence_matrix(select_task_text(visit, task), self.encoder, chunk_size)
+        config = self.summarizer.config
+        chunks = [
+            text_chunks(select_task_text(visit, task), self.encoder.vocab, config.chunk_size)
             for record in cohort.patients
             for visit in record.visits
         ]
-        out = np.zeros((len(mats), self.space.d_enc))
-        lengths = [(i, len(m)) for i, m in enumerate(mats) if m is not None]
-        for rows in bucket_batches(lengths, self.summarizer.config.batch_size):
-            out[rows] = summarize(self.summarizer, np.stack([mats[i] for i in rows]))
+        out = np.zeros((len(chunks), self.space.d_enc))
+        for rows, u in sentence_batches(self.encoder, chunks, config.batch_size):
+            out[rows] = summarize(self.summarizer, u.data)
         return out
 
     def represent_cohort(self, cohort: Cohort, task: str) -> list:

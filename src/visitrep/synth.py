@@ -17,7 +17,7 @@ should recover, and the label thresholds bound what any classifier can do.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -96,58 +96,12 @@ class GroundTruth:
         return owner
 
     def to_json(self) -> dict:
-        return {
-            "conditions": [
-                {
-                    "cid": c.cid,
-                    "chronic": c.chronic,
-                    "mortality_weight": c.mortality_weight,
-                    "readmission_weight": c.readmission_weight,
-                    "los_scale": c.los_scale,
-                    "codes": [list(code) for code in c.codes],
-                    "tokens": list(c.tokens),
-                }
-                for c in self.conditions
-            ],
-            "patient_conditions": {k: list(v) for k, v in self.patient_conditions.items()},
-            "mortality_threshold": self.mortality_threshold,
-            "readmission_threshold": self.readmission_threshold,
-            "label_noise": self.label_noise,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GroundTruth":
-        conditions = [
-            Condition(
-                cid=c["cid"],
-                chronic=c["chronic"],
-                mortality_weight=c["mortality_weight"],
-                readmission_weight=c["readmission_weight"],
-                los_scale=c["los_scale"],
-                codes=tuple(tuple(code) for code in c["codes"]),
-                tokens=tuple(c["tokens"]),
-            )
-            for c in obj["conditions"]
-        ]
-        return GroundTruth(
-            conditions=conditions,
-            patient_conditions={k: tuple(v) for k, v in obj["patient_conditions"].items()},
-            mortality_threshold=obj["mortality_threshold"],
-            readmission_threshold=obj["readmission_threshold"],
-            label_noise=obj["label_noise"],
-            seed=obj["seed"],
-        )
+        return asdict(self)
 
 
 def write_ground_truth(gt: GroundTruth, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(gt.to_json(), fh, sort_keys=True, indent=1)
-
-
-def read_ground_truth(path: str) -> GroundTruth:
-    with open(path, "r", encoding="utf-8") as fh:
-        return GroundTruth.from_json(json.load(fh))
 
 
 def _build_conditions(config: SynthConfig, rng: np.random.Generator) -> list:

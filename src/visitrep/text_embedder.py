@@ -4,12 +4,16 @@ autoencoder that turns a visit's sentences into a single summary vector.
 Text flows visit by visit. Raw note text is lowercased and split into
 maximal runs of alphanumeric characters; tokens are mapped through a
 frequency-capped vocabulary and chunked greedily into fixed-size windows
-that play the role of sentences. A sentence encoder turns each
-window into a d_text vector (a trainable mean-pooled token embedding). A
-two-layer bidirectional gated recurrent encoder reads the sentence matrix,
-an attention head pools the states into the visit's text representation,
-and a gated recurrent decoder is trained to reconstruct the sentence matrix
-with scheduled teacher forcing.
+that play the role of sentences (`text_chunks`). A sentence encoder turns
+each window into a d_text vector (a trainable mean-pooled token embedding).
+Training and inference reach it the same way: `sentence_batches` groups
+visits by sentence count, pads each group and runs one
+`BagEncoder.encode_batch` per batch, so a visit's sentence matrix is the
+same array whichever stage builds it. A two-layer bidirectional gated
+recurrent encoder reads the sentence matrix, an attention head pools the
+states into the visit's text representation, and a gated recurrent decoder
+is trained to reconstruct the sentence matrix with scheduled teacher
+forcing.
 """
 
 from __future__ import annotations
@@ -117,13 +121,6 @@ class BagEncoder:
             nm.uniform_init(rng, (len(vocab), d_text), fan_in=d_text), name="tok.w"
         )
 
-    def encode(self, ids: np.ndarray) -> np.ndarray:
-        """One sentence of token ids to its d_text vector (inference path)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValidationError("encode expects a non-empty 1-d array of token ids")
-        return self.table.data[ids].mean(axis=0)
-
     def encode_batch(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         """Padded (B, m, n) ids with a 0/1 mask to a (B, m, d_text) Tensor."""
         b, m, n = ids.shape
@@ -139,13 +136,17 @@ class BagEncoder:
         return [self.table]
 
 
+def text_chunks(text: str, vocab: TokenVocabulary, chunk_size: int) -> list:
+    """Text to its token-id windows; empty when no token survives."""
+    return chunk_tokens(vocab.encode(tokenize(text)), chunk_size)
+
+
 def sentence_matrix(text: str, encoder: BagEncoder, chunk_size: int):
     """Text to a (m, d_text) matrix, or None when no tokens survive."""
-    ids = encoder.vocab.encode(tokenize(text))
-    if ids.size == 0:
-        return None
-    chunks = chunk_tokens(ids, chunk_size)
-    return np.stack([encoder.encode(chunk) for chunk in chunks])
+    chunks = text_chunks(text, encoder.vocab, chunk_size)
+    for _, u in sentence_batches(encoder, [chunks], 1):
+        return u.data[0]
+    return None
 
 
 @dataclass(frozen=True)
@@ -346,37 +347,6 @@ def reconstruction_loss(u_hat: Tensor, u: Tensor) -> Tensor:
     return nm.scale(total, 1.0 / u.shape[0])
 
 
-def reconstruct(model: SummarizerModel, u: np.ndarray, teacher_forcing: float, rng=None):
-    """Single-visit reconstruction; returns (u_hat, summed squared error)."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] == 0:
-        raise ValidationError(f"reconstruct expects a non-empty (m, d_text) matrix, got {u.shape}")
-    u_t = Tensor(u[None, :, :])
-    states = model.encode(u_t)
-    u_hat = model.decode(states, u_t, teacher_forcing, rng)
-    loss = reconstruction_loss(u_hat, u_t)
-    return u_hat.data[0].copy(), float(loss.data.reshape(()))
-
-
-def noted_visit_examples(cohort: Cohort, vocab: TokenVocabulary, chunk_size: int):
-    """All visits with usable text as (patient_id, visit_index, chunks) rows.
-
-    Chunks are id arrays; every note of the visit contributes (task text
-    windows apply at representation time, not here).
-    """
-    examples = []
-    for patient in cohort.patients:
-        for vi, visit in enumerate(patient.visits):
-            tokens = []
-            for note in visit.notes:
-                tokens.extend(tokenize(note.text))
-            if not tokens:
-                continue
-            ids = vocab.encode(tokens)
-            examples.append((patient.patient_id, vi, chunk_tokens(ids, chunk_size)))
-    return examples
-
-
 def _pad_chunk_batch(chunk_lists):
     """Same-m examples to padded (B, m, n) ids plus a 0/1 mask."""
     b = len(chunk_lists)
@@ -407,6 +377,19 @@ def bucket_batches(lengths, batch_size):
     return batches
 
 
+def sentence_batches(encoder: BagEncoder, chunk_lists, batch_size: int):
+    """Sentence vectors of every non-empty chunk list, as (indices, u) pairs.
+
+    Lists are grouped by sentence count (`bucket_batches`) and each group
+    runs one `encode_batch`, so u is a (len(indices), m, d_text) Tensor whose
+    rows belong to chunk_lists[indices]. Batches are encoded lazily: a
+    training step between two batches is seen by the next one."""
+    lengths = [(i, len(chunks)) for i, chunks in enumerate(chunk_lists) if chunks]
+    for rows in bucket_batches(lengths, batch_size):
+        ids, mask = _pad_chunk_batch([chunk_lists[i] for i in rows])
+        yield rows, encoder.encode_batch(ids, mask)
+
+
 def train_summarizer(cohort: Cohort, config: SummarizerConfig):
     """Jointly fit the bag encoder and the autoencoder on reconstruction.
 
@@ -427,7 +410,10 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
     )
     encoder = BagEncoder(vocab, config.d_text, rng)
     model = SummarizerModel(config, rng)
-    examples = noted_visit_examples(cohort, vocab, config.chunk_size)
+    # Every note of a visit counts here; task text windows apply at
+    # representation time. A joining space cannot merge two tokens.
+    texts = (" ".join(n.text for n in v.notes) for p in cohort.patients for v in p.visits)
+    examples = [c for c in (text_chunks(t, vocab, config.chunk_size) for t in texts) if c]
     if len(examples) < 2:
         raise ValidationError("train_summarizer needs at least 2 visits with note text")
 
@@ -443,10 +429,8 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
     params = [p for p in encoder.parameters() + model.parameters() if p.requires_grad]
 
     def batches(indices, teacher_forcing, coin_rng):
-        lengths = [(i, len(examples[i][2])) for i in indices]
-        for rows in bucket_batches(lengths, config.batch_size):
-            ids, mask = _pad_chunk_batch([examples[i][2] for i in rows])
-            u = encoder.encode_batch(ids, mask)
+        chunks = [examples[i] for i in indices]
+        for rows, u in sentence_batches(encoder, chunks, config.batch_size):
             u_hat = model.decode(model.encode(u), u, teacher_forcing, coin_rng)
             yield reconstruction_loss(u_hat, u), len(rows)
 

@@ -12,7 +12,16 @@ import struct
 
 import pytest
 
+from visitrep import evaluation as ev
 from visitrep.cli import main
+from visitrep.code_embedder import load_code_model
+from visitrep.cohort import (
+    CodeVocabulary,
+    encode_visit_codes,
+    ingest_cohort,
+    load_group_map,
+    preprocess,
+)
 
 TINY_CONFIG = {
     "seed": 7,
@@ -189,8 +198,13 @@ class TestTamperedCheckpoint:
             (lambda h: h["config"].pop("code_embedder"), "lacks the 'code_embedder'"),
             (lambda h: h.pop("params"), "lacks \\['params'\\]"),
             (lambda h: h["params"][0].pop("shape"), "corrupt parameter list"),
+            (lambda h: h.update(vocab_hash=None), "vocab_hash is not a string"),
+            (lambda h: h.update(vocab_hash=5), "vocab_hash is not a string"),
         ],
-        ids=["unknown-key", "wrong-type", "no-section", "no-params", "bad-entry"],
+        ids=[
+            "unknown-key", "wrong-type", "no-section", "no-params", "bad-entry",
+            "null-vocab-hash", "int-vocab-hash",
+        ],
     )
     def test_exits_1_naming_the_file(self, run_dir, tmp_path, capsys, edit, message):
         out, _ = run_dir
@@ -267,6 +281,61 @@ class TestMalformedArtifact:
         err = capsys.readouterr().err
         assert f"error: {tmp_path / name}" in err
         assert f"re-run {writer}" in err
+
+
+class TestGroupMap:
+    def test_grouped_codes_survive_preprocessed_jsonl(self, tmp_path):
+        """Later stages re-ingest preprocessed.jsonl, so it must hold the
+        group ids that vocab.json lists, not the raw ids they replaced."""
+        config_path = tmp_path / "c.json"
+        doc = dict(TINY_CONFIG, paths={"out": str(tmp_path)})
+        config_path.write_text(json.dumps(doc))
+        base = ["--config", str(config_path)]
+        assert main(["generate", *base]) == 0
+
+        raw = ingest_cohort(str(tmp_path / "cohort.jsonl"))
+        by_system = {}
+        for c in {c for p in raw for v in p.visits for c in v.codes}:
+            by_system.setdefault(c.system, []).append(c.raw_id)
+        rows = [
+            (code, f"{system}-g{i % 3}")
+            for system, codes in sorted(by_system.items())
+            for i, code in enumerate(sorted(codes))
+        ]
+        assert len(rows) > 9
+        map_path = tmp_path / "groups.csv"
+        map_path.write_text("raw_id,group_id\n" + "".join(f"{r},{g}\n" for r, g in rows))
+        doc["paths"]["group_map"] = str(map_path)
+        config_path.write_text(json.dumps(doc))
+        for stage in ("preprocess", "train-code"):
+            assert main([stage, *base]) == 0, stage
+        assert main(["evaluate", *base, "--task", "codes"]) == 0
+
+        groups = {g for _, g in rows}
+        pre = ingest_cohort(str(tmp_path / "preprocessed.jsonl"))
+        assert {c.raw_id for p in pre for v in p.visits for c in v.codes} <= groups
+        vocab = CodeVocabulary.from_json(json.loads((tmp_path / "vocab.json").read_text()))
+        assert {e.group_id for e in vocab.entries} <= groups
+        encoded = [encode_visit_codes(v, vocab) for p in pre for v in p.visits]
+        assert sum(x.sum() for x in encoded) > 0
+        for x, v in zip(encoded, (v for p in pre for v in p.visits)):
+            assert x.sum() == len({c.key for c in v.codes})
+
+        cfg = TINY_CONFIG["preprocess"]
+        expected = preprocess(raw, **cfg, group_map=load_group_map(str(map_path)))
+        assert pre == expected
+        split = json.loads((tmp_path / "split.json").read_text())
+        values = ev.next_code_report(
+            load_code_model(str(tmp_path / "code.ckpt"), vocab),
+            expected.subset(split["train"]),
+            expected.subset(split["holdout"]),
+            vocab,
+            TINY_CONFIG["eval"]["recall_ks"],
+        )
+        report = json.loads((tmp_path / "report_codes.json").read_text())
+        assert {name: r["folds"] for name, r in report.items()} == {
+            name: [v] for name, v in values.items()
+        }
 
 
 class TestCrossvalCommand:

@@ -1,5 +1,6 @@
 """Text pipeline: tokenization, vocab, bag encoding, and the recurrent
-autoencoder checked against a hand-rolled numpy GRU oracle."""
+autoencoder checked against hand-rolled numpy oracles (the per-sentence
+token mean, the per-note example loop and a one-step-at-a-time GRU)."""
 
 import re
 
@@ -19,15 +20,16 @@ from visitrep.text_embedder import (
     attention_weights,
     build_token_vocabulary,
     chunk_tokens,
-    noted_visit_examples,
-    reconstruct,
     reconstruction_loss,
+    sentence_batches,
     sentence_matrix,
     summarize,
     summarizer_state,
+    text_chunks,
     tokenize,
     train_summarizer,
 )
+import visitrep.text_embedder as te
 
 TINY_CFG = SummarizerConfig(d_text=4, d_enc=3, chunk_size=3, epochs=2, batch_size=4)
 
@@ -46,6 +48,33 @@ def noted_cohort():
             [make_visit(0, 1, codes=[("dx", "a")], notes=[(2, "alpha beta delta")])],
         ),
     )
+
+
+def bag_mean(encoder, ids):
+    """Oracle for one sentence vector: the mean of its token rows."""
+    return encoder.table.data[np.asarray(ids, dtype=np.int64)].mean(axis=0)
+
+
+def per_note_examples(cohort, vocab, chunk_size):
+    """Oracle for the training examples: every visit's notes tokenized one
+    at a time, concatenated, then chunked; visits without tokens skipped."""
+    examples = []
+    for patient in cohort.patients:
+        for visit in patient.visits:
+            tokens = []
+            for note in visit.notes:
+                tokens.extend(tokenize(note.text))
+            if tokens:
+                examples.append(chunk_tokens(vocab.encode(tokens), chunk_size))
+    return examples
+
+
+def reconstruct(model, u, teacher_forcing, rng=None):
+    """One visit's (m, d_text) matrix through encode and decode; returns
+    (u_hat, summed squared error)."""
+    u_t = Tensor(np.asarray(u, dtype=np.float64)[None])
+    u_hat = model.decode(model.encode(u_t), u_t, teacher_forcing, rng)
+    return u_hat.data[0], float(reconstruction_loss(u_hat, u_t).data)
 
 
 # Independent numpy re-derivation of the recurrences, one step at a time.
@@ -169,12 +198,13 @@ class TestBagEncoder:
 
     def test_single_token_returns_its_row(self):
         enc = self.make()
-        np.testing.assert_array_equal(enc.encode(np.array([2])), enc.table.data[2])
+        np.testing.assert_array_equal(sentence_matrix("bb", enc, 2)[0], enc.table.data[2])
 
     def test_mean_of_rows(self):
         enc = self.make()
-        got = enc.encode(np.array([1, 3]))
+        got = sentence_matrix("aa cc", enc, 2)[0]
         np.testing.assert_allclose(got, (enc.table.data[1] + enc.table.data[3]) / 2, atol=1e-15)
+        np.testing.assert_allclose(got, bag_mean(enc, [1, 3]), atol=1e-15)
 
     def test_identical_sentences_identical_rows(self):
         enc = self.make()
@@ -184,6 +214,7 @@ class TestBagEncoder:
 
     def test_empty_text_gives_none(self):
         enc = self.make()
+        assert text_chunks("?!", enc.vocab, 2) == []
         assert sentence_matrix("?!", enc, chunk_size=2) is None
 
     def test_batch_path_matches_per_sentence_encode(self):
@@ -191,8 +222,32 @@ class TestBagEncoder:
         ids = np.array([[[1, 2, 0], [3, 0, 0]]])  # second row: 1 real token
         mask = np.array([[[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]])
         got = enc.encode_batch(ids, mask).data
-        np.testing.assert_allclose(got[0, 0], enc.encode(np.array([1, 2])), atol=1e-15)
-        np.testing.assert_allclose(got[0, 1], enc.encode(np.array([3])), atol=1e-15)
+        np.testing.assert_allclose(got[0, 0], bag_mean(enc, [1, 2]), atol=1e-15)
+        np.testing.assert_allclose(got[0, 1], bag_mean(enc, [3]), atol=1e-15)
+
+    def test_sentence_matrix_rows_equal_padded_batch_rows(self):
+        """A visit encoded alone equals, bit for bit, its row of a batch
+        padded to a longer sentence: padding adds exact zeros."""
+        rng = np.random.default_rng(1)
+        vocab = TokenVocabulary(("<unk>", *(f"t{i}" for i in range(12))))
+        enc = BagEncoder(vocab, 5, rng)
+        text = " ".join(f"t{i}" for i in rng.integers(0, 12, size=23))
+        mat = sentence_matrix(text, enc, chunk_size=10)  # windows of 10, 10, 3
+        longer = [rng.integers(0, len(vocab), size=n) for n in (16, 7, 1)]
+        chunks = [text_chunks(text, vocab, 10), longer]
+        [(rows, u)] = sentence_batches(enc, chunks, 2)
+        assert rows == [0, 1] and u.shape == (2, 3, 5)
+        assert mat.tobytes() == u.data[0].tobytes()
+        for row, chunk in zip(u.data[1], longer):
+            np.testing.assert_allclose(row, bag_mean(enc, chunk), atol=1e-15)
+        for row, chunk in zip(mat, chunks[0]):
+            np.testing.assert_allclose(row, bag_mean(enc, chunk), atol=1e-15)
+
+    def test_sentence_batches_skip_empty_and_group_by_count(self):
+        enc = self.make()
+        chunks = [text_chunks(t, enc.vocab, 2) for t in ("aa bb cc", "", "bb", "cc aa bb", "aa")]
+        got = [(rows, u.shape) for rows, u in sentence_batches(enc, chunks, 2)]
+        assert got == [([2, 4], (2, 1, 4)), ([0, 3], (2, 2, 4))]
 
     def test_batch_rejects_empty_sentences(self):
         enc = self.make()
@@ -275,6 +330,8 @@ class TestSummarize:
         assert model.out_w.data.tobytes() == draw((d_e, TINY_CFG.d_text)).tobytes()
 
 class TestReconstruct:
+    """Decoder and loss, one visit at a time through the `reconstruct` helper."""
+
     def test_teacher_forced_path_matches_manual_decoder(self):
         rng = np.random.default_rng(11)
         model = SummarizerModel(TINY_CFG, rng)
@@ -414,19 +471,54 @@ class TestTraining:
         vocab = build_token_vocabulary(cohort, cfg.min_token_freq, cfg.max_tokens)
         enc0 = BagEncoder(vocab, cfg.d_text, rng)
         model0 = SummarizerModel(cfg, rng)
-        examples = noted_visit_examples(cohort, vocab, cfg.chunk_size)
+        texts = [" ".join(n.text for n in v.notes) for p in cohort.patients for v in p.visits]
+        examples = [c for c in (text_chunks(t, vocab, cfg.chunk_size) for t in texts) if c]
         order = rng.permutation(len(examples))
         val = [examples[int(i)] for i in order[: max(1, round(cfg.val_fraction * len(examples)))]]
 
         def mean_val_loss(e, m):
-            losses = []
-            for _, _, chunks in val:
-                u = np.stack([e.encode(c) for c in chunks])
-                _, loss = reconstruct(m, u, 0.0)
-                losses.append(loss)
-            return np.mean(losses)
+            return np.mean(
+                [reconstruct(m, u.data[0], 0.0)[1] for _, u in sentence_batches(e, val, 1)]
+            )
 
         assert mean_val_loss(enc, model) < mean_val_loss(enc0, model0)
+
+    def test_examples_match_per_note_loop(self, monkeypatch):
+        """The visit's notes joined by spaces give the examples the per-note
+        loop gave, in cohort order: several notes, a symbol-only note and a
+        visit without notes included."""
+        cohort = make_cohort(
+            make_record(
+                "p1",
+                [
+                    make_visit(0, 2, notes=[(1, "alpha beta"), (2, "?!"), (3, "gamma, beta")]),
+                    make_visit(10, 1),
+                    make_visit(20, 1, notes=[(21, "--")]),
+                ],
+            ),
+            make_record("p2", [make_visit(0, 1, notes=[(1, "beta"), (2, "delta alpha x")])]),
+            make_record("p3", [make_visit(0, 1, notes=[(1, "alpha alpha alpha beta gamma")])]),
+        )
+        cfg = SummarizerConfig(d_text=4, d_enc=3, chunk_size=2, epochs=1, val_fraction=0.4)
+        seen = []
+
+        def spy(encoder, chunks, batch_size):
+            seen.append([[tuple(c) for c in ex] for ex in chunks])
+            return sentence_batches(encoder, chunks, batch_size)
+
+        monkeypatch.setattr(te, "sentence_batches", spy)
+        enc, _, _ = train_summarizer(cohort, cfg)
+        want = [[tuple(c) for c in ex] for ex in per_note_examples(cohort, enc.vocab, 2)]
+        assert len(want) == 3
+        assert [len(c) for c in want] == [2, 2, 3]
+
+        train, val = seen
+        rng = np.random.default_rng(cfg.seed)
+        BagEncoder(enc.vocab, cfg.d_text, rng)
+        SummarizerModel(cfg, rng)
+        order = rng.permutation(len(want))
+        assert val == [want[i] for i in order[:1]]
+        assert sorted(train + val) == sorted(want)
 
     def test_frozen_encoder_keeps_token_table(self):
         """train_encoder=False leaves tok.w at its draw and out of the
