@@ -27,7 +27,7 @@ for record in cohort:
     print(f"{record.patient_id}: age {record.age} {record.gender}/{record.race}, "
           f"{len(record.visits)} visits, conditions {list(conds)}")
     visit = record.visits[0]
-    keys = sorted(f"{s}:{g}" for s, g in (c.key for c in visit.codes))
+    keys = sorted(f"{s}:{c}" for s, c in visit.codes)
     note = visit.notes[0].text if visit.notes else ""
     print(f"  first visit: {len(visit.codes)} codes, stays "
           f"{visit.los_days():.1f} days, codes {keys[:4]}")

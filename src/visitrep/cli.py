@@ -210,11 +210,7 @@ def cmd_train_task(cfg: RunConfig, args) -> None:
     pre, vocab = _load_preprocessed(cfg)
     train_ids, _ = _read_split(cfg, pre)
     reps = read_representations(_need(_p(cfg, f"reps_{cfg.task}.jsonl"), "run represent first"))
-    train_set = set(train_ids)
-    X, y, _ = join_representations(
-        [r for r in reps if r.patient_id in train_set],
-        extract_labels(pre.subset(train_ids), task),
-    )
+    X, y, _ = join_representations(reps, extract_labels(pre.subset(train_ids), task))
     head_cfg = replace(cfg.task_head, seed=derive_seed(cfg.seed, f"train-task:{cfg.task}"))
     model, history = train_task(X, y, task, head_cfg)
     path = _p(cfg, f"head_{cfg.task}.ckpt")
@@ -260,22 +256,14 @@ def _evaluate_artifacts(cfg: RunConfig) -> dict:
     model, _ = load_classifier(
         _need(_p(cfg, f"head_{cfg.task}.ckpt"), "run train-task first"), vocab.content_hash()
     )
-    hold_set = set(holdout)
-    X_test, y_test, _ = join_representations(
-        [r for r in reps if r.patient_id in hold_set],
-        extract_labels(pre.subset(holdout), task),
-    )
+    X_test, y_test, _ = join_representations(reps, extract_labels(pre.subset(holdout), task))
     if X_test.shape[1] != model.d_in:
         raise ValidationError(
             f"representation width {X_test.shape[1]} does not match the classifier "
             f"input width {model.d_in}; re-run represent and train-task together"
         )
     if task == TASK_LOS:
-        train_set = set(train_ids)
-        train_xy = join_representations(
-            [r for r in reps if r.patient_id in train_set],
-            extract_labels(pre.subset(train_ids), task),
-        )[:2]
+        train_xy = join_representations(reps, extract_labels(pre.subset(train_ids), task))[:2]
         _, (X_test, y_test) = balance_for_los(
             train_xy, (X_test, y_test), seed=derive_seed(cfg.seed, "balance")
         )
@@ -324,7 +312,7 @@ def cmd_export(cfg: RunConfig, args) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("code_id," + ",".join(f"e{i}" for i in range(matrix.shape[1])) + "\n")
         for entry, row in zip(vocab.entries, matrix):
-            fh.write(f"{entry.system}:{entry.group_id}," + ",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(entry.code_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
     print(f"wrote {path} ({matrix.shape[0]} codes x {matrix.shape[1]} dims)")
 
 

@@ -10,6 +10,10 @@ The on-disk form is JSON Lines, one patient per line:
                  "notes": [{"time": 3600, "kind": null, "text": "..."}],
                  "died_in_visit": false}]}
 
+In memory a code is a (system, id) pair, and a visit holds a frozenset of
+them. Grouping in `preprocess` replaces the id by its group id, so a
+written preprocessed cohort holds group ids.
+
 Timestamps are integer seconds. Within a patient, visits are ordered by
 admission time; note times stay inside [admit - 1 day, discharge + 1 day].
 """
@@ -45,24 +49,6 @@ AGE_BUCKETS = ((18, 30), (30, 50), (50, 70), (70, None))
 
 
 @dataclass(frozen=True)
-class Code:
-    """One coded event. `make` sets group_id = raw_id; a grouped code is
-    made from its group, so a written cohort keeps the grouping."""
-
-    system: str
-    raw_id: str
-    group_id: str
-
-    @staticmethod
-    def make(system: str, raw_id: str) -> "Code":
-        return Code(system=system, raw_id=raw_id, group_id=raw_id)
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.system, self.group_id)
-
-
-@dataclass(frozen=True)
 class Note:
     time: int
     text: str
@@ -73,7 +59,7 @@ class Note:
 class Visit:
     admit_time: int
     discharge_time: int
-    codes: frozenset
+    codes: frozenset  # of (system, id) tuples
     notes: tuple
     died_in_visit: bool = False
 
@@ -114,6 +100,18 @@ class Cohort:
 # -- ingestion -------------------------------------------------------------------
 
 
+def _as_object(value, what: str, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: {what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _as_list(value, what: str, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: {what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ValidationError(f"{where}: missing field '{key}'")
@@ -126,24 +124,27 @@ def _as_int(value, what: str, where: str) -> int:
     return value
 
 
-def _parse_visit(obj: dict, where: str) -> Visit:
+def _parse_visit(obj, where: str) -> Visit:
+    _as_object(obj, "visit", where)
     admit = _as_int(_require(obj, "admit_time", where), "admit_time", where)
     discharge = _as_int(_require(obj, "discharge_time", where), "discharge_time", where)
     if discharge < admit:
         raise ValidationError(f"{where}: discharge_time {discharge} < admit_time {admit}")
     codes = []
-    for j, c in enumerate(_require(obj, "codes", where)):
+    for j, c in enumerate(_as_list(_require(obj, "codes", where), "codes", where)):
         cwhere = f"{where}, code {j}"
+        _as_object(c, "code", cwhere)
         system = _require(c, "system", cwhere)
         if system not in SYSTEMS:
             raise ValidationError(f"{cwhere}: unknown system {system!r}, expected one of {SYSTEMS}")
         raw = _require(c, "code", cwhere)
         if not isinstance(raw, str) or not raw:
             raise ValidationError(f"{cwhere}: code must be a non-empty string")
-        codes.append(Code.make(system, raw))
+        codes.append((system, raw))
     notes = []
-    for j, n in enumerate(obj.get("notes", [])):
+    for j, n in enumerate(_as_list(obj.get("notes", []), "notes", where)):
         nwhere = f"{where}, note {j}"
+        _as_object(n, "note", nwhere)
         t = _as_int(_require(n, "time", nwhere), "time", nwhere)
         text = _require(n, "text", nwhere)
         if not isinstance(text, str):
@@ -168,11 +169,12 @@ def _parse_visit(obj: dict, where: str) -> Visit:
     )
 
 
-def _parse_record(obj: dict, where: str) -> PatientRecord:
+def _parse_record(obj, where: str) -> PatientRecord:
+    _as_object(obj, "record", where)
     pid = _require(obj, "patient_id", where)
     if not isinstance(pid, str) or not pid:
         raise ValidationError(f"{where}: patient_id must be a non-empty string")
-    demo = _require(obj, "demographics", where)
+    demo = _as_object(_require(obj, "demographics", where), "demographics", where)
     age = _as_int(_require(demo, "age", where), "age", where)
     if age < 0:
         raise ValidationError(f"{where}: negative age {age}")
@@ -225,10 +227,7 @@ def write_cohort_jsonl(cohort: Cohort, path: str) -> None:
                     {
                         "admit_time": v.admit_time,
                         "discharge_time": v.discharge_time,
-                        "codes": [
-                            {"system": c.system, "code": c.raw_id}
-                            for c in sorted(v.codes, key=lambda c: (c.system, c.raw_id))
-                        ],
+                        "codes": [{"system": s, "code": c} for s, c in sorted(v.codes)],
                         "notes": [
                             {"time": n.time, "kind": n.kind, "text": n.text} for n in v.notes
                         ],
@@ -267,8 +266,8 @@ def preprocess(
 ) -> Cohort:
     """Group codes, drop under-age / short-history patients, drop rare codes.
 
-    A mapped code becomes `Code.make(system, group)`, so the cohort written
-    from the result re-ingests to the same group keys; codes missing from
+    A mapped code (system, id) becomes (system, group id), so the cohort
+    written from the result re-ingests to the same codes; codes missing from
     the grouping map stay as they are. Frequencies
     are counted once per visit occurrence over the corpus that survives the
     patient filters, which makes the whole function idempotent.
@@ -280,9 +279,7 @@ def preprocess(
         if group_map:
             new_visits = []
             for v in p.visits:
-                codes = frozenset(
-                    Code.make(c.system, group_map.get(c.raw_id, c.raw_id)) for c in v.codes
-                )
+                codes = frozenset((s, group_map.get(c, c)) for s, c in v.codes)
                 new_visits.append(replace(v, codes=codes))
             grouped.append(replace(p, visits=tuple(new_visits)))
         else:
@@ -291,16 +288,13 @@ def preprocess(
     freq: dict[tuple[str, str], int] = {}
     for p in grouped:
         for v in p.visits:
-            for key in {c.key for c in v.codes}:
-                freq[key] = freq.get(key, 0) + 1
+            for code in v.codes:
+                freq[code] = freq.get(code, 0) + 1
 
     kept = {k for k, n in freq.items() if n >= min_code_freq}
     out: list[PatientRecord] = []
     for p in grouped:
-        new_visits = tuple(
-            replace(v, codes=frozenset(c for c in v.codes if c.key in kept)) for v in p.visits
-        )
-        out.append(replace(p, visits=new_visits))
+        out.append(replace(p, visits=tuple(replace(v, codes=v.codes & kept) for v in p.visits)))
 
     if not out:
         raise ValidationError("preprocess: no patients survive the filters")
@@ -314,7 +308,6 @@ def preprocess(
 class VocabEntry:
     system: str
     group_id: str
-    index: int
     freq: int
 
     @property
@@ -323,25 +316,22 @@ class VocabEntry:
 
 
 class CodeVocabulary:
-    """Dense, deterministic (system, group_id) <-> index mapping."""
+    """Dense, deterministic (system, group_id) <-> index mapping; an
+    entry's index is its position in `entries`."""
 
     def __init__(self, entries: list):
         self.entries = list(entries)
-        self._index = {(e.system, e.group_id): e.index for e in self.entries}
+        self._index = {(e.system, e.group_id): i for i, e in enumerate(self.entries)}
         if len(self._index) != len(self.entries):
             raise ValidationError("vocabulary: duplicate (system, group_id) entry")
-        for i, e in enumerate(self.entries):
-            if e.index != i:
-                raise ValidationError("vocabulary: indices are not dense and ordered")
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, key) -> bool:
-        return tuple(key) in self._index
-
     def system_indices(self, system: str) -> np.ndarray:
-        return np.array([e.index for e in self.entries if e.system == system], dtype=np.intp)
+        return np.array(
+            [i for i, e in enumerate(self.entries) if e.system == system], dtype=np.intp
+        )
 
     def content_hash(self) -> str:
         payload = json.dumps([[e.system, e.group_id] for e in self.entries])
@@ -359,8 +349,8 @@ class CodeVocabulary:
     def from_json(obj: dict) -> "CodeVocabulary":
         try:
             entries = [
-                VocabEntry(system=e["system"], group_id=e["group_id"], index=i, freq=e["freq"])
-                for i, e in enumerate(obj["entries"])
+                VocabEntry(system=e["system"], group_id=e["group_id"], freq=e["freq"])
+                for e in obj["entries"]
             ]
             return CodeVocabulary(entries)
         except (KeyError, TypeError) as exc:
@@ -373,23 +363,20 @@ def build_vocabulary(cohort: Cohort) -> CodeVocabulary:
     freq: dict[tuple[str, str], int] = {}
     for p in cohort.patients:
         for v in p.visits:
-            for key in {c.key for c in v.codes}:
-                freq[key] = freq.get(key, 0) + 1
+            for code in v.codes:
+                freq[code] = freq.get(code, 0) + 1
     if not freq:
         raise ValidationError("build_vocabulary: cohort contains no codes")
-    keys = sorted(freq)
-    entries = [
-        VocabEntry(system=s, group_id=g, index=i, freq=freq[(s, g)])
-        for i, (s, g) in enumerate(keys)
-    ]
-    return CodeVocabulary(entries)
+    return CodeVocabulary(
+        [VocabEntry(system=s, group_id=g, freq=freq[(s, g)]) for s, g in sorted(freq)]
+    )
 
 
 def encode_visit_codes(visit: Visit, vocab: CodeVocabulary) -> np.ndarray:
     """Multi-hot float64 vector; duplicates collapse, unknown codes are ignored."""
     x = np.zeros(len(vocab), dtype=np.float64)
-    for c in visit.codes:
-        idx = vocab._index.get(c.key)
+    for code in visit.codes:
+        idx = vocab._index.get(code)
         if idx is not None:
             x[idx] = 1.0
     return x
@@ -481,7 +468,7 @@ def extract_labels(
 
     readmission30 labels every non-final visit with whether the next
     admission starts within 30 days of discharge; mortality uses the
-    died_in_visit flag (patients carrying a group_id in exclude_codes are
+    died_in_visit flag (patients carrying a code id in exclude_codes are
     dropped from that task entirely); los9 buckets the stay length; and
     code_prediction targets the next visit's multi-hot vector.
     """
@@ -492,7 +479,7 @@ def extract_labels(
     out: list[VisitLabel] = []
     for p in cohort.patients:
         if task == TASK_MORTALITY and exclude_codes:
-            carried = {c.group_id for v in p.visits for c in v.codes}
+            carried = {c for v in p.visits for _, c in v.codes}
             if carried & set(exclude_codes):
                 continue
         for i, v in enumerate(p.visits):

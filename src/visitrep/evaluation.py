@@ -290,7 +290,6 @@ def crossval(
     eval_config: EvalConfig = None,
     ablations=("full",),
     shuffle_labels: bool = False,
-    exclude_codes=None,
 ) -> dict:
     """Patient-level k-fold evaluation; returns {metric name: MetricReport}.
 
@@ -326,7 +325,6 @@ def crossval(
                 eval_config,
                 ablations,
                 shuffle_labels,
-                exclude_codes,
             )
         except Exception as exc:
             raise RuntimeError(f"crossval: fold {i} failed: {exc}") from exc
@@ -346,7 +344,6 @@ def _run_fold(
     eval_config,
     ablations,
     shuffle_labels,
-    exclude_codes,
 ):
     train_cohort = _complement(cohort, held_out)
     test_cohort = cohort.subset(held_out)
@@ -369,15 +366,10 @@ def _run_fold(
     codec = DemographicsCodec.from_cohort(train_cohort)
     pipeline = RepresentationPipeline(code_model, encoder, summarizer, codec, vocab)
 
-    label_kw = {"exclude_codes": exclude_codes} if exclude_codes else {}
     reps_train = pipeline.represent_cohort(train_cohort, task)
     reps_test = pipeline.represent_cohort(test_cohort, task)
-    X_train, y_train, _ = join_representations(
-        reps_train, extract_labels(train_cohort, task, **label_kw)
-    )
-    X_test, y_test, _ = join_representations(
-        reps_test, extract_labels(test_cohort, task, **label_kw)
-    )
+    X_train, y_train, _ = join_representations(reps_train, extract_labels(train_cohort, task))
+    X_test, y_test, _ = join_representations(reps_test, extract_labels(test_cohort, task))
 
     if shuffle_labels:
         # Permutation null: destroy the label-feature pairing in both splits

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cohort import DAY, HOUR, Cohort, Code, Note, PatientRecord, Visit
+from .cohort import DAY, HOUR, Cohort, Note, PatientRecord, Visit
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 
@@ -200,9 +200,7 @@ def generate_cohort(config: SynthConfig) -> tuple:
             discharge = admit + max(HOUR, int(los_days * DAY))
 
             active = list(chronic_here) + [c for c in acute_here if acute_visit[c] == v]
-            codes = frozenset(
-                Code.make(sys, raw) for c in active for sys, raw in conditions[c].codes
-            )
+            codes = frozenset(code for c in active for code in conditions[c].codes)
             notes = (
                 Note(time=admit + 2 * HOUR, text=_note_text(config, rng, conditions, active, cids)),
                 Note(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from visitrep.cohort import Code, Cohort, Note, PatientRecord, Visit, DAY, HOUR
+from visitrep.cohort import Cohort, Note, PatientRecord, Visit, DAY, HOUR
 
 
 def make_visit(
@@ -15,7 +15,7 @@ def make_visit(
     """Build a Visit from day-denominated times and (system, code) pairs."""
     admit = int(admit_day * DAY)
     discharge = admit + int(los_days * DAY)
-    code_objs = frozenset(Code.make(s, c) for s, c in codes)
+    code_objs = frozenset((s, c) for s, c in codes)
     note_objs = []
     for n in notes:
         if isinstance(n, Note):

@@ -162,6 +162,11 @@ class TestPrerequisites:
         assert main(["train-task", *base, "--task", "codes"]) == 1
         assert "output head" in capsys.readouterr().err
 
+    def test_malformed_cohort_structure(self, tmp_path, capsys):
+        (tmp_path / "cohort.jsonl").write_text("5\n")
+        assert main(["preprocess", "--out", str(tmp_path)]) == 1
+        assert "line 1: record must be a JSON object, got int" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"seed": 1, "notes_dir": "x"}))
@@ -261,10 +266,11 @@ class TestMalformedArtifact:
             ("split.json", lambda o: o["train"].append("nobody"), "train-code", "preprocess"),
             ("vocab.json", lambda o: o["entries"][0].pop("group_id"), "export", "preprocess"),
             ("vocab.json", lambda o: o["entries"][0].update(group_id=["x"]), "export", "preprocess"),
+            ("vocab.json", lambda o: o["entries"].append(o["entries"][0]), "export", "preprocess"),
         ],
         ids=[
             "token-vocab", "token-list", "split", "split-unknown-patient", "vocab",
-            "vocab-group-list",
+            "vocab-group-list", "vocab-duplicate",
         ],
     )
     def test_exits_1_naming_file_and_stage(
@@ -295,8 +301,8 @@ class TestGroupMap:
 
         raw = ingest_cohort(str(tmp_path / "cohort.jsonl"))
         by_system = {}
-        for c in {c for p in raw for v in p.visits for c in v.codes}:
-            by_system.setdefault(c.system, []).append(c.raw_id)
+        for system, code in {c for p in raw for v in p.visits for c in v.codes}:
+            by_system.setdefault(system, []).append(code)
         rows = [
             (code, f"{system}-g{i % 3}")
             for system, codes in sorted(by_system.items())
@@ -313,13 +319,13 @@ class TestGroupMap:
 
         groups = {g for _, g in rows}
         pre = ingest_cohort(str(tmp_path / "preprocessed.jsonl"))
-        assert {c.raw_id for p in pre for v in p.visits for c in v.codes} <= groups
+        assert {c for p in pre for v in p.visits for _, c in v.codes} <= groups
         vocab = CodeVocabulary.from_json(json.loads((tmp_path / "vocab.json").read_text()))
         assert {e.group_id for e in vocab.entries} <= groups
         encoded = [encode_visit_codes(v, vocab) for p in pre for v in p.visits]
         assert sum(x.sum() for x in encoded) > 0
         for x, v in zip(encoded, (v for p in pre for v in p.visits)):
-            assert x.sum() == len({c.key for c in v.codes})
+            assert x.sum() == len(v.codes)
 
         cfg = TINY_CONFIG["preprocess"]
         expected = preprocess(raw, **cfg, group_map=load_group_map(str(map_path)))

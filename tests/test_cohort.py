@@ -13,7 +13,6 @@ from visitrep.cohort import (
     TASK_LOS,
     TASK_MORTALITY,
     TASK_READMISSION,
-    Code,
     DemographicsCodec,
     build_vocabulary,
     encode_visit_codes,
@@ -52,6 +51,16 @@ def _patient_obj(pid="p1", age=44, n_visits=1, **kw):
 
 def _write_jsonl(path, objs):
     path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
+
+
+def _with_visit(**fields):
+    """Edit for _patient_obj output: overwrite fields of its first visit."""
+
+    def edit(obj):
+        obj["visits"][0].update(fields)
+        return obj
+
+    return edit
 
 
 class TestIngest:
@@ -108,6 +117,29 @@ class TestIngest:
         with pytest.raises(ValidationError, match="strictly ordered"):
             ingest_cohort(str(f))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda o: 5, "line 2: record must be a JSON object, got int"),
+            (lambda o: {**o, "demographics": 3}, "line 2: demographics must be a JSON object"),
+            (lambda o: {**o, "visits": [7]}, "line 2, visit 0: visit must be a JSON object"),
+            (_with_visit(codes=4), "line 2, visit 0: codes must be a list, got int"),
+            (_with_visit(codes=[4]), "line 2, visit 0, code 0: code must be a JSON object"),
+            (_with_visit(codes=["system"]), "line 2, visit 0, code 0: code must be .*, got str"),
+            (_with_visit(notes=1), "line 2, visit 0: notes must be a list, got int"),
+            (_with_visit(notes=[None]), "line 2, visit 0, note 0: note must be .*, got NoneType"),
+        ],
+        ids=[
+            "record-int", "demographics-int", "visit-int", "codes-int", "code-int",
+            "code-str", "notes-int", "note-null",
+        ],
+    )
+    def test_wrong_json_structure_names_the_line(self, tmp_path, edit, message):
+        f = tmp_path / "c.jsonl"
+        _write_jsonl(f, [_patient_obj("p1"), edit(_patient_obj("p2"))])
+        with pytest.raises(ValidationError, match=message):
+            ingest_cohort(str(f))
+
     def test_writer_reader_round_trip(self, tmp_path):
         f = tmp_path / "c.jsonl"
         _write_jsonl(f, [_patient_obj("p1", n_visits=2), _patient_obj("p2")])
@@ -131,7 +163,7 @@ class TestPreprocess:
 
     def test_rare_codes_dropped(self):
         out = preprocess(self._cohort_with_freqs(), min_code_freq=5)
-        kept = {c.group_id for p in out for v in p.visits for c in v.codes}
+        kept = {c for p in out for v in p.visits for _, c in v.codes}
         assert kept == {"common"}
 
     def test_age_and_visit_filters(self):
@@ -154,7 +186,7 @@ class TestPreprocess:
             min_code_freq=5,
             group_map={"raw1": "G", "raw2": "G"},
         )
-        kept = {c.key for p in out for v in p.visits for c in v.codes}
+        kept = {c for p in out for v in p.visits for c in v.codes}
         assert kept == {("dx", "G")}
         # Without the map both raw codes fall below the threshold.
         with pytest.raises(ValidationError):
@@ -165,7 +197,7 @@ class TestPreprocess:
         cohort = make_cohort(make_record("p", [make_visit(codes=[("dx", "x")])]))
         out = preprocess(cohort, min_code_freq=1, group_map={"other": "G"})
         (code,) = [c for p in out for v in p.visits for c in v.codes]
-        assert code.group_id == "x"
+        assert code == ("dx", "x")
 
     def test_idempotent(self):
         cohort = self._cohort_with_freqs()
@@ -178,7 +210,7 @@ class TestPreprocess:
         before = {id(p) for p in cohort.patients}
         preprocess(cohort, min_code_freq=5)
         assert {id(p) for p in cohort.patients} == before
-        assert any(c.group_id == "rare" for p in cohort for v in p.visits for c in v.codes)
+        assert any(c == ("dx", "rare") for p in cohort for v in p.visits for c in v.codes)
 
     def test_everything_filtered_is_an_error(self):
         cohort = make_cohort(make_record("kid", [make_visit()], age=10))
@@ -203,7 +235,11 @@ class TestVocabularyAndEncoding:
 
     def test_dense_deterministic_indices(self):
         vocab = build_vocabulary(self._cohort())
-        assert [e.index for e in vocab.entries] == list(range(len(vocab)))
+        hot = [
+            int(encode_visit_codes(make_visit(codes=[(e.system, e.group_id)]), vocab).argmax())
+            for e in vocab.entries
+        ]
+        assert hot == list(range(len(vocab)))
         assert [(e.system, e.group_id) for e in vocab.entries] == [
             ("dx", "a"),
             ("med", "m1"),
@@ -234,7 +270,9 @@ class TestVocabularyAndEncoding:
         again = CodeVocabulary.from_json(vocab.to_json())
         assert again.content_hash() == vocab.content_hash()
         entry = again.entries[2]
-        assert (entry.system, entry.group_id, entry.index) == ("proc", "p1", 2)
+        assert (entry.system, entry.group_id) == ("proc", "p1")
+        x = encode_visit_codes(make_visit(codes=[("proc", "p1")]), again)
+        np.testing.assert_array_equal(x, [0.0, 0.0, 1.0])
 
     def test_system_indices(self):
         vocab = build_vocabulary(self._cohort())

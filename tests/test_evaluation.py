@@ -250,12 +250,12 @@ class TestFrequencyBaseline:
     def test_agrees_with_direct_count(self):
         cohort, _ = generate_cohort(SynthConfig(n_patients=15, n_conditions=3, seed=4))
         vocab = build_vocabulary(cohort)
-        index = {(e.system, e.group_id): e.index for e in vocab.entries}
+        index = {(e.system, e.group_id): i for i, e in enumerate(vocab.entries)}
         counts = np.zeros(len(vocab))
         for record in cohort.patients:
             for visit in record.visits:
                 for code in visit.codes:
-                    counts[index[(code.system, code.group_id)]] += 1
+                    counts[index[code]] += 1
         expect = sorted(range(len(vocab)), key=lambda i: (-counts[i], i))
         assert ev.frequency_baseline(cohort, vocab).tolist() == expect
 

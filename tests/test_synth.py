@@ -72,7 +72,7 @@ class TestEmissionRules:
                 hits = sum(
                     1
                     for v in patient.visits
-                    if any(owner.get((c.system, c.raw_id)) == cid for c in v.codes)
+                    if any(owner.get(c) == cid for c in v.codes)
                 )
                 if cond.chronic:
                     assert hits == len(patient.visits)
@@ -85,7 +85,7 @@ class TestEmissionRules:
         for patient in cohort:
             for v in patient.visits:
                 for c in v.codes:
-                    assert (c.system, c.raw_id) in owner
+                    assert c in owner
 
     def test_notes_are_nonempty_and_condition_flavoured(self):
         cohort, gt = generate_cohort(small_config(noise_token_rate=0.0))
