@@ -40,6 +40,7 @@ from .errors import ValidationError
 from .numerics import derive_seed
 from .patient_rep import (
     SEGMENTS,
+    Representations,
     RepresentationPipeline,
     join_representations,
     read_representations,
@@ -197,7 +198,22 @@ def cmd_represent(cfg: RunConfig, args) -> None:
     reps = pipeline.represent_cohort(pre, cfg.internal_task)
     path = _p(cfg, f"reps_{cfg.task}.jsonl")
     write_representations(path, reps)
-    print(f"wrote {path} ({len(reps)} visits, width {pipeline.space.total_dim})")
+    print(f"wrote {path} ({len(reps.keys)} visits, width {pipeline.space.total_dim})")
+
+
+def _read_reps(cfg: RunConfig) -> Representations:
+    """reps_<task>.jsonl; a fault or a foreign task names the file and the fix."""
+    path = _need(_p(cfg, f"reps_{cfg.task}.jsonl"), "run represent first")
+    try:
+        reps = read_representations(path)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{exc}; re-run represent") from exc
+    if reps.task != cfg.internal_task:
+        raise ValidationError(
+            f"{path} holds representations for task {reps.task!r}, "
+            f"not {cfg.internal_task!r}; re-run represent"
+        )
+    return reps
 
 
 def cmd_train_task(cfg: RunConfig, args) -> None:
@@ -209,7 +225,7 @@ def cmd_train_task(cfg: RunConfig, args) -> None:
         )
     pre, vocab = _load_preprocessed(cfg)
     train_ids, _ = _read_split(cfg, pre)
-    reps = read_representations(_need(_p(cfg, f"reps_{cfg.task}.jsonl"), "run represent first"))
+    reps = _read_reps(cfg)
     X, y, _ = join_representations(reps, extract_labels(pre.subset(train_ids), task))
     head_cfg = replace(cfg.task_head, seed=derive_seed(cfg.seed, f"train-task:{cfg.task}"))
     model, history = train_task(X, y, task, head_cfg)
@@ -246,13 +262,7 @@ def _evaluate_artifacts(cfg: RunConfig) -> dict:
         )
         return {name: ev.MetricReport(name, [v]) for name, v in values.items()}
 
-    reps_path = _need(_p(cfg, f"reps_{cfg.task}.jsonl"), "run represent first")
-    reps = read_representations(reps_path)
-    if reps and reps[0].task != task:
-        raise ValidationError(
-            f"{reps_path} holds representations for task {reps[0].task!r}, "
-            f"not {task!r}; re-run represent"
-        )
+    reps = _read_reps(cfg)
     model, _ = load_classifier(
         _need(_p(cfg, f"head_{cfg.task}.ckpt"), "run train-task first"), vocab.content_hash()
     )

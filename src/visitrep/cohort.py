@@ -124,6 +124,12 @@ def _as_int(value, what: str, where: str) -> int:
     return value
 
 
+def _as_str(value, what: str, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: {what} must be a string, got {value!r}")
+    return value
+
+
 def _parse_visit(obj, where: str) -> Visit:
     _as_object(obj, "visit", where)
     admit = _as_int(_require(obj, "admit_time", where), "admit_time", where)
@@ -178,8 +184,8 @@ def _parse_record(obj, where: str) -> PatientRecord:
     age = _as_int(_require(demo, "age", where), "age", where)
     if age < 0:
         raise ValidationError(f"{where}: negative age {age}")
-    gender = _require(demo, "gender", where)
-    race = _require(demo, "race", where)
+    gender = _as_str(_require(demo, "gender", where), "gender", where)
+    race = _as_str(_require(demo, "race", where), "race", where)
     raw_visits = _require(obj, "visits", where)
     if not isinstance(raw_visits, list) or not raw_visits:
         raise ValidationError(f"{where}: visits must be a non-empty list")
@@ -188,9 +194,7 @@ def _parse_record(obj, where: str) -> PatientRecord:
     for a, b in zip(visits, visits[1:]):
         if b.admit_time <= a.admit_time:
             raise ValidationError(f"{where}: visits are not strictly ordered by admit_time")
-    return PatientRecord(
-        patient_id=pid, age=age, gender=str(gender), race=str(race), visits=tuple(visits)
-    )
+    return PatientRecord(patient_id=pid, age=age, gender=gender, race=race, visits=tuple(visits))
 
 
 def ingest_cohort(path: str) -> Cohort:
@@ -455,27 +459,23 @@ def los_bucket(stay_days: float) -> int:
 class VisitLabel:
     patient_id: str
     visit_index: int
-    value: object  # float for binary tasks, int class for los9, ndarray for codes
+    value: object  # float for binary tasks, int class for los9
 
 
-def extract_labels(
-    cohort: Cohort,
-    task: str,
-    vocab: Optional[CodeVocabulary] = None,
-    exclude_codes: Optional[set] = None,
-) -> list:
-    """Per-visit supervision targets for one task.
+def extract_labels(cohort: Cohort, task: str, exclude_codes: Optional[set] = None) -> list:
+    """Per-visit supervision targets for one task head.
 
     readmission30 labels every non-final visit with whether the next
     admission starts within 30 days of discharge; mortality uses the
     died_in_visit flag (patients carrying a code id in exclude_codes are
-    dropped from that task entirely); los9 buckets the stay length; and
-    code_prediction targets the next visit's multi-hot vector.
+    dropped from that task entirely); and los9 buckets the stay length.
+    code_prediction has no head: next-code recall scores it from the visit
+    matrices.
     """
     if task not in TASKS:
         raise ValidationError(f"extract_labels: unknown task {task!r}, expected one of {TASKS}")
-    if task == TASK_CODES and vocab is None:
-        raise ValidationError("extract_labels: code_prediction requires a vocabulary")
+    if task == TASK_CODES:
+        raise ValidationError("extract_labels: code_prediction is scored by next-code recall")
     out: list[VisitLabel] = []
     for p in cohort.patients:
         if task == TASK_MORTALITY and exclude_codes:
@@ -490,12 +490,8 @@ def extract_labels(
                 out.append(VisitLabel(p.patient_id, i, float(gap <= READMISSION_WINDOW)))
             elif task == TASK_MORTALITY:
                 out.append(VisitLabel(p.patient_id, i, float(v.died_in_visit)))
-            elif task == TASK_LOS:
-                out.append(VisitLabel(p.patient_id, i, los_bucket(v.los_days())))
             else:
-                if i + 1 >= len(p.visits):
-                    continue
-                out.append(VisitLabel(p.patient_id, i, encode_visit_codes(p.visits[i + 1], vocab)))
+                out.append(VisitLabel(p.patient_id, i, los_bucket(v.los_days())))
     return out
 
 

@@ -1,6 +1,7 @@
-"""Per-visit patient vectors assembled from the frozen upstream models.
+"""Per-visit patient vectors built from the frozen upstream models.
 
-A visit's vector is the concatenation [code; text; demo]. The code segment
+A visit's vector is the concatenation [code; text; demo], and a task's
+vectors are the rows of one `Representations` table. The code segment
 comes from the causal encoder over the patient's earlier visits (for the
 clinical tasks the current visit's codes are excluded; for next-code
 prediction the current visit is included since the target is the following
@@ -8,14 +9,14 @@ one). The text segment summarizes the task's note window; a visit with no
 usable text gets a zero segment, as does the first visit's code segment.
 The demographics segment is the per-visit snapshot (age drifts with time).
 
-Inference is batched. The text pass chunks every visit's task text into
-token-id windows and hands them to `text_embedder.sentence_batches`, the
-path summarizer training uses: visits are grouped by sentence count, each
-batch of the summarizer's batch size is bag-encoded in one `encode_batch`
-and summarized in one `summarize`, so no visit is padded with extra
-sentences. The code pass encodes the histories of each
-code-model batch of patients in one padded forward; the causal and
-padding masks keep every row equal to its own unpadded forward.
+Inference is batched, one block per segment. The code pass encodes the
+histories of each code-model batch of patients in one padded forward; the
+causal and padding masks keep every row equal to its own unpadded forward.
+The text pass hands every visit's token-id windows to
+`text_embedder.sentence_batches`, the path summarizer training uses: each
+batch of visits with one sentence count is bag-encoded in one
+`encode_batch` and summarized in one `summarize`, so no visit is padded
+with extra sentences. A JSONL export holds one task and one width.
 
 Extraction never mutates the upstream models, so segments can be zeroed
 after the fact to produce every ablation variant from one pass.
@@ -75,32 +76,13 @@ class RepresentationSpace:
         }
 
 
-@dataclass(frozen=True)
-class PatientRepresentation:
-    patient_id: str
-    visit_index: int
+@dataclass(frozen=True, eq=False)
+class Representations:
+    """One task's vectors: row i of `vectors` belongs to the visit keys[i]."""
+
     task: str
-    vector: np.ndarray
-
-
-def assemble(space: RepresentationSpace, code_vec, text_vec, demo_vec) -> np.ndarray:
-    """Concatenate the three segments, checking each width by name."""
-    parts = (("code", code_vec, space.d_code), ("text", text_vec, space.d_enc),
-             ("demo", demo_vec, space.d_demo))
-    for name, vec, want in parts:
-        vec = np.asarray(vec)
-        if vec.shape != (want,):
-            raise ValidationError(
-                f"{name} segment: expected length {want}, got shape {vec.shape}"
-            )
-    return np.concatenate([code_vec, text_vec, demo_vec]).astype(np.float64)
-
-
-def read_segment(space: RepresentationSpace, z: np.ndarray, name: str) -> np.ndarray:
-    if name not in SEGMENTS:
-        raise ValidationError(f"unknown segment {name!r}, expected one of {SEGMENTS}")
-    lo, hi = space.offsets()[name]
-    return z[..., lo:hi]
+    keys: list  # of (patient_id, visit_index)
+    vectors: np.ndarray  # (visits, width) float64
 
 
 def zero_segments(z: np.ndarray, space: RepresentationSpace, keep) -> np.ndarray:
@@ -154,91 +136,87 @@ class RepresentationPipeline:
             out[rows] = summarize(self.summarizer, u.data)
         return out
 
-    def represent_cohort(self, cohort: Cohort, task: str) -> list:
-        """One PatientRepresentation per visit, in cohort order."""
+    def represent_cohort(self, cohort: Cohort, task: str) -> Representations:
+        """The task's vectors for every visit, in cohort order."""
         if task not in TASKS:
             raise ValidationError(f"unknown task {task!r}, expected one of {TASKS}")
-        text = iter(self._text_vectors(cohort, task))
         patients = cohort.patients
         step = self.code_model.config.batch_size
-        reps = []
+        code = []
         for start in range(0, len(patients), step):
             chunk = patients[start : start + step]
             histories = encode_history(
                 self.code_model,
                 [np.stack([encode_visit_codes(v, self.vocab) for v in r.visits]) for r in chunk],
             )
-            for record, history in zip(chunk, histories):
-                for vi in range(len(record.visits)):
-                    if task == TASK_CODES:
-                        code_vec = history[vi]
-                    elif vi == 0:
-                        code_vec = np.zeros(self.space.d_code)
-                    else:
-                        code_vec = history[vi - 1]
-                    z = assemble(
-                        self.space, code_vec, next(text), self.demo_codec.encode(record, vi)
-                    )
-                    reps.append(PatientRepresentation(record.patient_id, vi, task, z))
-        return reps
+            for history in histories:
+                if task != TASK_CODES:
+                    history = np.vstack([np.zeros((1, self.space.d_code)), history[:-1]])
+                code.append(history)
+        keys = [(r.patient_id, vi) for r in patients for vi in range(len(r.visits))]
+        demo = [self.demo_codec.encode(r, vi) for r in patients for vi in range(len(r.visits))]
+        blocks = [np.concatenate(code), self._text_vectors(cohort, task), np.stack(demo)]
+        return Representations(task, keys, np.hstack(blocks))
 
 
-def write_representations(path, reps) -> None:
+def write_representations(path, reps: Representations) -> None:
     """JSONL export, one visit per line, values rounded to float32."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rep in reps:
+        for (patient_id, visit_index), z in zip(reps.keys, reps.vectors.astype(np.float32)):
             row = {
-                "patient_id": rep.patient_id,
-                "visit_index": rep.visit_index,
-                "task": rep.task,
-                "z": [float(v) for v in rep.vector.astype(np.float32)],
+                "patient_id": patient_id,
+                "visit_index": visit_index,
+                "task": reps.task,
+                "z": z.tolist(),
             }
             fh.write(json.dumps(row) + "\n")
 
 
-def read_representations(path) -> list:
-    reps = []
-    with open(path, encoding="utf-8") as fh:
+def read_representations(path) -> Representations:
+    """The table a JSONL export holds. Every row must carry the task and the
+    width of the first row, and the file must hold at least one row."""
+    keys, rows = [], []
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                rep = PatientRepresentation(
-                    patient_id=obj["patient_id"],
-                    visit_index=int(obj["visit_index"]),
-                    task=obj["task"],
-                    vector=np.asarray(obj["z"], dtype=np.float64),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                key = (obj["patient_id"], int(obj["visit_index"]))
+                task = obj["task"]
+                z = np.asarray(obj["z"], dtype=np.float64)
+                if z.ndim != 1 or not np.isfinite(z).all():
+                    raise ValueError("z must be a list of finite numbers")
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad representation row ({exc})") from exc
-            reps.append(rep)
-    return reps
+            if not rows:
+                first = (lineno, task, len(z))
+            if (task, len(z)) != first[1:]:
+                raise ValidationError(
+                    f"{path}:{lineno}: task {task!r} and width {len(z)}, but line "
+                    f"{first[0]} has task {first[1]!r} and width {first[2]}"
+                )
+            keys.append(key)
+            rows.append(z)
+    if not rows:
+        raise ValidationError(f"{path}: no representation rows")
+    return Representations(first[1], keys, np.stack(rows))
 
 
-def join_representations(reps, labels):
+def join_representations(reps: Representations, labels):
     """Align representations with labels on (patient_id, visit_index).
 
     Returns (X, y, keys) for the visits present on both sides, ordered by
-    the label list. y is a float vector for scalar targets or a matrix for
-    multi-hot targets.
+    the label list, with y a float vector.
     """
-    by_key = {(r.patient_id, r.visit_index): r for r in reps}
+    row_of = {key: i for i, key in enumerate(reps.keys)}
     rows, targets, keys = [], [], []
     for label in labels:
         key = (label.patient_id, label.visit_index)
-        rep = by_key.get(key)
-        if rep is None:
-            continue
-        rows.append(rep.vector)
-        targets.append(label.value)
-        keys.append(key)
+        if key in row_of:
+            rows.append(row_of[key])
+            targets.append(label.value)
+            keys.append(key)
     if not rows:
         raise ValidationError("no overlap between representations and labels")
-    X = np.stack(rows)
-    first = targets[0]
-    if isinstance(first, np.ndarray):
-        y = np.stack(targets)
-    else:
-        y = np.asarray(targets, dtype=np.float64)
-    return X, y, keys
+    return reps.vectors[rows], np.asarray(targets, dtype=np.float64), keys

@@ -167,6 +167,14 @@ class TestPrerequisites:
         assert main(["preprocess", "--out", str(tmp_path)]) == 1
         assert "line 1: record must be a JSON object, got int" in capsys.readouterr().err
 
+    def test_non_string_gender(self, run_dir, tmp_path, capsys):
+        out, _ = run_dir
+        record = json.loads((out / "cohort.jsonl").read_text().splitlines()[0])
+        record["demographics"]["gender"] = None
+        (tmp_path / "cohort.jsonl").write_text(json.dumps(record) + "\n")
+        assert main(["preprocess", "--out", str(tmp_path)]) == 1
+        assert "line 1: gender must be a string, got None" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"seed": 1, "notes_dir": "x"}))
@@ -287,6 +295,52 @@ class TestMalformedArtifact:
         err = capsys.readouterr().err
         assert f"error: {tmp_path / name}" in err
         assert f"re-run {writer}" in err
+
+
+def _retag_all(rows, k):
+    for row in rows:
+        row["task"] = "los9"
+
+
+def _retag_one(rows, k):
+    rows[k]["task"] = "los9"
+
+
+def _shorten_one(rows, k):
+    rows[k]["z"].pop()
+
+
+class TestMalformedRepresentations:
+    @pytest.mark.parametrize("command", ["train-task", "evaluate"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_retag_all, " holds representations for task 'los9', not 'mortality'"),
+            (_retag_one, ":{line}: task 'los9' and width"),
+            (_shorten_one, ":{line}: task 'mortality' and width"),
+            (lambda rows, k: rows.clear(), ": no representation rows"),
+        ],
+        ids=["other-task", "one-row-other-task", "short-row", "empty"],
+    )
+    def test_exits_1_naming_file_and_represent(
+        self, run_dir, tmp_path, capsys, command, edit, message
+    ):
+        """The edited row belongs to a training visit, which evaluate never
+        scores, so only the reader can catch it there."""
+        out, _ = run_dir
+        shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "reps_mortality.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        train = set(json.loads((tmp_path / "split.json").read_text())["train"])
+        k = next(i for i, row in enumerate(rows) if i > 0 and row["patient_id"] in train)
+        edit(rows, k)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = dict(TINY_CONFIG, paths={"out": str(tmp_path)})
+        (tmp_path / "tiny_config.json").write_text(json.dumps(config))
+        assert main([command, "--config", str(tmp_path / "tiny_config.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}" + message.format(line=k + 1) in err
+        assert "re-run represent" in err
 
 
 class TestGroupMap:

@@ -1,6 +1,7 @@
 """Representation assembly: segment layout, history windows per task,
 missing-modality zeros, ablation zeroing, and the JSONL round trip."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,13 +24,11 @@ from visitrep.cohort import (
 from visitrep.code_embedder import CodeEmbedderConfig, CodeEmbedderModel, encode_history
 from visitrep.errors import ValidationError
 from visitrep.patient_rep import (
-    PatientRepresentation,
     RepresentationPipeline,
     RepresentationSpace,
-    assemble,
+    Representations,
     join_representations,
     read_representations,
-    read_segment,
     write_representations,
     zero_segments,
 )
@@ -45,6 +44,12 @@ from visitrep.text_embedder import (
 )
 
 SPACE = RepresentationSpace(d_code=4, d_enc=3, d_demo=2)
+
+
+def segment(space, z, name):
+    """One segment of a vector or of every row of a matrix."""
+    lo, hi = space.offsets()[name]
+    return z[..., lo:hi]
 
 
 def small_cohort():
@@ -95,26 +100,6 @@ class TestSpace:
             RepresentationSpace(d_code=4, d_enc=0, d_demo=2)
 
 
-class TestAssemble:
-    def test_round_trip_by_segment(self):
-        code, text, demo = np.arange(4.0), np.arange(3.0) + 10, np.arange(2.0) + 20
-        z = assemble(SPACE, code, text, demo)
-        assert z.shape == (9,)
-        np.testing.assert_array_equal(read_segment(SPACE, z, "code"), code)
-        np.testing.assert_array_equal(read_segment(SPACE, z, "text"), text)
-        np.testing.assert_array_equal(read_segment(SPACE, z, "demo"), demo)
-
-    def test_mismatch_names_the_segment(self):
-        with pytest.raises(ValidationError, match="text segment"):
-            assemble(SPACE, np.zeros(4), np.zeros(5), np.zeros(2))
-        with pytest.raises(ValidationError, match="demo segment"):
-            assemble(SPACE, np.zeros(4), np.zeros(3), np.zeros(1))
-
-    def test_unknown_segment_read(self):
-        with pytest.raises(ValidationError, match="unknown segment"):
-            read_segment(SPACE, np.zeros(9), "codes")
-
-
 class TestZeroSegments:
     def test_keeps_named_segments_only(self):
         z = np.arange(9.0) + 1
@@ -143,53 +128,53 @@ class TestRepresentVisit:
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
         reps = pipe.represent_cohort(cohort, TASK_MORTALITY)
-        assert [(r.patient_id, r.visit_index) for r in reps] == [
-            ("p1", 0), ("p1", 1), ("p1", 2), ("p2", 0)
-        ]
-        assert all(r.vector.shape == (pipe.space.total_dim,) for r in reps)
+        assert reps.task == TASK_MORTALITY
+        assert reps.keys == [("p1", 0), ("p1", 1), ("p1", 2), ("p2", 0)]
+        assert reps.vectors.shape == (4, pipe.space.total_dim)
+        assert reps.vectors.dtype == np.float64
 
     def test_first_visit_code_segment_is_zero_for_clinical_tasks(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
         for task in (TASK_MORTALITY, TASK_LOS, TASK_READMISSION):
-            rep = pipe.represent_cohort(make_cohort(cohort.patients[0]), task)[0]
-            np.testing.assert_array_equal(read_segment(pipe.space, rep.vector, "code"), 0.0)
+            z = pipe.represent_cohort(make_cohort(cohort.patients[0]), task).vectors[0]
+            np.testing.assert_array_equal(segment(pipe.space, z, "code"), 0.0)
 
     def test_code_prediction_includes_current_visit(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
-        rep = pipe.represent_cohort(make_cohort(cohort.patients[0]), TASK_CODES)[0]
-        assert np.abs(read_segment(pipe.space, rep.vector, "code")).max() > 0
+        z = pipe.represent_cohort(make_cohort(cohort.patients[0]), TASK_CODES).vectors[0]
+        assert np.abs(segment(pipe.space, z, "code")).max() > 0
 
     def test_current_visit_codes_do_not_leak_into_clinical_segment(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
-        base = pipe.represent_cohort(make_cohort(cohort.patients[0]), TASK_MORTALITY)
+        base = pipe.represent_cohort(make_cohort(cohort.patients[0]), TASK_MORTALITY).vectors
 
         visits = list(cohort.patients[0].visits)
         visits[1] = make_visit(40, 1, codes=[("dx", "a"), ("med", "x")], notes=[(1, "fever rash")])
         mutated = make_record("p1", visits, age=50)
-        changed = pipe.represent_cohort(make_cohort(mutated), TASK_MORTALITY)
+        changed = pipe.represent_cohort(make_cohort(mutated), TASK_MORTALITY).vectors
 
-        seg = lambda rep: read_segment(pipe.space, rep.vector, "code")
+        seg = lambda z: segment(pipe.space, z, "code")
         np.testing.assert_array_equal(seg(base[1]), seg(changed[1]))
         assert not np.array_equal(seg(base[2]), seg(changed[2]))
 
     def test_missing_notes_zero_text_segment(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
-        reps = pipe.represent_cohort(make_cohort(cohort.patients[0]), TASK_MORTALITY)
-        np.testing.assert_array_equal(read_segment(pipe.space, reps[2].vector, "text"), 0.0)
-        assert np.abs(read_segment(pipe.space, reps[0].vector, "text")).max() > 0
+        zs = pipe.represent_cohort(make_cohort(cohort.patients[0]), TASK_MORTALITY).vectors
+        np.testing.assert_array_equal(segment(pipe.space, zs[2], "text"), 0.0)
+        assert np.abs(segment(pipe.space, zs[0], "text")).max() > 0
 
     def test_text_segment_matches_direct_summarization(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
-        rep = pipe.represent_cohort(make_cohort(cohort.patients[1]), TASK_MORTALITY)[0]
+        z = pipe.represent_cohort(make_cohort(cohort.patients[1]), TASK_MORTALITY).vectors[0]
         text = select_task_text(cohort.patients[1].visits[0], TASK_MORTALITY)
         mat = sentence_matrix(text, pipe.encoder, pipe.summarizer.config.chunk_size)
         np.testing.assert_array_equal(
-            read_segment(pipe.space, rep.vector, "text"), summarize(pipe.summarizer, mat)
+            segment(pipe.space, z, "text"), summarize(pipe.summarizer, mat)
         )
 
     def test_demographics_drift_with_visit_age(self):
@@ -203,9 +188,7 @@ class TestRepresentVisit:
         )
         cohort = make_cohort(record)
         pipe = build_pipeline(cohort)
-        reps = pipe.represent_cohort(make_cohort(record), TASK_MORTALITY)
-        d0 = read_segment(pipe.space, reps[0].vector, "demo")
-        d1 = read_segment(pipe.space, reps[1].vector, "demo")
+        d0, d1 = segment(pipe.space, pipe.represent_cohort(cohort, TASK_MORTALITY).vectors, "demo")
         assert not np.array_equal(d0, d1)
 
     def test_extraction_leaves_models_untouched(self):
@@ -260,16 +243,16 @@ class TestBatchedOracle:
     def test_matches_per_visit_and_per_patient_oracle(self, task):
         cohort, pipe = self.build()
         reps = pipe.represent_cohort(cohort, task)
-        assert [(r.patient_id, r.visit_index) for r in reps] == [
+        assert reps.keys == [
             (p.patient_id, vi) for p in cohort.patients for vi in range(len(p.visits))
         ]
         counts = []
-        reps = iter(reps)
+        rows = iter(reps.vectors)
         for record in cohort.patients:
             matrix = np.stack([encode_visit_codes(v, pipe.vocab) for v in record.visits])
             history = encode_history(pipe.code_model, matrix)
             for vi, visit in enumerate(record.visits):
-                rep = next(reps)
+                z = next(rows)
                 if task == TASK_CODES:
                     code = history[vi]
                 else:
@@ -277,7 +260,7 @@ class TestBatchedOracle:
                 mat = sentence_matrix(select_task_text(visit, task), pipe.encoder, self.CHUNK)
                 counts.append(0 if mat is None else len(mat))
                 text = np.zeros(pipe.space.d_enc) if mat is None else summarize(pipe.summarizer, mat)
-                seg = lambda name: read_segment(pipe.space, rep.vector, name)
+                seg = lambda name: segment(pipe.space, z, name)
                 np.testing.assert_allclose(seg("code"), code, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(seg("text"), text, rtol=0, atol=1e-12)
                 np.testing.assert_array_equal(seg("demo"), pipe.demo_codec.encode(record, vi))
@@ -299,10 +282,10 @@ class TestExport:
         path = tmp_path / "reps.jsonl"
         write_representations(path, reps)
         back = read_representations(path)
-        assert len(back) == len(reps)
-        for a, b in zip(reps, back):
-            assert (a.patient_id, a.visit_index, a.task) == (b.patient_id, b.visit_index, b.task)
-            np.testing.assert_array_equal(b.vector, a.vector.astype(np.float32).astype(np.float64))
+        assert (back.task, back.keys) == (reps.task, reps.keys)
+        np.testing.assert_array_equal(
+            back.vectors, reps.vectors.astype(np.float32).astype(np.float64)
+        )
 
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "reps.jsonl"
@@ -310,32 +293,55 @@ class TestExport:
         with pytest.raises(ValidationError, match="1: bad representation row"):
             read_representations(path)
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                ['{"patient_id": "p", "visit_index": 0, "task": "t", "z": [1.0, null]}'],
+                ":1: bad representation row .*finite",
+            ),
+            (
+                ['{"patient_id": "p", "visit_index": 0, "task": "t", "z": [[1.0]]}'],
+                ":1: bad representation row .*finite",
+            ),
+            (
+                ['{"patient_id": "p", "visit_index": 0, "task": "t", "z": [1.0, 2.0]}', "",
+                 '{"patient_id": "p", "visit_index": 1, "task": "u", "z": [1.0, 2.0]}'],
+                ":3: task 'u' and width 2, but line 1 has task 't' and width 2",
+            ),
+            (
+                ['{"patient_id": "p", "visit_index": 0, "task": "t", "z": [1.0, 2.0]}',
+                 '{"patient_id": "p", "visit_index": 1, "task": "t", "z": [1.0]}'],
+                ":2: task 't' and width 1, but line 1 has task 't' and width 2",
+            ),
+            ([""], ": no representation rows"),
+        ],
+        ids=["null-value", "nested", "task", "width", "empty"],
+    )
+    def test_foreign_row_or_empty_file_names_path_and_line(self, tmp_path, lines, message):
+        path = tmp_path / "reps.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(str(path)) + message):
+            read_representations(path)
+
 
 class TestJoin:
-    def rep(self, pid, vi, vec):
-        return PatientRepresentation(pid, vi, TASK_MORTALITY, np.asarray(vec, dtype=float))
+    def reps(self, rows):
+        keys = [(pid, vi) for pid, vi, _ in rows]
+        vectors = np.array([vec for _, _, vec in rows], dtype=float)
+        return Representations(TASK_MORTALITY, keys, vectors)
 
     def test_aligns_on_patient_and_visit(self):
-        reps = [self.rep("a", 0, [1.0, 2.0]), self.rep("b", 0, [3.0, 4.0])]
+        reps = self.reps([("a", 0, [1.0, 2.0]), ("b", 0, [3.0, 4.0])])
         labels = [VisitLabel("b", 0, 1.0), VisitLabel("a", 0, 0.0), VisitLabel("c", 0, 1.0)]
         X, y, keys = join_representations(reps, labels)
         np.testing.assert_array_equal(X, [[3.0, 4.0], [1.0, 2.0]])
         np.testing.assert_array_equal(y, [1.0, 0.0])
         assert keys == [("b", 0), ("a", 0)]
 
-    def test_multi_hot_targets_stack(self):
-        reps = [self.rep("a", 0, [1.0]), self.rep("a", 1, [2.0])]
-        labels = [
-            VisitLabel("a", 0, np.array([1.0, 0.0])),
-            VisitLabel("a", 1, np.array([0.0, 1.0])),
-        ]
-        _, y, _ = join_representations(reps, labels)
-        assert y.shape == (2, 2)
-
     def test_no_overlap_is_an_error(self):
         with pytest.raises(ValidationError, match="no overlap"):
-            join_representations([self.rep("a", 0, [1.0])], [VisitLabel("z", 9, 1.0)])
-
+            join_representations(self.reps([("a", 0, [1.0])]), [VisitLabel("z", 9, 1.0)])
     def test_works_against_extract_labels(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)

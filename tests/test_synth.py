@@ -12,7 +12,6 @@ from visitrep.synth import (
     GroundTruth,
     SynthConfig,
     generate_cohort,
-    oracle_code_affinity,
     write_ground_truth,
 )
 
@@ -158,6 +157,22 @@ class TestLabels:
                 if joint[i, j] > 0:
                     mi += joint[i, j] * np.log(joint[i, j] / (px[i] * py[j]))
         assert mi > 0.005
+
+
+def oracle_code_affinity(gt: GroundTruth) -> tuple:
+    """(codes, matrix): matrix[i, j] = 1 iff codes i and j share a condition.
+
+    Codes are listed condition by condition in generation order, so the
+    matrix is symmetric with a unit diagonal by construction.
+    """
+    codes = [code for cond in gt.conditions for code in cond.codes]
+    owner = gt.code_condition()
+    n = len(codes)
+    aff = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(n):
+            aff[i, j] = 1.0 if owner[tuple(codes[i])] == owner[tuple(codes[j])] else 0.0
+    return codes, aff
 
 
 class TestAffinityOracle:
