@@ -26,8 +26,8 @@ def main():
     cfg = SummarizerConfig(
         d_text=12, d_enc=10, chunk_size=16, epochs=8, batch_size=16, seed=5
     )
-    encoder, model, history = train_summarizer(cohort, cfg)
-    print(f"token vocabulary: {len(encoder.vocab)} entries")
+    model, history = train_summarizer(cohort, cfg)
+    print(f"token vocabulary: {len(model.bag.vocab)} entries")
     for epoch, (tr, va) in enumerate(zip(history.train_loss, history.val_loss)):
         print(f"epoch {epoch:2d}: train {tr:8.4f}  val {va:8.4f}")
     print(f"best epoch {history.best_epoch}")
@@ -37,7 +37,7 @@ def main():
     vecs, conds = [], []
     for record in cohort.patients[:30]:
         text = " ".join(n.text for n in record.visits[0].notes)
-        mat = sentence_matrix(text, encoder, cfg.chunk_size)
+        mat = sentence_matrix(text, model.bag, cfg.chunk_size)
         if mat is None:
             continue
         vecs.append(summarize(model, mat))

@@ -7,6 +7,10 @@ the section kind ("code" / "text" / "classifier"), the producing config, a
 vocabulary content hash, and every parameter's name and shape. Training is
 float64 but storage narrows to float32; loading a fresh save of a loaded
 model reproduces the file byte for byte.
+
+A model is written as its `parameters()`, each under its own name, and read
+back through `read_model`, which checks the kind, the vocabulary hash and the
+config section before `load_params` fills a freshly built model.
 """
 
 from __future__ import annotations
@@ -30,16 +34,16 @@ def write_checkpoint(
     kind: str,
     config: dict,
     vocab_hash: str,
-    named_params: Sequence,
+    params: Sequence,
 ) -> None:
-    """named_params: ordered (name, float array) pairs."""
+    """params: ordered Parameters, each written under its name."""
     if kind not in KINDS:
         raise CheckpointError(f"checkpoint: unknown section kind {kind!r}")
     header = {
         "kind": kind,
         "config": config,
         "vocab_hash": vocab_hash,
-        "params": [{"name": n, "shape": list(a.shape)} for n, a in named_params],
+        "params": [{"name": p.name, "shape": list(p.data.shape)} for p in params],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -47,8 +51,8 @@ def write_checkpoint(
         fh.write(struct.pack("<H", VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, arr in named_params:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for p in params:
+            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
 def read_checkpoint(path: str) -> tuple:
@@ -99,17 +103,23 @@ def read_checkpoint(path: str) -> tuple:
     return header["kind"], header["config"], header["vocab_hash"], params
 
 
-def expect_kind(path: str, got: str, want: str) -> None:
-    if got != want:
-        raise CheckpointError(f"{path}: checkpoint holds a {got!r} model, expected {want!r}")
-
-
-def expect_vocab_hash(path: str, got: str, want: str) -> None:
-    if got != want:
+def read_model(path: str, kind: str, vocab_hash: str, section: str, cls) -> tuple:
+    """(config, header config, {name: array}) of a `kind` checkpoint trained
+    against `vocab_hash`; config is the header's `section` as a `cls`."""
+    got_kind, header, got_hash, arrays = read_checkpoint(path)
+    if got_kind != kind:
+        raise CheckpointError(f"{path}: checkpoint holds a {got_kind!r} model, expected {kind!r}")
+    if got_hash != vocab_hash:
         raise CheckpointError(
             f"{path}: checkpoint was trained against a different vocabulary "
-            f"(hash {got[:12]}.. != current {want[:12]}..)"
+            f"(hash {got_hash[:12]}.. != current {vocab_hash[:12]}..)"
         )
+    if section not in header:
+        raise CheckpointError(f"{path}: header config lacks the {section!r} section")
+    try:
+        return cls.from_json(header[section]), header, arrays
+    except ValidationError as e:
+        raise CheckpointError(f"{path}: {e}") from e
 
 
 def load_params(path: str, params, arrays: dict, stage: str) -> None:
@@ -120,13 +130,3 @@ def load_params(path: str, params, arrays: dict, stage: str) -> None:
         load_state(params, arrays)
     except ValueError as e:
         raise CheckpointError(f"{path}: {e}; re-run {stage}") from e
-
-
-def header_config(path: str, config: dict, key: str, cls):
-    """The config dataclass stored under `key` of a checkpoint's header config."""
-    if key not in config:
-        raise CheckpointError(f"{path}: header config lacks the {key!r} section")
-    try:
-        return cls.from_json(config[key])
-    except ValidationError as e:
-        raise CheckpointError(f"{path}: {e}") from e

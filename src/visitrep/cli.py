@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 
 from . import evaluation as ev
@@ -97,6 +98,17 @@ def _read_split(cfg: RunConfig, cohort: Cohort):
                 f"split: {len(unknown)} patient id(s) absent from preprocessed.jsonl, "
                 f"first {unknown[0]!r}"
             )
+        both = sorted(set(ids[0]) & set(ids[1]))
+        if both:
+            raise ValidationError(
+                f"split: {len(both)} patient id(s) in both train and holdout, first {both[0]!r}"
+            )
+        for key, listed in zip(("train", "holdout"), ids):
+            twice = sorted(pid for pid, n in Counter(listed).items() if n > 1)
+            if twice:
+                raise ValidationError(
+                    f"split: {len(twice)} patient id(s) listed twice in {key}, first {twice[0]!r}"
+                )
         return ids
 
     return _read_artifact(cfg, "split.json", "preprocess", parse)
@@ -148,7 +160,7 @@ def cmd_train_code(cfg: RunConfig, args) -> None:
     train_ids, _ = _read_split(cfg, pre)
     code_cfg = replace(cfg.code_embedder, seed=derive_seed(cfg.seed, "train-code"))
     model, history = train_code_embedder(pre.subset(train_ids), vocab, code_cfg)
-    save_code_model(_p(cfg, "code.ckpt"), model)
+    save_code_model(_p(cfg, "code.ckpt"), model, vocab.content_hash())
     _write_json(_p(cfg, "code_history.json"), asdict(history))
     print(f"wrote {_p(cfg, 'code.ckpt')} (best epoch {history.best_epoch})")
 
@@ -157,19 +169,17 @@ def cmd_train_text(cfg: RunConfig, args) -> None:
     pre, _ = _load_preprocessed(cfg)
     train_ids, _ = _read_split(cfg, pre)
     summ_cfg = replace(cfg.summarizer, seed=derive_seed(cfg.seed, "train-text"))
-    encoder, model, history = train_summarizer(pre.subset(train_ids), summ_cfg)
-    _write_json(_p(cfg, "token_vocab.json"), encoder.vocab.to_json())
-    save_summarizer(_p(cfg, "text.ckpt"), encoder, model)
+    model, history = train_summarizer(pre.subset(train_ids), summ_cfg)
+    _write_json(_p(cfg, "token_vocab.json"), model.bag.vocab.to_json())
+    save_summarizer(_p(cfg, "text.ckpt"), model)
     _write_json(_p(cfg, "text_history.json"), asdict(history))
-    print(f"wrote {_p(cfg, 'text.ckpt')} ({len(encoder.vocab)} tokens)")
+    print(f"wrote {_p(cfg, 'text.ckpt')} ({len(model.bag.vocab)} tokens)")
 
 
 def _load_models(cfg: RunConfig, vocab: CodeVocabulary):
     code_model = load_code_model(_need(_p(cfg, "code.ckpt"), "run train-code first"), vocab)
     token_vocab = _read_artifact(cfg, "token_vocab.json", "train-text", TokenVocabulary.from_json)
-    encoder, summarizer = load_summarizer(
-        _need(_p(cfg, "text.ckpt"), "run train-text first"), token_vocab
-    )
+    summarizer = load_summarizer(_need(_p(cfg, "text.ckpt"), "run train-text first"), token_vocab)
     conflicts = []
     if code_model.config.d_code != cfg.code_embedder.d_code:
         conflicts.append(
@@ -186,15 +196,15 @@ def _load_models(cfg: RunConfig, vocab: CodeVocabulary):
             + "; ".join(conflicts)
             + "; re-run the training stages or restore the config"
         )
-    return code_model, encoder, summarizer
+    return code_model, summarizer
 
 
 def cmd_represent(cfg: RunConfig, args) -> None:
     pre, vocab = _load_preprocessed(cfg)
     train_ids, _ = _read_split(cfg, pre)
-    code_model, encoder, summarizer = _load_models(cfg, vocab)
+    code_model, summarizer = _load_models(cfg, vocab)
     codec = DemographicsCodec.from_cohort(pre.subset(train_ids))
-    pipeline = RepresentationPipeline(code_model, encoder, summarizer, codec, vocab)
+    pipeline = RepresentationPipeline(code_model, summarizer, codec, vocab)
     reps = pipeline.represent_cohort(pre, cfg.internal_task)
     path = _p(cfg, f"reps_{cfg.task}.jsonl")
     write_representations(path, reps)

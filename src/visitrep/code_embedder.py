@@ -21,14 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics as nm
-from .checkpoint import (
-    expect_kind,
-    expect_vocab_hash,
-    header_config,
-    load_params,
-    read_checkpoint,
-    write_checkpoint,
-)
+from .checkpoint import load_params, read_model, write_checkpoint
 from .cohort import Cohort, CodeVocabulary, encode_visit_codes
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
@@ -140,7 +133,6 @@ class CodeEmbedderModel:
             raise ValidationError(f"code embedder: empty vocabulary")
         self.config = config
         self.vocab_size = vocab_size
-        self.vocab_hash: Optional[str] = None
         d, dh, nh = config.d_code, config.d_head, config.n_heads
 
         def p(name, shape, fan_in):
@@ -224,9 +216,6 @@ class CodeEmbedderModel:
             chat = nm.sigmoid(logits)
         return x, chat
 
-    def state_arrays(self) -> list:
-        return [(p.name, p.data.copy()) for p in self.parameters()]
-
 
 def skip_gram_loss(
     chat: Tensor,
@@ -297,7 +286,6 @@ def train_code_embedder(
         )
     rng = np.random.default_rng(config.seed)
     model = CodeEmbedderModel(len(vocab), config, rng)
-    model.vocab_hash = vocab.content_hash()
 
     mats = patient_matrices(Cohort(eligible), vocab)
     ids = sorted(mats)
@@ -372,24 +360,17 @@ def predict_next_codes(
     return rank_codes(chat[-1], system_indices)
 
 
-def save_code_model(path, model: CodeEmbedderModel) -> None:
+def save_code_model(path, model: CodeEmbedderModel, vocab_hash: str) -> None:
     """Persist architecture, vocabulary hash, and parameters in one file."""
-    write_checkpoint(
-        path,
-        "code",
-        {"code_embedder": model.config.to_json()},
-        getattr(model, "vocab_hash", ""),
-        model.state_arrays(),
-    )
+    config = {"code_embedder": model.config.to_json()}
+    write_checkpoint(path, "code", config, vocab_hash, model.parameters())
 
 
 def load_code_model(path, vocab: CodeVocabulary) -> CodeEmbedderModel:
     """Rebuild a saved model; refuses other kinds and other vocabularies."""
-    kind, config, vocab_hash, arrays = read_checkpoint(path)
-    expect_kind(path, kind, "code")
-    expect_vocab_hash(path, vocab_hash, vocab.content_hash())
-    cfg = header_config(path, config, "code_embedder", CodeEmbedderConfig)
+    cfg, _, arrays = read_model(
+        path, "code", vocab.content_hash(), "code_embedder", CodeEmbedderConfig
+    )
     model = CodeEmbedderModel(len(vocab), cfg, np.random.default_rng(0))
     load_params(path, model.parameters(), arrays, "train-code")
-    model.vocab_hash = vocab_hash
     return model

@@ -362,9 +362,9 @@ def _run_fold(
     summ_cfg = replace(
         summarizer_config, seed=derive_seed(eval_config.seed, f"text:{fold_index}")
     )
-    encoder, summarizer, _ = train_summarizer(train_cohort, summ_cfg)
+    summarizer, _ = train_summarizer(train_cohort, summ_cfg)
     codec = DemographicsCodec.from_cohort(train_cohort)
-    pipeline = RepresentationPipeline(code_model, encoder, summarizer, codec, vocab)
+    pipeline = RepresentationPipeline(code_model, summarizer, codec, vocab)
 
     reps_train = pipeline.represent_cohort(train_cohort, task)
     reps_test = pipeline.represent_cohort(test_cohort, task)

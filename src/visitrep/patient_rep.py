@@ -40,13 +40,7 @@ from .cohort import (
 )
 from .code_embedder import CodeEmbedderModel, encode_history
 from .errors import ValidationError
-from .text_embedder import (
-    BagEncoder,
-    SummarizerModel,
-    sentence_batches,
-    summarize,
-    text_chunks,
-)
+from .text_embedder import SummarizerModel, sentence_batches, summarize, text_chunks
 
 SEGMENTS = ("code", "text", "demo")
 
@@ -106,13 +100,11 @@ class RepresentationPipeline:
     def __init__(
         self,
         code_model: CodeEmbedderModel,
-        encoder: BagEncoder,
         summarizer: SummarizerModel,
         demo_codec: DemographicsCodec,
         vocab: CodeVocabulary,
     ):
         self.code_model = code_model
-        self.encoder = encoder
         self.summarizer = summarizer
         self.demo_codec = demo_codec
         self.vocab = vocab
@@ -125,14 +117,14 @@ class RepresentationPipeline:
     def _text_vectors(self, cohort: Cohort, task: str) -> np.ndarray:
         """(visits, d_enc) text segments in cohort visit order; a visit with
         no usable text keeps a zero row."""
-        config = self.summarizer.config
+        config, bag = self.summarizer.config, self.summarizer.bag
         chunks = [
-            text_chunks(select_task_text(visit, task), self.encoder.vocab, config.chunk_size)
+            text_chunks(select_task_text(visit, task), bag.vocab, config.chunk_size)
             for record in cohort.patients
             for visit in record.visits
         ]
         out = np.zeros((len(chunks), self.space.d_enc))
-        for rows, u in sentence_batches(self.encoder, chunks, config.batch_size):
+        for rows, u in sentence_batches(bag, chunks, config.batch_size):
             out[rows] = summarize(self.summarizer, u.data)
         return out
 
@@ -173,16 +165,21 @@ def write_representations(path, reps: Representations) -> None:
 
 
 def read_representations(path) -> Representations:
-    """The table a JSONL export holds. Every row must carry the task and the
-    width of the first row, and the file must hold at least one row."""
-    keys, rows = [], []
+    """The table a JSONL export holds. Each row needs a visit key of its own (a
+    non-empty patient id string, a non-negative int visit index) and the first
+    row's task and width; the file must hold at least one row."""
+    rows, line_of = [], {}
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                key = (obj["patient_id"], int(obj["visit_index"]))
+                key = (obj["patient_id"], obj["visit_index"])
+                if not isinstance(key[0], str) or not key[0]:
+                    raise ValueError(f"patient_id must be a non-empty string, got {key[0]!r}")
+                if type(key[1]) is not int or key[1] < 0:
+                    raise ValueError(f"visit_index must be a non-negative integer, got {key[1]!r}")
                 task = obj["task"]
                 z = np.asarray(obj["z"], dtype=np.float64)
                 if z.ndim != 1 or not np.isfinite(z).all():
@@ -196,11 +193,15 @@ def read_representations(path) -> Representations:
                     f"{path}:{lineno}: task {task!r} and width {len(z)}, but line "
                     f"{first[0]} has task {first[1]!r} and width {first[2]}"
                 )
-            keys.append(key)
+            if key in line_of:
+                raise ValidationError(
+                    f"{path}:{lineno}: line {line_of[key]} already holds visit {key!r}"
+                )
+            line_of[key] = lineno
             rows.append(z)
     if not rows:
         raise ValidationError(f"{path}: no representation rows")
-    return Representations(first[1], keys, np.stack(rows))
+    return Representations(first[1], list(line_of), np.stack(rows))
 
 
 def join_representations(reps: Representations, labels):

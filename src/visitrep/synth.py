@@ -17,8 +17,7 @@ should recover, and the label thresholds bound what any classifier can do.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 

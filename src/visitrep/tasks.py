@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .checkpoint import (
-    expect_kind,
-    expect_vocab_hash,
-    header_config,
-    load_params,
-    read_checkpoint,
-    write_checkpoint,
-)
+from .checkpoint import load_params, read_model, write_checkpoint
 from .cohort import N_LOS_CLASSES, TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_READMISSION
 from .errors import CheckpointError, ValidationError
 from .jsonconfig import JsonConfig
@@ -91,16 +84,6 @@ class ClassifierModel:
         if self.n_out == 1:
             return nm.sigmoid(logits)
         return nm.softmax(logits)
-
-    def state_arrays(self):
-        return [(p.name, p.data.copy()) for p in self.parameters()]
-
-    def meta(self) -> dict:
-        return {"d_in": self.d_in, "task": self.task}
-
-    @classmethod
-    def from_meta(cls, meta: dict, rng) -> "ClassifierModel":
-        return cls(int(meta["d_in"]), meta["task"], rng)
 
 
 def predict(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
@@ -208,20 +191,16 @@ def balance_for_los(train, test, seed: int = 0):
 
 def save_classifier(path, model: ClassifierModel, config: TaskHeadConfig, vocab_hash: str) -> None:
     """Persist one task head; the hash ties it to the upstream vocabulary."""
-    meta = dict(model.meta())
-    meta["task_head"] = config.to_json()
-    write_checkpoint(path, "classifier", meta, vocab_hash, model.state_arrays())
+    meta = {"d_in": model.d_in, "task": model.task, "task_head": config.to_json()}
+    write_checkpoint(path, "classifier", meta, vocab_hash, model.parameters())
 
 
 def load_classifier(path, vocab_hash: str):
     """Rebuild (model, config); refuses other kinds and other vocabularies."""
-    kind, meta, stored_hash, arrays = read_checkpoint(path)
-    expect_kind(path, kind, "classifier")
-    expect_vocab_hash(path, stored_hash, vocab_hash)
-    config = header_config(path, meta, "task_head", TaskHeadConfig)
+    config, meta, arrays = read_model(path, "classifier", vocab_hash, "task_head", TaskHeadConfig)
     missing = sorted({"d_in", "task"} - set(meta))
     if missing:
         raise CheckpointError(f"{path}: header config lacks {missing}")
-    model = ClassifierModel.from_meta(meta, np.random.default_rng(0))
+    model = ClassifierModel(int(meta["d_in"]), meta["task"], np.random.default_rng(0))
     load_params(path, model.parameters(), arrays, "train-task")
     return model, config

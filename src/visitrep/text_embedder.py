@@ -14,6 +14,10 @@ recurrent encoder reads the sentence matrix, an attention head pools the
 states into the visit's text representation, and a gated recurrent decoder
 is trained to reconstruct the sentence matrix with scheduled teacher
 forcing.
+
+The summarizer owns its token table: `SummarizerModel.bag` is the sentence
+encoder, drawn before the recurrent cells, and `parameters()` starts with
+its table, so one object is trained, saved to `text.ckpt` and loaded back.
 """
 
 from __future__ import annotations
@@ -26,14 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .checkpoint import (
-    expect_kind,
-    expect_vocab_hash,
-    header_config,
-    load_params,
-    read_checkpoint,
-    write_checkpoint,
-)
+from .checkpoint import load_params, read_model, write_checkpoint
 from .cohort import Cohort
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
@@ -111,8 +108,6 @@ class BagEncoder:
     """Trainable sentence encoder: mean of token embedding rows."""
 
     def __init__(self, vocab: TokenVocabulary, d_text: int, rng):
-        if d_text < 1:
-            raise ValidationError(f"d_text must be >= 1, got {d_text}")
         self.vocab = vocab
         self.d_text = d_text
         # Embedding rows are averaged, not dotted against fan_in inputs, so
@@ -131,9 +126,6 @@ class BagEncoder:
         rows = nm.reshape(rows, (b, m, n, self.d_text))
         summed = nm.tsum(nm.mul(rows, Tensor(mask[..., None])), axis=2)
         return nm.mul(summed, Tensor((1.0 / counts)[..., None]))
-
-    def parameters(self):
-        return [self.table]
 
 
 def text_chunks(text: str, vocab: TokenVocabulary, chunk_size: int) -> list:
@@ -221,19 +213,22 @@ class _GRUCell:
 
 
 class SummarizerModel:
-    """Bidirectional recurrent encoder, attention pooling, recurrent decoder.
+    """Sentence encoder, bidirectional recurrent encoder, attention pooling,
+    recurrent decoder.
 
-    The two encoder layers each run a forward and a backward pass whose
-    states are summed, keeping every hidden dimension at d_enc. The decoder
-    starts from the final encoder state, consumes the previous sentence
-    vector (true row or own prediction, per the teacher-forcing coin), and
-    projects each state back to d_text.
+    `bag` turns token windows into sentence vectors. The two encoder layers
+    each run a forward and a backward pass whose states are summed, keeping
+    every hidden dimension at d_enc. The decoder starts from the final
+    encoder state, consumes the previous sentence vector (true row or own
+    prediction, per the teacher-forcing coin), and projects each state back
+    to d_text.
     """
 
-    def __init__(self, config: SummarizerConfig, rng):
+    def __init__(self, vocab: TokenVocabulary, config: SummarizerConfig, rng):
         config.validate()
         self.config = config
         d_t, d_e = config.d_text, config.d_enc
+        self.bag = BagEncoder(vocab, d_t, rng)
         self.enc1f = _GRUCell(d_t, d_e, "enc1f", rng)
         self.enc1b = _GRUCell(d_t, d_e, "enc1b", rng)
         self.enc2f = _GRUCell(d_e, d_e, "enc2f", rng)
@@ -243,7 +238,7 @@ class SummarizerModel:
         self.out_b = Parameter(np.zeros(d_t), name="out.b")
 
     def parameters(self):
-        params = []
+        params = [self.bag.table]
         for cell in (self.enc1f, self.enc1b, self.enc2f, self.enc2b, self.dec):
             params.extend(cell.parameters())
         params.extend([self.out_w, self.out_b])
@@ -395,7 +390,7 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
 
     Adam with a step learning-rate schedule; the best-validation parameters
     (teacher forcing off for validation) are restored before returning.
-    Returns (encoder, model, history).
+    Returns (model, history).
 
     With train_encoder=False the token table stays at its random draw, takes
     no gradient, and only the recurrent parameters move. Joint training admits a degenerate
@@ -408,8 +403,7 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
     vocab = build_token_vocabulary(
         cohort, min_freq=config.min_token_freq, max_tokens=config.max_tokens
     )
-    encoder = BagEncoder(vocab, config.d_text, rng)
-    model = SummarizerModel(config, rng)
+    model = SummarizerModel(vocab, config, rng)
     # Every note of a visit counts here; task text windows apply at
     # representation time. A joining space cannot merge two tokens.
     texts = (" ".join(n.text for n in v.notes) for p in cohort.patients for v in p.visits)
@@ -425,12 +419,12 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
         raise ValidationError("validation split consumed every noted visit")
 
     if not config.train_encoder:
-        encoder.table.requires_grad = False
-    params = [p for p in encoder.parameters() + model.parameters() if p.requires_grad]
+        model.bag.table.requires_grad = False
+    params = [p for p in model.parameters() if p.requires_grad]
 
     def batches(indices, teacher_forcing, coin_rng):
         chunks = [examples[i] for i in indices]
-        for rows, u in sentence_batches(encoder, chunks, config.batch_size):
+        for rows, u in sentence_batches(model.bag, chunks, config.batch_size):
             u_hat = model.decode(model.encode(u), u, teacher_forcing, coin_rng)
             yield reconstruction_loss(u_hat, u), len(rows)
 
@@ -443,33 +437,18 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
         lambda order: batches([train_idx[i] for i in order], config.teacher_forcing, rng),
         lambda: batches(val_idx, 0.0, None),
     )
-    return encoder, model, history
+    return model, history
 
 
-def summarizer_state(encoder: BagEncoder, model: SummarizerModel):
-    """Named arrays for the checkpoint container, encoder first."""
-    return [(p.name, p.data.copy()) for p in encoder.parameters() + model.parameters()]
-
-
-def save_summarizer(path, encoder: BagEncoder, model: SummarizerModel) -> None:
+def save_summarizer(path, model: SummarizerModel) -> None:
     """Persist the token table and every recurrent parameter in one file."""
-    write_checkpoint(
-        path,
-        "text",
-        {"summarizer": model.config.to_json()},
-        encoder.vocab.content_hash(),
-        summarizer_state(encoder, model),
-    )
+    config = {"summarizer": model.config.to_json()}
+    write_checkpoint(path, "text", config, model.bag.vocab.content_hash(), model.parameters())
 
 
-def load_summarizer(path, vocab: TokenVocabulary):
-    """Rebuild (encoder, model); refuses other kinds and other vocabularies."""
-    kind, config, vocab_hash, arrays = read_checkpoint(path)
-    expect_kind(path, kind, "text")
-    expect_vocab_hash(path, vocab_hash, vocab.content_hash())
-    cfg = header_config(path, config, "summarizer", SummarizerConfig)
-    rng = np.random.default_rng(0)
-    encoder = BagEncoder(vocab, cfg.d_text, rng)
-    model = SummarizerModel(cfg, rng)
-    load_params(path, encoder.parameters() + model.parameters(), arrays, "train-text")
-    return encoder, model
+def load_summarizer(path, vocab: TokenVocabulary) -> SummarizerModel:
+    """Rebuild a saved model; refuses other kinds and other vocabularies."""
+    cfg, _, arrays = read_model(path, "text", vocab.content_hash(), "summarizer", SummarizerConfig)
+    model = SummarizerModel(vocab, cfg, np.random.default_rng(0))
+    load_params(path, model.parameters(), arrays, "train-text")
+    return model

@@ -44,7 +44,6 @@ from visitrep.synth import SynthConfig, generate_cohort
 from visitrep.tasks import TaskHeadConfig
 from visitrep.text_embedder import (
     UNK_TOKEN,
-    BagEncoder,
     SummarizerConfig,
     SummarizerModel,
     TokenVocabulary,
@@ -123,8 +122,8 @@ def test_c1_gradient_suite():
     # bag encoder's token table in the checked parameter set.
     rng = np.random.default_rng(7)
     vocab = TokenVocabulary((UNK_TOKEN, "alpha", "beta", "gamma", "delta"))
-    encoder = BagEncoder(vocab, 4, rng)
     smodel = SummarizerModel(
+        vocab,
         SummarizerConfig(d_text=4, d_enc=3, chunk_size=4, epochs=1, batch_size=2),
         rng,
     )
@@ -133,14 +132,12 @@ def test_c1_gradient_suite():
     sent_mask[1, 1, 2] = 0.0
 
     def text_loss():
-        u = encoder.encode_batch(ids, sent_mask)
+        u = smodel.bag.encode_batch(ids, sent_mask)
         states = smodel.encode(u)
         u_hat = smodel.decode(states, u, teacher_forcing=1.0, rng=None)
         return reconstruction_loss(u_hat, u)
 
-    errs["summarizer"] = nm.max_relative_error(
-        text_loss, encoder.parameters() + smodel.parameters()
-    )
+    errs["summarizer"] = nm.max_relative_error(text_loss, smodel.parameters())
 
     for name, err in errs.items():
         assert err < 1e-4, f"{name}: max relative error {err:.3e}"
@@ -380,7 +377,7 @@ def test_c7_determinism_and_persistence(tmp_path_factory):
     assert encode_history(m1, matrix).tobytes() == encode_history(m2, matrix).tobytes()
 
     resaved = a / "code_resaved.ckpt"
-    save_code_model(str(resaved), m1)
+    save_code_model(str(resaved), m1, vocab.content_hash())
     assert resaved.read_bytes() == (a / "code.ckpt").read_bytes()
 
     trimmed = json.loads((a / "vocab.json").read_text())["entries"][:-1]

@@ -272,13 +272,14 @@ class TestMalformedArtifact:
             ("token_vocab.json", lambda o: o["tokens"].append(["x"]), "represent", "train-text"),
             ("split.json", lambda o: o.pop("train"), "train-code", "preprocess"),
             ("split.json", lambda o: o["train"].append("nobody"), "train-code", "preprocess"),
+            ("split.json", lambda o: o["holdout"].append(o["holdout"][0]), "evaluate", "preprocess"),
             ("vocab.json", lambda o: o["entries"][0].pop("group_id"), "export", "preprocess"),
             ("vocab.json", lambda o: o["entries"][0].update(group_id=["x"]), "export", "preprocess"),
             ("vocab.json", lambda o: o["entries"].append(o["entries"][0]), "export", "preprocess"),
         ],
         ids=[
-            "token-vocab", "token-list", "split", "split-unknown-patient", "vocab",
-            "vocab-group-list", "vocab-duplicate",
+            "token-vocab", "token-list", "split", "split-unknown-patient", "split-repeat",
+            "vocab", "vocab-group-list", "vocab-duplicate",
         ],
     )
     def test_exits_1_naming_file_and_stage(
@@ -296,6 +297,22 @@ class TestMalformedArtifact:
         assert f"error: {tmp_path / name}" in err
         assert f"re-run {writer}" in err
 
+    def test_split_overlap_names_count_and_first_id(self, run_dir, tmp_path, capsys):
+        """A patient in both lists would be trained on and then scored."""
+        out, _ = run_dir
+        shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+        split = json.loads((tmp_path / "split.json").read_text())
+        split["train"] += split["holdout"][:2]
+        (tmp_path / "split.json").write_text(json.dumps(split))
+        config = dict(TINY_CONFIG, paths={"out": str(tmp_path)})
+        (tmp_path / "tiny_config.json").write_text(json.dumps(config))
+        assert main(["train-task", "--config", str(tmp_path / "tiny_config.json")]) == 1
+        first = min(split["holdout"][:2])
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'split.json'}: split: 2 patient id(s) in both train and "
+            f"holdout, first {first!r}; re-run preprocess\n"
+        )
+
 
 def _retag_all(rows, k):
     for row in rows:
@@ -310,6 +327,10 @@ def _shorten_one(rows, k):
     rows[k]["z"].pop()
 
 
+def _repeat_previous_key(rows, k):
+    rows[k].update(patient_id=rows[k - 1]["patient_id"], visit_index=rows[k - 1]["visit_index"])
+
+
 class TestMalformedRepresentations:
     @pytest.mark.parametrize("command", ["train-task", "evaluate"])
     @pytest.mark.parametrize(
@@ -319,8 +340,24 @@ class TestMalformedRepresentations:
             (_retag_one, ":{line}: task 'los9' and width"),
             (_shorten_one, ":{line}: task 'mortality' and width"),
             (lambda rows, k: rows.clear(), ": no representation rows"),
+            (
+                lambda rows, k: rows[k].update(visit_index=1.7),
+                ":{line}: bad representation row (visit_index must be a non-negative integer",
+            ),
+            (
+                lambda rows, k: rows[k].update(visit_index=True),
+                ":{line}: bad representation row (visit_index must be a non-negative integer",
+            ),
+            (
+                lambda rows, k: rows[k].update(patient_id=5),
+                ":{line}: bad representation row (patient_id must be a non-empty string",
+            ),
+            (_repeat_previous_key, ":{line}: line {previous} already holds visit"),
         ],
-        ids=["other-task", "one-row-other-task", "short-row", "empty"],
+        ids=[
+            "other-task", "one-row-other-task", "short-row", "empty", "float-index",
+            "bool-index", "int-patient", "repeated-key",
+        ],
     )
     def test_exits_1_naming_file_and_represent(
         self, run_dir, tmp_path, capsys, command, edit, message
@@ -339,7 +376,7 @@ class TestMalformedRepresentations:
         (tmp_path / "tiny_config.json").write_text(json.dumps(config))
         assert main([command, "--config", str(tmp_path / "tiny_config.json")]) == 1
         err = capsys.readouterr().err
-        assert f"error: {path}" + message.format(line=k + 1) in err
+        assert f"error: {path}" + message.format(line=k + 1, previous=k) in err
         assert "re-run represent" in err
 
 

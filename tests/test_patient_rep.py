@@ -37,7 +37,6 @@ from visitrep.text_embedder import (
     SummarizerConfig,
     SummarizerModel,
     TokenVocabulary,
-    BagEncoder,
     build_token_vocabulary,
     sentence_matrix,
     summarize,
@@ -80,11 +79,10 @@ def build_pipeline(cohort):
         rng,
     )
     scfg = SummarizerConfig(d_text=4, d_enc=3, chunk_size=2, epochs=1, batch_size=2)
-    summarizer = SummarizerModel(scfg, rng)
     tokens = ("<unk>", "cough", "fever", "rash")
-    encoder = BagEncoder(TokenVocabulary(tokens), 4, rng)
+    summarizer = SummarizerModel(TokenVocabulary(tokens), scfg, rng)
     codec = DemographicsCodec.from_cohort(cohort)
-    return RepresentationPipeline(code_model, encoder, summarizer, codec, vocab)
+    return RepresentationPipeline(code_model, summarizer, codec, vocab)
 
 
 class TestSpace:
@@ -172,7 +170,7 @@ class TestRepresentVisit:
         pipe = build_pipeline(cohort)
         z = pipe.represent_cohort(make_cohort(cohort.patients[1]), TASK_MORTALITY).vectors[0]
         text = select_task_text(cohort.patients[1].visits[0], TASK_MORTALITY)
-        mat = sentence_matrix(text, pipe.encoder, pipe.summarizer.config.chunk_size)
+        mat = sentence_matrix(text, pipe.summarizer.bag, pipe.summarizer.config.chunk_size)
         np.testing.assert_array_equal(
             segment(pipe.space, z, "text"), summarize(pipe.summarizer, mat)
         )
@@ -194,15 +192,18 @@ class TestRepresentVisit:
     def test_extraction_leaves_models_untouched(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
-        before_code = pipe.code_model.state_arrays()
-        before_tok = pipe.encoder.table.data.tobytes()
+        def state():
+            return [(p.name, p.data.copy()) for p in pipe.code_model.parameters()]
+
+        before_code = state()
+        before_tok = pipe.summarizer.bag.table.data.tobytes()
         pipe.represent_cohort(cohort, TASK_READMISSION)
         pipe.represent_cohort(cohort, TASK_CODES)
-        after_code = pipe.code_model.state_arrays()
+        after_code = state()
         assert [name for name, _ in after_code] == [name for name, _ in before_code]
         for (_, a), (_, b) in zip(after_code, before_code):
             assert a.tobytes() == b.tobytes()
-        assert pipe.encoder.table.data.tobytes() == before_tok
+        assert pipe.summarizer.bag.table.data.tobytes() == before_tok
 
     def test_unknown_task(self):
         cohort = small_cohort()
@@ -233,11 +234,12 @@ class TestBatchedOracle:
             rng,
         )
         summarizer = SummarizerModel(
-            SummarizerConfig(d_text=4, d_enc=3, chunk_size=self.CHUNK, batch_size=4), rng
+            build_token_vocabulary(cohort, min_freq=1),
+            SummarizerConfig(d_text=4, d_enc=3, chunk_size=self.CHUNK, batch_size=4),
+            rng,
         )
-        encoder = BagEncoder(build_token_vocabulary(cohort, min_freq=1), 4, rng)
         codec = DemographicsCodec.from_cohort(cohort)
-        return cohort, RepresentationPipeline(code_model, encoder, summarizer, codec, vocab)
+        return cohort, RepresentationPipeline(code_model, summarizer, codec, vocab)
 
     @pytest.mark.parametrize("task", [TASK_MORTALITY, TASK_CODES])
     def test_matches_per_visit_and_per_patient_oracle(self, task):
@@ -257,7 +259,9 @@ class TestBatchedOracle:
                     code = history[vi]
                 else:
                     code = history[vi - 1] if vi else np.zeros(pipe.space.d_code)
-                mat = sentence_matrix(select_task_text(visit, task), pipe.encoder, self.CHUNK)
+                mat = sentence_matrix(
+                    select_task_text(visit, task), pipe.summarizer.bag, self.CHUNK
+                )
                 counts.append(0 if mat is None else len(mat))
                 text = np.zeros(pipe.space.d_enc) if mat is None else summarize(pipe.summarizer, mat)
                 seg = lambda name: segment(pipe.space, z, name)
@@ -315,8 +319,38 @@ class TestExport:
                 ":2: task 't' and width 1, but line 1 has task 't' and width 2",
             ),
             ([""], ": no representation rows"),
+            (
+                ['{"patient_id": "p", "visit_index": 1.7, "task": "t", "z": [1.0]}'],
+                ":1: bad representation row "
+                "\\(visit_index must be a non-negative integer, got 1.7\\)",
+            ),
+            (
+                ['{"patient_id": "p", "visit_index": true, "task": "t", "z": [1.0]}'],
+                ":1: bad representation row .*visit_index .* got True",
+            ),
+            (
+                ['{"patient_id": "p", "visit_index": -1, "task": "t", "z": [1.0]}'],
+                ":1: bad representation row .*visit_index .* got -1",
+            ),
+            (
+                ['{"patient_id": 5, "visit_index": 0, "task": "t", "z": [1.0]}'],
+                ":1: bad representation row \\(patient_id must be a non-empty string, got 5\\)",
+            ),
+            (
+                ['{"patient_id": "", "visit_index": 0, "task": "t", "z": [1.0]}'],
+                ":1: bad representation row .*patient_id .* got ''",
+            ),
+            (
+                ['{"patient_id": "p", "visit_index": 0, "task": "t", "z": [1.0]}',
+                 '{"patient_id": "q", "visit_index": 0, "task": "t", "z": [1.0]}',
+                 '{"patient_id": "p", "visit_index": 0, "task": "t", "z": [2.0]}'],
+                ":3: line 1 already holds visit \\('p', 0\\)",
+            ),
         ],
-        ids=["null-value", "nested", "task", "width", "empty"],
+        ids=[
+            "null-value", "nested", "task", "width", "empty", "float-index", "bool-index",
+            "negative-index", "int-patient", "empty-patient", "repeated-key",
+        ],
     )
     def test_foreign_row_or_empty_file_names_path_and_line(self, tmp_path, lines, message):
         path = tmp_path / "reps.jsonl"

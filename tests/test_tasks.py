@@ -164,8 +164,8 @@ class TestTraining:
         m1, h1 = train_task(X, y, TASK_MORTALITY, TaskHeadConfig(epochs=5))
         m2, h2 = train_task(X, y, TASK_MORTALITY, TaskHeadConfig(epochs=5))
         assert h1.train_loss == h2.train_loss
-        for (n1, a1), (n2, a2) in zip(m1.state_arrays(), m2.state_arrays()):
-            assert n1 == n2 and a1.tobytes() == a2.tobytes()
+        for p1, p2 in zip(m1.parameters(), m2.parameters()):
+            assert p1.name == p2.name and p1.data.tobytes() == p2.data.tobytes()
 
     def test_input_validation(self):
         X, y = separable_binary(n=10)
@@ -183,8 +183,8 @@ class TestTraining:
     def test_state_round_trip(self):
         X, y = separable_binary()
         model, _ = train_task(X, y, TASK_MORTALITY, TaskHeadConfig(epochs=3))
-        arrays = dict(model.state_arrays())
-        clone = ClassifierModel.from_meta(model.meta(), np.random.default_rng(99))
+        arrays = {p.name: p.data.copy() for p in model.parameters()}
+        clone = ClassifierModel(model.d_in, model.task, np.random.default_rng(99))
         load_state(clone.parameters(), arrays)
         np.testing.assert_array_equal(predict(model, X), predict(clone, X))
 

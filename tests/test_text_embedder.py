@@ -24,7 +24,6 @@ from visitrep.text_embedder import (
     sentence_batches,
     sentence_matrix,
     summarize,
-    summarizer_state,
     text_chunks,
     tokenize,
     train_summarizer,
@@ -32,6 +31,7 @@ from visitrep.text_embedder import (
 import visitrep.text_embedder as te
 
 TINY_CFG = SummarizerConfig(d_text=4, d_enc=3, chunk_size=3, epochs=2, batch_size=4)
+TINY_VOCAB = TokenVocabulary(("<unk>", "aa", "bb", "cc", "dd"))
 
 
 def noted_cohort():
@@ -259,7 +259,7 @@ class TestSummarize:
     def test_matches_manual_recurrence(self):
         """Full encoder + attention pooling against the numpy oracle."""
         rng = np.random.default_rng(7)
-        model = SummarizerModel(TINY_CFG, rng)
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, rng)
         for m in (1, 2, 4):
             u = rng.normal(size=(m, 4))
             np.testing.assert_allclose(
@@ -268,13 +268,13 @@ class TestSummarize:
 
     def test_single_sentence_returns_its_encoder_state(self):
         rng = np.random.default_rng(3)
-        model = SummarizerModel(TINY_CFG, rng)
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, rng)
         u = rng.normal(size=(1, 4))
         states = model.encode(Tensor(u[None]))
         np.testing.assert_array_equal(summarize(model, u), states.data[0, 0])
 
     def test_default_dimension_is_128(self):
-        model = SummarizerModel(SummarizerConfig(), np.random.default_rng(0))
+        model = SummarizerModel(TINY_VOCAB, SummarizerConfig(), np.random.default_rng(0))
         u = np.random.default_rng(1).normal(size=(2, 64))
         assert summarize(model, u).shape == (128,)
 
@@ -295,14 +295,14 @@ class TestSummarize:
     def test_full_summary_is_not_duplicate_invariant(self):
         """The recurrence sees the duplicate, so E([u,u]) != E([u])."""
         rng = np.random.default_rng(5)
-        model = SummarizerModel(TINY_CFG, rng)
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, rng)
         u = rng.normal(size=(1, 4))
         e1 = summarize(model, u)
         e2 = summarize(model, np.vstack([u, u]))
         assert not np.allclose(e1, e2)
 
     def test_empty_matrix_rejected(self):
-        model = SummarizerModel(TINY_CFG, np.random.default_rng(0))
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, np.random.default_rng(0))
         with pytest.raises(ValidationError, match="non-empty"):
             summarize(model, np.zeros((0, 4)))
         with pytest.raises(ValidationError, match="d_text"):
@@ -313,12 +313,16 @@ class TestSummarize:
         """Each cell draws W then U per gate (reset, update, candidate) and
         fuses them column-wise, so a seed gives the values of separate
         per-gate parameters."""
-        model = SummarizerModel(TINY_CFG, np.random.default_rng(6))
-        assert len(model.parameters()) == 17
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, np.random.default_rng(6))
+        assert len(model.parameters()) == 18
         rng = np.random.default_rng(6)
 
         def draw(shape):
             return uniform_init(rng, shape, shape[0])
+
+        table = uniform_init(rng, (len(TINY_VOCAB), TINY_CFG.d_text), TINY_CFG.d_text)
+        assert model.parameters()[0] is model.bag.table
+        assert model.bag.table.data.tobytes() == table.tobytes()
 
         d_e = TINY_CFG.d_enc
         for cell in (model.enc1f, model.enc1b, model.enc2f, model.enc2b, model.dec):
@@ -334,7 +338,7 @@ class TestReconstruct:
 
     def test_teacher_forced_path_matches_manual_decoder(self):
         rng = np.random.default_rng(11)
-        model = SummarizerModel(TINY_CFG, rng)
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, rng)
         u = rng.normal(size=(3, 4))
         u_hat, _ = reconstruct(model, u, teacher_forcing=1.0)
 
@@ -353,7 +357,7 @@ class TestReconstruct:
         """m=2, d_text=3 case: summed squared error, one element at a time."""
         cfg = SummarizerConfig(d_text=3, d_enc=2, chunk_size=2, epochs=1, batch_size=2)
         rng = np.random.default_rng(13)
-        model = SummarizerModel(cfg, rng)
+        model = SummarizerModel(TINY_VOCAB, cfg, rng)
         u = rng.normal(size=(2, 3))
         u_hat, loss = reconstruct(model, u, teacher_forcing=1.0)
         total = 0.0
@@ -369,7 +373,7 @@ class TestReconstruct:
 
     def test_free_running_differs_from_teacher_forced(self):
         rng = np.random.default_rng(15)
-        model = SummarizerModel(TINY_CFG, rng)
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, rng)
         u = rng.normal(size=(3, 4))
         forced, _ = reconstruct(model, u, 1.0)
         free, _ = reconstruct(model, u, 0.0)
@@ -378,7 +382,7 @@ class TestReconstruct:
 
     def test_coin_flips_reproducible_given_seed(self):
         rng = np.random.default_rng(16)
-        model = SummarizerModel(TINY_CFG, rng)
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, rng)
         u = rng.normal(size=(4, 4))
         a, _ = reconstruct(model, u, 0.5, np.random.default_rng(0))
         b, _ = reconstruct(model, u, 0.5, np.random.default_rng(0))
@@ -387,7 +391,7 @@ class TestReconstruct:
         assert a.tobytes() != c.tobytes()
 
     def test_fractional_forcing_needs_generator(self):
-        model = SummarizerModel(TINY_CFG, np.random.default_rng(0))
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, np.random.default_rng(0))
         u = np.zeros((2, 4))
         with pytest.raises(ValidationError, match="random generator"):
             reconstruct(model, u, 0.5)
@@ -397,13 +401,10 @@ class TestReconstruct:
 
 class TestGradients:
     def build_setup(self):
-        vocab = TokenVocabulary(("<unk>", "aa", "bb", "cc", "dd"))
-        rng = np.random.default_rng(21)
-        enc = BagEncoder(vocab, 4, rng)
-        model = SummarizerModel(TINY_CFG, rng)
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, np.random.default_rng(21))
         ids = np.array([[[1, 2, 0], [3, 4, 0]]])
         mask = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]])
-        return enc, model, ids, mask
+        return model.bag, model, ids, mask
 
     def test_joint_loss_teacher_forced(self):
         enc, model, ids, mask = self.build_setup()
@@ -414,7 +415,7 @@ class TestGradients:
             u_hat = model.decode(states, u, 1.0, None)
             return reconstruction_loss(u_hat, u)
 
-        err = max_relative_error(build, enc.parameters() + model.parameters(), h=1e-5)
+        err = max_relative_error(build, model.parameters(), h=1e-5)
         assert err < 1e-4, f"max relative error {err:.3e}"
 
     def test_joint_loss_free_running(self):
@@ -427,7 +428,7 @@ class TestGradients:
             u_hat = model.decode(states, u, 0.0, None)
             return reconstruction_loss(u_hat, u)
 
-        err = max_relative_error(build, enc.parameters() + model.parameters(), h=1e-5)
+        err = max_relative_error(build, model.parameters(), h=1e-5)
         assert err < 1e-4, f"max relative error {err:.3e}"
 
     def test_attention_pooling_path(self):
@@ -460,7 +461,8 @@ class TestTraining:
         cfg = SummarizerConfig(
             d_text=8, d_enc=6, chunk_size=8, epochs=4, batch_size=8, seed=1
         )
-        enc, model, history = train_summarizer(cohort, cfg)
+        model, history = train_summarizer(cohort, cfg)
+        enc = model.bag
         assert len(history.train_loss) == len(history.val_loss) == len(history.lrs) == 4
         assert history.val_loss[-1] < history.val_loss[0]
         assert history.train_loss[-1] < history.train_loss[0]
@@ -469,8 +471,8 @@ class TestTraining:
         # same validation visits.
         rng = np.random.default_rng(cfg.seed)
         vocab = build_token_vocabulary(cohort, cfg.min_token_freq, cfg.max_tokens)
-        enc0 = BagEncoder(vocab, cfg.d_text, rng)
-        model0 = SummarizerModel(cfg, rng)
+        model0 = SummarizerModel(vocab, cfg, rng)
+        enc0 = model0.bag
         texts = [" ".join(n.text for n in v.notes) for p in cohort.patients for v in p.visits]
         examples = [c for c in (text_chunks(t, vocab, cfg.chunk_size) for t in texts) if c]
         order = rng.permutation(len(examples))
@@ -507,15 +509,14 @@ class TestTraining:
             return sentence_batches(encoder, chunks, batch_size)
 
         monkeypatch.setattr(te, "sentence_batches", spy)
-        enc, _, _ = train_summarizer(cohort, cfg)
-        want = [[tuple(c) for c in ex] for ex in per_note_examples(cohort, enc.vocab, 2)]
+        model, _ = train_summarizer(cohort, cfg)
+        want = [[tuple(c) for c in ex] for ex in per_note_examples(cohort, model.bag.vocab, 2)]
         assert len(want) == 3
         assert [len(c) for c in want] == [2, 2, 3]
 
         train, val = seen
         rng = np.random.default_rng(cfg.seed)
-        BagEncoder(enc.vocab, cfg.d_text, rng)
-        SummarizerModel(cfg, rng)
+        SummarizerModel(model.bag.vocab, cfg, rng)
         order = rng.permutation(len(want))
         assert val == [want[i] for i in order[:1]]
         assert sorted(train + val) == sorted(want)
@@ -529,7 +530,8 @@ class TestTraining:
             d_text=8, d_enc=6, chunk_size=8, epochs=4, batch_size=8,
             train_encoder=False, seed=1,
         )
-        enc, model, history = train_summarizer(cohort, cfg)
+        model, history = train_summarizer(cohort, cfg)
+        enc = model.bag
 
         rng = np.random.default_rng(cfg.seed)
         vocab = build_token_vocabulary(cohort, cfg.min_token_freq, cfg.max_tokens)
@@ -543,7 +545,8 @@ class TestTraining:
         cfg = SummarizerConfig(
             d_text=8, d_enc=6, chunk_size=8, epochs=2, batch_size=8, seed=1
         )
-        enc, _, _ = train_summarizer(cohort, cfg)
+        model, _ = train_summarizer(cohort, cfg)
+        enc = model.bag
         rng = np.random.default_rng(cfg.seed)
         vocab = build_token_vocabulary(cohort, cfg.min_token_freq, cfg.max_tokens)
         enc0 = BagEncoder(vocab, cfg.d_text, rng)
@@ -553,7 +556,7 @@ class TestTraining:
         cfg = SummarizerConfig(
             d_text=6, d_enc=4, chunk_size=8, epochs=3, batch_size=8, lr_every=1, seed=2
         )
-        _, _, history = train_summarizer(tiny_text_cohort(), cfg)
+        _, history = train_summarizer(tiny_text_cohort(), cfg)
         np.testing.assert_allclose(history.lrs, [1e-3, 1e-4, 1e-5], rtol=1e-12)
 
     def test_training_is_deterministic(self):
@@ -561,14 +564,12 @@ class TestTraining:
         cfg = SummarizerConfig(
             d_text=6, d_enc=4, chunk_size=8, epochs=2, batch_size=8, seed=7
         )
-        enc1, model1, h1 = train_summarizer(cohort, cfg)
-        enc2, model2, h2 = train_summarizer(cohort, cfg)
+        model1, h1 = train_summarizer(cohort, cfg)
+        model2, h2 = train_summarizer(cohort, cfg)
         assert h1.train_loss == h2.train_loss
-        for (n1, a1), (n2, a2) in zip(
-            summarizer_state(enc1, model1), summarizer_state(enc2, model2)
-        ):
-            assert n1 == n2
-            assert a1.tobytes() == a2.tobytes()
+        for p1, p2 in zip(model1.parameters(), model2.parameters()):
+            assert p1.name == p2.name
+            assert p1.data.tobytes() == p2.data.tobytes()
 
     def test_cohort_without_text_rejected(self):
         silent = make_cohort(
@@ -583,15 +584,13 @@ class TestTraining:
         cfg = SummarizerConfig(
             d_text=6, d_enc=4, chunk_size=8, epochs=1, batch_size=8, seed=4
         )
-        enc, model, _ = train_summarizer(cohort, cfg)
-        arrays = dict(summarizer_state(enc, model))
+        model, _ = train_summarizer(cohort, cfg)
+        arrays = {p.name: p.data.copy() for p in model.parameters()}
 
-        rng = np.random.default_rng(99)
-        enc2 = BagEncoder(enc.vocab, cfg.d_text, rng)
-        model2 = SummarizerModel(cfg, rng)
-        load_state(enc2.parameters() + model2.parameters(), arrays)
-        u = sentence_matrix("c0t1 c0t2 noise3", enc, cfg.chunk_size)
-        u2 = sentence_matrix("c0t1 c0t2 noise3", enc2, cfg.chunk_size)
+        model2 = SummarizerModel(model.bag.vocab, cfg, np.random.default_rng(99))
+        load_state(model2.parameters(), arrays)
+        u = sentence_matrix("c0t1 c0t2 noise3", model.bag, cfg.chunk_size)
+        u2 = sentence_matrix("c0t1 c0t2 noise3", model2.bag, cfg.chunk_size)
         assert u.tobytes() == u2.tobytes()
         assert summarize(model, u).tobytes() == summarize(model2, u2).tobytes()
 
