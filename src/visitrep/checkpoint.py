@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import CheckpointError, ValidationError
 from .numerics import load_state
 
@@ -46,7 +47,7 @@ def write_checkpoint(
         "params": [{"name": p.name, "shape": list(p.data.shape)} for p in params],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))
         fh.write(struct.pack("<I", len(blob)))
@@ -122,11 +123,10 @@ def read_model(path: str, kind: str, vocab_hash: str, section: str, cls) -> tupl
         raise CheckpointError(f"{path}: {e}") from e
 
 
-def load_params(path: str, params, arrays: dict, stage: str) -> None:
+def load_params(path: str, params, arrays: dict) -> None:
     """Set params from a checkpoint's arrays; a missing name, a wrong shape or
-    a non-finite entry is an error naming the file and the stage that
-    rewrites it."""
+    a non-finite entry is an error naming the file."""
     try:
         load_state(params, arrays)
     except ValueError as e:
-        raise CheckpointError(f"{path}: {e}; re-run {stage}") from e
+        raise CheckpointError(f"{path}: {e}") from e

@@ -1,14 +1,14 @@
 """Command-line pipeline over the run directory.
 
-Stages communicate only through files under --out, so every stage can be
-re-run from what the previous ones persisted: generate writes a synthetic
-cohort, preprocess filters it and fixes the code vocabulary plus a train /
-holdout patient split, the train-* stages write checkpoints, represent
-writes per-visit vectors, and evaluate writes a metric report (either
-scoring the persisted artifacts on the holdout patients, or with
---crossval retraining everything per fold). Nothing writes timestamps, so
-re-running a stage with the same config reproduces its files byte for
-byte.
+Stages communicate only through the run directory's files (under --out),
+each declared in ARTIFACTS with the stage that writes it: generate writes a
+synthetic cohort, preprocess filters it and fixes the code vocabulary plus
+a train / holdout patient split, the train-* stages write checkpoints,
+represent writes per-visit vectors, and evaluate writes a metric report
+(scoring the holdout patients, or with --crossval retraining per fold).
+Files are replaced atomically and carry no timestamps, so re-running a
+stage with the same config reproduces them byte for byte. Every read goes
+through `_read`, whose errors name the file and the stage to run or re-run.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import asdict, replace
 
 from . import evaluation as ev
+from .atomic import atomic_open, write_json
 from .cohort import (
     TASK_CODES,
     TASK_LOS,
@@ -41,7 +42,6 @@ from .errors import ValidationError
 from .numerics import derive_seed
 from .patient_rep import (
     SEGMENTS,
-    Representations,
     RepresentationPipeline,
     join_representations,
     read_representations,
@@ -52,36 +52,50 @@ from .tasks import balance_for_los, load_classifier, save_classifier, train_task
 from .text_embedder import TokenVocabulary, load_summarizer, save_summarizer, train_summarizer
 
 
-def _p(cfg: RunConfig, name: str) -> str:
-    return os.path.join(cfg.paths.out, name)
+# Run-directory file -> the stage that writes it; "{task}" is the run's task.
+ARTIFACTS = {
+    "config.json": "every stage",
+    **dict.fromkeys(["cohort.jsonl", "ground_truth.json"], "generate"),
+    **dict.fromkeys(["preprocessed.jsonl", "vocab.json", "split.json"], "preprocess"),
+    **dict.fromkeys(["code.ckpt", "code_history.json"], "train-code"),
+    **dict.fromkeys(["text.ckpt", "token_vocab.json", "text_history.json"], "train-text"),
+    "reps_{task}.jsonl": "represent",
+    **dict.fromkeys(["head_{task}.ckpt", "head_{task}_history.json"], "train-task"),
+    **dict.fromkeys(["report_{task}.json", "report_{task}.csv"], "evaluate"),
+    **dict.fromkeys(["crossval_{task}.json", "crossval_{task}.csv"], "evaluate"),
+    "code_embeddings.csv": "export",
+}
 
 
-def _need(path: str, hint: str) -> str:
+def _path(cfg: RunConfig, name: str) -> str:
+    """Where artifact `name`, a key of ARTIFACTS, lives in the run directory."""
+    if name not in ARTIFACTS:
+        raise KeyError(f"{name} is not a run-directory artifact")
+    return os.path.join(cfg.paths.out, name.format(task=cfg.task))
+
+
+def _read(cfg: RunConfig, name: str, parse):
+    """parse(the JSON document) of a .json artifact, else parse(its path).
+
+    A missing file is `<path> not found; run <stage> first`; a ValueError from
+    the parser names the file once (the path-taking parsers name it
+    themselves) and ends `; re-run <stage>`."""
+    path, stage = _path(cfg, name), ARTIFACTS[name]
     if not os.path.exists(path):
-        raise ValidationError(f"{path} not found; {hint}")
-    return path
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _read_artifact(cfg: RunConfig, name: str, stage: str, parse):
-    """parse(JSON of run-directory file `name`); a missing or malformed file
-    is an error naming the file and the stage that writes it."""
-    path = _need(_p(cfg, name), f"run {stage} first")
+        raise ValidationError(f"{path} not found; run {stage} first")
+    document = name.endswith(".json")
     try:
+        if not document:
+            return parse(path)
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
     except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}; re-run {stage}") from exc
+        raise ValidationError(f"{path + ': ' if document else ''}{exc}; re-run {stage}") from exc
 
 
 def _load_preprocessed(cfg: RunConfig):
-    cohort = ingest_cohort(_need(_p(cfg, "preprocessed.jsonl"), "run preprocess first"))
-    return cohort, _read_artifact(cfg, "vocab.json", "preprocess", CodeVocabulary.from_json)
+    cohort = _read(cfg, "preprocessed.jsonl", ingest_cohort)
+    return cohort, _read(cfg, "vocab.json", CodeVocabulary.from_json)
 
 
 def _read_split(cfg: RunConfig, cohort: Cohort):
@@ -92,26 +106,21 @@ def _read_split(cfg: RunConfig, cohort: Cohort):
         ids = [obj.get(key) if isinstance(obj, dict) else None for key in ("train", "holdout")]
         if not all(isinstance(x, list) and all(isinstance(i, str) for i in x) for x in ids):
             raise ValidationError("split: expected 'train' and 'holdout' lists of patient ids")
-        unknown = sorted(set(ids[0] + ids[1]) - known)
-        if unknown:
-            raise ValidationError(
-                f"split: {len(unknown)} patient id(s) absent from preprocessed.jsonl, "
-                f"first {unknown[0]!r}"
-            )
-        both = sorted(set(ids[0]) & set(ids[1]))
-        if both:
-            raise ValidationError(
-                f"split: {len(both)} patient id(s) in both train and holdout, first {both[0]!r}"
-            )
-        for key, listed in zip(("train", "holdout"), ids):
-            twice = sorted(pid for pid, n in Counter(listed).items() if n > 1)
-            if twice:
+        faults = [
+            (set(ids[0] + ids[1]) - known, "absent from preprocessed.jsonl"),
+            (set(ids[0]) & set(ids[1]), "in both train and holdout"),
+        ] + [
+            ({pid for pid, n in Counter(listed).items() if n > 1}, f"listed twice in {key}")
+            for key, listed in zip(("train", "holdout"), ids)
+        ]
+        for bad, what in faults:
+            if bad:
                 raise ValidationError(
-                    f"split: {len(twice)} patient id(s) listed twice in {key}, first {twice[0]!r}"
+                    f"split: {len(bad)} patient id(s) {what}, first {min(bad)!r}"
                 )
         return ids
 
-    return _read_artifact(cfg, "split.json", "preprocess", parse)
+    return _read(cfg, "split.json", parse)
 
 
 # -- stages ------------------------------------------------------------------------
@@ -120,17 +129,17 @@ def _read_split(cfg: RunConfig, cohort: Cohort):
 def cmd_generate(cfg: RunConfig, args) -> None:
     synth_cfg = replace(cfg.synth, seed=derive_seed(cfg.seed, "generate"))
     cohort, truth = generate_cohort(synth_cfg)
-    path = _p(cfg, "cohort.jsonl")
+    path = _path(cfg, "cohort.jsonl")
     write_cohort_jsonl(cohort, path)
-    write_ground_truth(truth, _p(cfg, "ground_truth.json"))
+    write_ground_truth(truth, _path(cfg, "ground_truth.json"))
     print(f"wrote {path} ({len(cohort.patients)} patients)")
-    print(f"wrote {_p(cfg, 'ground_truth.json')}")
+    print(f"wrote {_path(cfg, 'ground_truth.json')}")
 
 
 def cmd_preprocess(cfg: RunConfig, args) -> None:
-    src = cfg.paths.cohort or _p(cfg, "cohort.jsonl")
-    _need(src, "run generate first, or point paths.cohort at a cohort file")
-    cohort = ingest_cohort(src)
+    # paths.cohort names a file outside the run directory, which no stage writes.
+    own = cfg.paths.cohort
+    cohort = ingest_cohort(own) if own else _read(cfg, "cohort.jsonl", ingest_cohort)
     group_map = load_group_map(cfg.paths.group_map) if cfg.paths.group_map else None
     pre = preprocess(
         cohort,
@@ -139,18 +148,18 @@ def cmd_preprocess(cfg: RunConfig, args) -> None:
         min_visits=cfg.preprocess.min_visits,
         group_map=group_map,
     )
-    write_cohort_jsonl(pre, _p(cfg, "preprocessed.jsonl"))
+    write_cohort_jsonl(pre, _path(cfg, "preprocessed.jsonl"))
     vocab = build_vocabulary(pre)
-    _write_json(_p(cfg, "vocab.json"), vocab.to_json())
+    write_json(_path(cfg, "vocab.json"), vocab.to_json())
     folds = patient_kfold_split(pre, cfg.eval.folds, derive_seed(cfg.seed, "split"))
     holdout = sorted(folds[0])
     train = sorted(set(pre.patient_ids()) - set(holdout))
-    _write_json(
-        _p(cfg, "split.json"),
+    write_json(
+        _path(cfg, "split.json"),
         {"folds": cfg.eval.folds, "holdout": holdout, "train": train},
     )
     print(
-        f"wrote {_p(cfg, 'preprocessed.jsonl')} "
+        f"wrote {_path(cfg, 'preprocessed.jsonl')} "
         f"({len(pre.patients)} patients, {len(vocab)} codes, {len(holdout)} held out)"
     )
 
@@ -160,9 +169,9 @@ def cmd_train_code(cfg: RunConfig, args) -> None:
     train_ids, _ = _read_split(cfg, pre)
     code_cfg = replace(cfg.code_embedder, seed=derive_seed(cfg.seed, "train-code"))
     model, history = train_code_embedder(pre.subset(train_ids), vocab, code_cfg)
-    save_code_model(_p(cfg, "code.ckpt"), model, vocab.content_hash())
-    _write_json(_p(cfg, "code_history.json"), asdict(history))
-    print(f"wrote {_p(cfg, 'code.ckpt')} (best epoch {history.best_epoch})")
+    save_code_model(_path(cfg, "code.ckpt"), model, vocab.content_hash())
+    write_json(_path(cfg, "code_history.json"), asdict(history))
+    print(f"wrote {_path(cfg, 'code.ckpt')} (best epoch {history.best_epoch})")
 
 
 def cmd_train_text(cfg: RunConfig, args) -> None:
@@ -170,32 +179,37 @@ def cmd_train_text(cfg: RunConfig, args) -> None:
     train_ids, _ = _read_split(cfg, pre)
     summ_cfg = replace(cfg.summarizer, seed=derive_seed(cfg.seed, "train-text"))
     model, history = train_summarizer(pre.subset(train_ids), summ_cfg)
-    _write_json(_p(cfg, "token_vocab.json"), model.bag.vocab.to_json())
-    save_summarizer(_p(cfg, "text.ckpt"), model)
-    _write_json(_p(cfg, "text_history.json"), asdict(history))
-    print(f"wrote {_p(cfg, 'text.ckpt')} ({len(model.bag.vocab)} tokens)")
+    write_json(_path(cfg, "token_vocab.json"), model.bag.vocab.to_json())
+    save_summarizer(_path(cfg, "text.ckpt"), model)
+    write_json(_path(cfg, "text_history.json"), asdict(history))
+    print(f"wrote {_path(cfg, 'text.ckpt')} ({len(model.bag.vocab)} tokens)")
 
 
 def _load_models(cfg: RunConfig, vocab: CodeVocabulary):
-    code_model = load_code_model(_need(_p(cfg, "code.ckpt"), "run train-code first"), vocab)
-    token_vocab = _read_artifact(cfg, "token_vocab.json", "train-text", TokenVocabulary.from_json)
-    summarizer = load_summarizer(_need(_p(cfg, "text.ckpt"), "run train-text first"), token_vocab)
-    conflicts = []
-    if code_model.config.d_code != cfg.code_embedder.d_code:
-        conflicts.append(
-            f"code_embedder.d_code is {cfg.code_embedder.d_code} in the config "
-            f"but {code_model.config.d_code} in code.ckpt"
-        )
-    for name in ("d_text", "d_enc", "chunk_size"):
-        want, got = getattr(cfg.summarizer, name), getattr(summarizer.config, name)
-        if want != got:
-            conflicts.append(f"summarizer.{name} is {want} in the config but {got} in text.ckpt")
-    if conflicts:
-        raise ValidationError(
-            "config/checkpoint conflict: "
-            + "; ".join(conflicts)
-            + "; re-run the training stages or restore the config"
-        )
+    """The code model and the summarizer, each refused where a width it was
+    trained with differs from the run config's."""
+
+    def configured(section, names, load):
+        def parse(path):
+            model = load(path)
+            for name in names:
+                got, want = getattr(model.config, name), getattr(getattr(cfg, section), name)
+                if got != want:
+                    raise ValidationError(
+                        f"{path}: trained with {section}.{name} {got}, the config says {want}"
+                    )
+            return model
+
+        return parse
+
+    code_model = _read(cfg, "code.ckpt", configured(
+        "code_embedder", ["d_code"], lambda path: load_code_model(path, vocab)
+    ))
+    token_vocab = _read(cfg, "token_vocab.json", TokenVocabulary.from_json)
+    summarizer = _read(cfg, "text.ckpt", configured(
+        "summarizer", ["d_text", "d_enc", "chunk_size"],
+        lambda path: load_summarizer(path, token_vocab),
+    ))
     return code_model, summarizer
 
 
@@ -206,24 +220,9 @@ def cmd_represent(cfg: RunConfig, args) -> None:
     codec = DemographicsCodec.from_cohort(pre.subset(train_ids))
     pipeline = RepresentationPipeline(code_model, summarizer, codec, vocab)
     reps = pipeline.represent_cohort(pre, cfg.internal_task)
-    path = _p(cfg, f"reps_{cfg.task}.jsonl")
+    path = _path(cfg, "reps_{task}.jsonl")
     write_representations(path, reps)
     print(f"wrote {path} ({len(reps.keys)} visits, width {pipeline.space.total_dim})")
-
-
-def _read_reps(cfg: RunConfig) -> Representations:
-    """reps_<task>.jsonl; a fault or a foreign task names the file and the fix."""
-    path = _need(_p(cfg, f"reps_{cfg.task}.jsonl"), "run represent first")
-    try:
-        reps = read_representations(path)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"{exc}; re-run represent") from exc
-    if reps.task != cfg.internal_task:
-        raise ValidationError(
-            f"{path} holds representations for task {reps.task!r}, "
-            f"not {cfg.internal_task!r}; re-run represent"
-        )
-    return reps
 
 
 def cmd_train_task(cfg: RunConfig, args) -> None:
@@ -235,13 +234,13 @@ def cmd_train_task(cfg: RunConfig, args) -> None:
         )
     pre, vocab = _load_preprocessed(cfg)
     train_ids, _ = _read_split(cfg, pre)
-    reps = _read_reps(cfg)
+    reps = _read(cfg, "reps_{task}.jsonl", lambda path: read_representations(path, task))
     X, y, _ = join_representations(reps, extract_labels(pre.subset(train_ids), task))
     head_cfg = replace(cfg.task_head, seed=derive_seed(cfg.seed, f"train-task:{cfg.task}"))
     model, history = train_task(X, y, task, head_cfg)
-    path = _p(cfg, f"head_{cfg.task}.ckpt")
+    path = _path(cfg, "head_{task}.ckpt")
     save_classifier(path, model, head_cfg, vocab.content_hash())
-    _write_json(_p(cfg, f"head_{cfg.task}_history.json"), asdict(history))
+    write_json(_path(cfg, "head_{task}_history.json"), asdict(history))
     print(f"wrote {path} ({X.shape[0]} training visits)")
 
 
@@ -266,22 +265,17 @@ def _evaluate_artifacts(cfg: RunConfig) -> dict:
     pre, vocab = _load_preprocessed(cfg)
     train_ids, holdout = _read_split(cfg, pre)
     if task == TASK_CODES:
-        model = load_code_model(_need(_p(cfg, "code.ckpt"), "run train-code first"), vocab)
+        model = _read(cfg, "code.ckpt", lambda path: load_code_model(path, vocab))
         values = ev.next_code_report(
             model, pre.subset(train_ids), pre.subset(holdout), vocab, cfg.eval.recall_ks
         )
         return {name: ev.MetricReport(name, [v]) for name, v in values.items()}
 
-    reps = _read_reps(cfg)
-    model, _ = load_classifier(
-        _need(_p(cfg, f"head_{cfg.task}.ckpt"), "run train-task first"), vocab.content_hash()
-    )
+    reps = _read(cfg, "reps_{task}.jsonl", lambda path: read_representations(path, task))
+    model, _ = _read(cfg, "head_{task}.ckpt", lambda path: load_classifier(
+        path, vocab.content_hash(), task=task, d_in=reps.vectors.shape[1]
+    ))
     X_test, y_test, _ = join_representations(reps, extract_labels(pre.subset(holdout), task))
-    if X_test.shape[1] != model.d_in:
-        raise ValidationError(
-            f"representation width {X_test.shape[1]} does not match the classifier "
-            f"input width {model.d_in}; re-run represent and train-task together"
-        )
     if task == TASK_LOS:
         train_xy = join_representations(reps, extract_labels(pre.subset(train_ids), task))[:2]
         _, (X_test, y_test) = balance_for_los(
@@ -307,7 +301,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> None:
             eval_config=eval_cfg,
             ablations=(variant,),
         )
-        base = f"crossval_{cfg.task}"
+        base = "crossval_{task}"
     else:
         if args.ablate:
             raise ValidationError(
@@ -315,21 +309,21 @@ def cmd_evaluate(cfg: RunConfig, args) -> None:
                 "on the ablated inputs"
             )
         reports = _evaluate_artifacts(cfg)
-        base = f"report_{cfg.task}"
-    ev.write_report_json(_p(cfg, base + ".json"), reports)
-    ev.write_report_csv(_p(cfg, base + ".csv"), reports)
-    print(f"wrote {_p(cfg, base + '.json')}")
+        base = "report_{task}"
+    ev.write_report_json(_path(cfg, base + ".json"), reports)
+    ev.write_report_csv(_path(cfg, base + ".csv"), reports)
+    print(f"wrote {_path(cfg, base + '.json')}")
     for name in sorted(reports):
         rep = reports[name]
         print(f"{name}: mean={rep.mean:.6f} std={rep.std:.6f} folds={len(rep.folds)}")
 
 
 def cmd_export(cfg: RunConfig, args) -> None:
-    vocab = _read_artifact(cfg, "vocab.json", "preprocess", CodeVocabulary.from_json)
-    model = load_code_model(_need(_p(cfg, "code.ckpt"), "run train-code first"), vocab)
-    path = _p(cfg, "code_embeddings.csv")
+    vocab = _read(cfg, "vocab.json", CodeVocabulary.from_json)
+    model = _read(cfg, "code.ckpt", lambda path: load_code_model(path, vocab))
+    path = _path(cfg, "code_embeddings.csv")
     matrix = model.embed.data
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("code_id," + ",".join(f"e{i}" for i in range(matrix.shape[1])) + "\n")
         for entry, row in zip(vocab.entries, matrix):
             fh.write(entry.code_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
@@ -337,14 +331,14 @@ def cmd_export(cfg: RunConfig, args) -> None:
 
 
 COMMANDS = {
-    "generate": cmd_generate,
-    "preprocess": cmd_preprocess,
-    "train-code": cmd_train_code,
-    "train-text": cmd_train_text,
-    "represent": cmd_represent,
-    "train-task": cmd_train_task,
-    "evaluate": cmd_evaluate,
-    "export": cmd_export,
+    "generate": (cmd_generate, "write a synthetic cohort and its ground truth"),
+    "preprocess": (cmd_preprocess, "filter the cohort, fix the vocabulary and patient split"),
+    "train-code": (cmd_train_code, "fit the visit-sequence code embedder"),
+    "train-text": (cmd_train_text, "fit the note-text summarizer"),
+    "represent": (cmd_represent, "write per-visit representation vectors"),
+    "train-task": (cmd_train_task, "fit a task head on the training split"),
+    "evaluate": (cmd_evaluate, "score the holdout split, or --crossval for the full harness"),
+    "export": (cmd_export, "write the code embedding matrix as CSV"),
 }
 
 
@@ -354,17 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Patient-representation pipeline over visit codes, note text, and demographics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "generate": "write a synthetic cohort and its ground truth",
-        "preprocess": "filter the cohort, fix the vocabulary and patient split",
-        "train-code": "fit the visit-sequence code embedder",
-        "train-text": "fit the note-text summarizer",
-        "represent": "write per-visit representation vectors",
-        "train-task": "fit a task head on the training split",
-        "evaluate": "score the holdout split, or --crossval for the full harness",
-        "export": "write the code embedding matrix as CSV",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="run config JSON")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -402,8 +386,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         os.makedirs(cfg.paths.out, exist_ok=True)
-        write_run_config(cfg, _p(cfg, "config.json"))
-        COMMANDS[args.command](cfg, args)
+        write_run_config(cfg, _path(cfg, "config.json"))
+        COMMANDS[args.command][0](cfg, args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -372,5 +372,5 @@ def load_code_model(path, vocab: CodeVocabulary) -> CodeEmbedderModel:
         path, "code", vocab.content_hash(), "code_embedder", CodeEmbedderConfig
     )
     model = CodeEmbedderModel(len(vocab), cfg, np.random.default_rng(0))
-    load_params(path, model.parameters(), arrays, "train-code")
+    load_params(path, model.parameters(), arrays)
     return model

@@ -28,6 +28,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ValidationError
 
 HOUR = 3600
@@ -205,7 +206,7 @@ def ingest_cohort(path: str) -> Cohort:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            where = f"line {lineno}"
+            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
@@ -222,7 +223,7 @@ def ingest_cohort(path: str) -> Cohort:
 
 def write_cohort_jsonl(cohort: Cohort, path: str) -> None:
     """Inverse of ingest_cohort; code order inside a visit is canonicalized."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for p in cohort.patients:
             obj = {
                 "patient_id": p.patient_id,
@@ -356,9 +357,16 @@ class CodeVocabulary:
                 VocabEntry(system=e["system"], group_id=e["group_id"], freq=e["freq"])
                 for e in obj["entries"]
             ]
-            return CodeVocabulary(entries)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"vocabulary: malformed entry list ({exc!r})") from exc
+        for i, e in enumerate(entries):
+            if not (e.system in SYSTEMS and isinstance(e.group_id, str) and e.group_id
+                    and type(e.freq) is int and e.freq >= 1):
+                raise ValidationError(
+                    f"vocabulary: entry {i} needs a system in {SYSTEMS}, a non-empty "
+                    f"group_id string and an integer freq >= 1, got {e}"
+                )
+        return CodeVocabulary(entries)
 
 
 def build_vocabulary(cohort: Cohort) -> CodeVocabulary:
@@ -462,13 +470,12 @@ class VisitLabel:
     value: object  # float for binary tasks, int class for los9
 
 
-def extract_labels(cohort: Cohort, task: str, exclude_codes: Optional[set] = None) -> list:
+def extract_labels(cohort: Cohort, task: str) -> list:
     """Per-visit supervision targets for one task head.
 
     readmission30 labels every non-final visit with whether the next
     admission starts within 30 days of discharge; mortality uses the
-    died_in_visit flag (patients carrying a code id in exclude_codes are
-    dropped from that task entirely); and los9 buckets the stay length.
+    died_in_visit flag; and los9 buckets the stay length.
     code_prediction has no head: next-code recall scores it from the visit
     matrices.
     """
@@ -478,10 +485,6 @@ def extract_labels(cohort: Cohort, task: str, exclude_codes: Optional[set] = Non
         raise ValidationError("extract_labels: code_prediction is scored by next-code recall")
     out: list[VisitLabel] = []
     for p in cohort.patients:
-        if task == TASK_MORTALITY and exclude_codes:
-            carried = {c for v in p.visits for _, c in v.codes}
-            if carried & set(exclude_codes):
-                continue
         for i, v in enumerate(p.visits):
             if task == TASK_READMISSION:
                 if i + 1 >= len(p.visits):

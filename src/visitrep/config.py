@@ -8,8 +8,9 @@ are rejected at every level rather than silently ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from .atomic import write_json
 from .cohort import TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_READMISSION
 from .code_embedder import CodeEmbedderConfig
 from .errors import ValidationError
@@ -66,12 +67,9 @@ class RunConfig(JsonConfig):
             raise ValidationError(
                 f"config: unknown task {self.task!r}, expected one of {sorted(TASK_ALIASES)}"
             )
-        self.preprocess.validate()
-        self.synth.validate()
-        self.code_embedder.validate()
-        self.summarizer.validate()
-        self.task_head.validate()
-        self.eval.validate()
+        for section in (getattr(self, f.name) for f in fields(self)):
+            if hasattr(section, "validate"):
+                section.validate()
 
     @property
     def internal_task(self) -> str:
@@ -88,6 +86,4 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def write_run_config(config: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_json(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, config.to_json())

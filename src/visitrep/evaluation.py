@@ -12,11 +12,11 @@ aggregates fold values as mean and sample standard deviation.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import atomic_open, write_json
 from .cohort import (
     TASK_CODES,
     TASK_LOS,
@@ -161,14 +161,11 @@ class MetricReport:
 
 
 def write_report_json(path, reports: dict) -> None:
-    payload = {name: rep.to_json() for name, rep in reports.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {name: rep.to_json() for name, rep in reports.items()})
 
 
 def write_report_csv(path, reports: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "fold", "value"])
         for name in sorted(reports):
@@ -207,11 +204,6 @@ class EvalConfig(JsonConfig):
             raise ValidationError(f"eval: folds must be >= 2, got {self.folds}")
         if not self.recall_ks or any(k < 1 for k in self.recall_ks):
             raise ValidationError(f"eval: recall_ks must be positive, got {self.recall_ks}")
-
-
-def _complement(cohort: Cohort, held_out_ids) -> Cohort:
-    held = set(held_out_ids)
-    return cohort.subset([pid for pid in cohort.patient_ids() if pid not in held])
 
 
 def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=None):
@@ -327,7 +319,8 @@ def crossval(
                 shuffle_labels,
             )
         except Exception as exc:
-            raise RuntimeError(f"crossval: fold {i} failed: {exc}") from exc
+            kind = ValidationError if isinstance(exc, ValidationError) else RuntimeError
+            raise kind(f"crossval: fold {i} failed: {exc}") from exc
         for name, value in fold_values.items():
             values.setdefault(name, []).append(value)
     return {name: MetricReport(name, vals) for name, vals in values.items()}
@@ -345,7 +338,7 @@ def _run_fold(
     ablations,
     shuffle_labels,
 ):
-    train_cohort = _complement(cohort, held_out)
+    train_cohort = cohort.subset(set(cohort.patient_ids()) - set(held_out))
     test_cohort = cohort.subset(held_out)
     overlap = set(train_cohort.patient_ids()) & set(test_cohort.patient_ids())
     assert not overlap, f"patient leakage across folds: {sorted(overlap)[:5]}"

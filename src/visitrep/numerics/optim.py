@@ -12,11 +12,6 @@ import numpy as np
 
 from .tensor import Parameter
 
-__all__ = [
-    "AdamState", "init_adam", "adam_step", "CosineAnnealing", "StepDecay", "lr_at",
-    "TrainHistory", "fit",
-]
-
 
 @dataclass
 class TrainHistory:

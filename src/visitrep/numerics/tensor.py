@@ -19,31 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Parameter",
-    "add",
-    "mul",
-    "matmul",
-    "concat",
-    "sigmoid",
-    "tanh",
-    "relu",
-    "softmax",
-    "masked_fill",
-    "layer_norm",
-    "mean",
-    "tsum",
-    "log",
-    "clip",
-    "transpose",
-    "reshape",
-    "gather_rows",
-    "slice_axis",
-    "load_state",
-    "uniform_init",
-]
-
 
 def _check_finite(data: np.ndarray, op: str, what: str, inputs=()) -> None:
     """One pass over `data` when it is finite. The error, built only on

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .cohort import (
     TASK_CODES,
     TASKS,
@@ -153,7 +154,7 @@ class RepresentationPipeline:
 
 def write_representations(path, reps: Representations) -> None:
     """JSONL export, one visit per line, values rounded to float32."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for (patient_id, visit_index), z in zip(reps.keys, reps.vectors.astype(np.float32)):
             row = {
                 "patient_id": patient_id,
@@ -164,10 +165,11 @@ def write_representations(path, reps: Representations) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-def read_representations(path) -> Representations:
+def read_representations(path, task: str = None) -> Representations:
     """The table a JSONL export holds. Each row needs a visit key of its own (a
     non-empty patient id string, a non-negative int visit index) and the first
-    row's task and width; the file must hold at least one row."""
+    row's task and width; the file must hold at least one row, and rows for
+    `task` when it is given."""
     rows, line_of = [], {}
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -180,17 +182,17 @@ def read_representations(path) -> Representations:
                     raise ValueError(f"patient_id must be a non-empty string, got {key[0]!r}")
                 if type(key[1]) is not int or key[1] < 0:
                     raise ValueError(f"visit_index must be a non-negative integer, got {key[1]!r}")
-                task = obj["task"]
+                row_task = obj["task"]
                 z = np.asarray(obj["z"], dtype=np.float64)
                 if z.ndim != 1 or not np.isfinite(z).all():
                     raise ValueError("z must be a list of finite numbers")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad representation row ({exc})") from exc
             if not rows:
-                first = (lineno, task, len(z))
-            if (task, len(z)) != first[1:]:
+                first = (lineno, row_task, len(z))
+            if (row_task, len(z)) != first[1:]:
                 raise ValidationError(
-                    f"{path}:{lineno}: task {task!r} and width {len(z)}, but line "
+                    f"{path}:{lineno}: task {row_task!r} and width {len(z)}, but line "
                     f"{first[0]} has task {first[1]!r} and width {first[2]}"
                 )
             if key in line_of:
@@ -201,6 +203,8 @@ def read_representations(path) -> Representations:
             rows.append(z)
     if not rows:
         raise ValidationError(f"{path}: no representation rows")
+    if task is not None and first[1] != task:
+        raise ValidationError(f"{path} holds representations for task {first[1]!r}, not {task!r}")
     return Representations(first[1], list(line_of), np.stack(rows))
 
 

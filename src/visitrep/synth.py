@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .cohort import DAY, HOUR, Cohort, Note, PatientRecord, Visit
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
@@ -99,7 +100,7 @@ class GroundTruth:
 
 
 def write_ground_truth(gt: GroundTruth, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(gt.to_json(), fh, sort_keys=True, indent=1)
 
 

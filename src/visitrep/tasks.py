@@ -22,6 +22,7 @@ from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
 
 BINARY_TASKS = (TASK_READMISSION, TASK_MORTALITY)
+HEAD_TASKS = (*BINARY_TASKS, TASK_LOS)
 PROB_CLIP = 1e-7
 
 
@@ -195,12 +196,21 @@ def save_classifier(path, model: ClassifierModel, config: TaskHeadConfig, vocab_
     write_checkpoint(path, "classifier", meta, vocab_hash, model.parameters())
 
 
-def load_classifier(path, vocab_hash: str):
-    """Rebuild (model, config); refuses other kinds and other vocabularies."""
+def load_classifier(path, vocab_hash: str, task: str = None, d_in: int = None):
+    """Rebuild (model, config); refuses other kinds and other vocabularies
+    and, where `task` and `d_in` are given, a head of another task or width."""
     config, meta, arrays = read_model(path, "classifier", vocab_hash, "task_head", TaskHeadConfig)
-    missing = sorted({"d_in", "task"} - set(meta))
-    if missing:
-        raise CheckpointError(f"{path}: header config lacks {missing}")
-    model = ClassifierModel(int(meta["d_in"]), meta["task"], np.random.default_rng(0))
-    load_params(path, model.parameters(), arrays, "train-task")
+    head_task, width = meta.get("task"), meta.get("d_in")
+    if head_task not in HEAD_TASKS or type(width) is not int or width < 1:
+        raise CheckpointError(
+            f"{path}: header needs a task in {HEAD_TASKS} and an integer d_in >= 1, "
+            f"got task {head_task!r} and d_in {width!r}"
+        )
+    if (task or head_task, d_in or width) != (head_task, width):
+        raise CheckpointError(
+            f"{path}: holds a {head_task!r} head of input width {width}, "
+            f"expected a {task!r} head of width {d_in}"
+        )
+    model = ClassifierModel(width, head_task, np.random.default_rng(0))
+    load_params(path, model.parameters(), arrays)
     return model, config

@@ -450,5 +450,5 @@ def load_summarizer(path, vocab: TokenVocabulary) -> SummarizerModel:
     """Rebuild a saved model; refuses other kinds and other vocabularies."""
     cfg, _, arrays = read_model(path, "text", vocab.content_hash(), "summarizer", SummarizerConfig)
     model = SummarizerModel(vocab, cfg, np.random.default_rng(0))
-    load_params(path, model.parameters(), arrays, "train-text")
+    load_params(path, model.parameters(), arrays)
     return model

@@ -9,11 +9,12 @@ import json
 import re
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
 from visitrep import evaluation as ev
-from visitrep.cli import main
+from visitrep.cli import ARTIFACTS, main
 from visitrep.code_embedder import load_code_model
 from visitrep.cohort import (
     CodeVocabulary,
@@ -276,10 +277,14 @@ class TestMalformedArtifact:
             ("vocab.json", lambda o: o["entries"][0].pop("group_id"), "export", "preprocess"),
             ("vocab.json", lambda o: o["entries"][0].update(group_id=["x"]), "export", "preprocess"),
             ("vocab.json", lambda o: o["entries"].append(o["entries"][0]), "export", "preprocess"),
+            ("vocab.json", lambda o: o["entries"][0].update(freq="x"), "export", "preprocess"),
+            ("vocab.json", lambda o: o["entries"][0].update(group_id=3), "export", "preprocess"),
+            ("vocab.json", lambda o: o["entries"][0].update(system="zz"), "export", "preprocess"),
         ],
         ids=[
             "token-vocab", "token-list", "split", "split-unknown-patient", "split-repeat",
-            "vocab", "vocab-group-list", "vocab-duplicate",
+            "vocab", "vocab-group-list", "vocab-duplicate", "vocab-freq-str",
+            "vocab-group-int", "vocab-unknown-system",
         ],
     )
     def test_exits_1_naming_file_and_stage(
@@ -467,3 +472,81 @@ class TestFlagOverrides:
         assert main(["generate", "--out", str(out), "--folds", "3"]) == 0
         copied = json.loads((out / "config.json").read_text())
         assert copied["eval"]["folds"] == 3
+
+
+def _copy_run(run_dir, tmp_path) -> list:
+    """Copy the module run into tmp_path; the --config arguments that use it."""
+    out, _ = run_dir
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    config = dict(TINY_CONFIG, paths={"out": str(tmp_path)})
+    (tmp_path / "tiny_config.json").write_text(json.dumps(config))
+    return ["--config", str(tmp_path / "tiny_config.json")]
+
+
+class TestRunDirectoryContract:
+    """Every read fault exits 1 naming the file and the stage to re-run."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.update(d_in=None),
+            lambda c: c.update(d_in="abc"),
+            lambda c: c.update(d_in=True),
+            lambda c: c.pop("d_in"),
+            lambda c: c.update(task="bogus"),
+            lambda c: c.update(task="readmission30"),
+        ],
+        ids=["null-d-in", "str-d-in", "bool-d-in", "no-d-in", "bogus-task", "other-task"],
+    )
+    def test_tampered_head_header(self, run_dir, tmp_path, capsys, edit):
+        base = _copy_run(run_dir, tmp_path)
+        head = tmp_path / "head_mortality.ckpt"
+        _tamper_header(head, lambda h: edit(h["config"]))
+        assert main(["evaluate", *base]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {head}: ") and err.endswith("; re-run train-task\n")
+
+    def test_corrupt_preprocessed_cohort(self, run_dir, tmp_path, capsys):
+        base = _copy_run(run_dir, tmp_path)
+        path = tmp_path / "preprocessed.jsonl"
+        lines = path.read_text().count("\n")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{bad\n")
+        assert main(["train-code", *base]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {lines + 1}: malformed JSON "
+            "(Expecting property name enclosed in double quotes); re-run preprocess\n"
+        )
+
+    def test_checkpoint_cut_in_half(self, run_dir, tmp_path, capsys):
+        base = _copy_run(run_dir, tmp_path)
+        ckpt = tmp_path / "code.ckpt"
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[: len(raw) // 2])
+        (tmp_path / "code_embeddings.csv").unlink(missing_ok=True)
+        assert main(["export", *base]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: truncated parameter ")
+        assert err.endswith("; re-run train-code\n")
+        assert not (tmp_path / "code_embeddings.csv").exists()
+
+    def test_missing_cohort_names_generate(self, tmp_path, capsys):
+        assert main(["preprocess", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'cohort.jsonl'} not found; run generate first\n"
+        )
+
+    def test_crossval_fold_with_bad_input_exits_1(self, run_dir, tmp_path, capsys):
+        """Nine folds of 18 patients leave a test fold with one class only."""
+        base = _copy_run(run_dir, tmp_path)
+        assert main(["evaluate", *base, "--crossval", "--folds", "9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: crossval: fold ")
+        assert "both classes must be present" in err
+
+    def test_readme_lists_the_artifact_table(self):
+        """README's artifact table is ARTIFACTS, one file per row."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", readme, flags=re.MULTILINE)
+        assert {name.replace("<task>", "{task}"): stage for name, stage in rows} == ARTIFACTS
+        assert len(rows) == len(ARTIFACTS)

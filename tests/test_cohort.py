@@ -359,20 +359,13 @@ class TestLabels:
         cohort = make_cohort(make_record("p", [make_visit()]))
         assert extract_labels(cohort, TASK_READMISSION) == []
 
-    def test_mortality_labels_and_exclusion(self):
+    def test_mortality_labels(self):
         cohort = make_cohort(
             make_record("alive", [make_visit()]),
             make_record("dead", [make_visit(died=True)]),
-            make_record("donor", [make_visit(codes=[("proc", "organ")], died=True)]),
         )
         labels = extract_labels(cohort, TASK_MORTALITY)
-        assert {(l.patient_id, l.value) for l in labels} == {
-            ("alive", 0.0),
-            ("dead", 1.0),
-            ("donor", 1.0),
-        }
-        kept = extract_labels(cohort, TASK_MORTALITY, exclude_codes={"organ"})
-        assert {l.patient_id for l in kept} == {"alive", "dead"}
+        assert {(l.patient_id, l.value) for l in labels} == {("alive", 0.0), ("dead", 1.0)}
 
     def test_los_labels(self):
         cohort = make_cohort(make_record("p", [make_visit(los_days=9.0)]))
