@@ -123,6 +123,26 @@ def _read_split(cfg: RunConfig, cohort: Cohort):
     return _read(cfg, "split.json", parse)
 
 
+def _read_reps(cfg: RunConfig, cohort: Cohort):
+    """The task's reps file, refused unless its visit keys are exactly the
+    visits of `cohort` (represent writes one row per visit)."""
+    task = cfg.internal_task
+    visits = {(p.patient_id, vi) for p in cohort.patients for vi in range(len(p.visits))}
+
+    def parse(path):
+        reps = read_representations(path, task)
+        keys = set(reps.keys)
+        for bad, what in (
+            (keys - visits, "holds {} visit(s) absent from preprocessed.jsonl"),
+            (visits - keys, "lacks {} visit(s) of preprocessed.jsonl"),
+        ):
+            if bad:
+                raise ValidationError(f"{path}: {what.format(len(bad))}, first {min(bad)!r}")
+        return reps
+
+    return _read(cfg, "reps_{task}.jsonl", parse)
+
+
 # -- stages ------------------------------------------------------------------------
 
 
@@ -154,10 +174,7 @@ def cmd_preprocess(cfg: RunConfig, args) -> None:
     folds = patient_kfold_split(pre, cfg.eval.folds, derive_seed(cfg.seed, "split"))
     holdout = sorted(folds[0])
     train = sorted(set(pre.patient_ids()) - set(holdout))
-    write_json(
-        _path(cfg, "split.json"),
-        {"folds": cfg.eval.folds, "holdout": holdout, "train": train},
-    )
+    write_json(_path(cfg, "split.json"), {"holdout": holdout, "train": train})
     print(
         f"wrote {_path(cfg, 'preprocessed.jsonl')} "
         f"({len(pre.patients)} patients, {len(vocab)} codes, {len(holdout)} held out)"
@@ -234,7 +251,7 @@ def cmd_train_task(cfg: RunConfig, args) -> None:
         )
     pre, vocab = _load_preprocessed(cfg)
     train_ids, _ = _read_split(cfg, pre)
-    reps = _read(cfg, "reps_{task}.jsonl", lambda path: read_representations(path, task))
+    reps = _read_reps(cfg, pre)
     X, y, _ = join_representations(reps, extract_labels(pre.subset(train_ids), task))
     head_cfg = replace(cfg.task_head, seed=derive_seed(cfg.seed, f"train-task:{cfg.task}"))
     model, history = train_task(X, y, task, head_cfg)
@@ -271,7 +288,7 @@ def _evaluate_artifacts(cfg: RunConfig) -> dict:
         )
         return {name: ev.MetricReport(name, [v]) for name, v in values.items()}
 
-    reps = _read(cfg, "reps_{task}.jsonl", lambda path: read_representations(path, task))
+    reps = _read_reps(cfg, pre)
     model, _ = _read(cfg, "head_{task}.ckpt", lambda path: load_classifier(
         path, vocab.content_hash(), task=task, d_in=reps.vectors.shape[1]
     ))

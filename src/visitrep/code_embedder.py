@@ -8,6 +8,12 @@ into each position. Training maximizes a visit-level skip-gram objective:
 the output head at visit t predicts, per code, the codes of the visits
 within a +-window around t, scored with binary cross-entropy.
 
+A block is five fused numerics kernels, one graph node each:
+`causal_attention` (every head at once, summed through `wo`, plus `bo`),
+`add_layer_norm` over the residual, `linear` with relu and `linear` for the
+feed-forward, and a second `add_layer_norm`. The logits are one more
+`linear`, then `sigmoid`, and the loss ends in one `binary_xent` node.
+
 Position t's output never depends on visits after t: the attention mask is
 the only mixer across positions and it zeroes future (and padding) keys
 exactly, so perturbing later visits leaves earlier outputs bit-identical.
@@ -44,7 +50,6 @@ class CodeEmbedderConfig(JsonConfig):
     lr_min: float = 0.0
     val_fraction: float = 0.1
     prob_clip: float = 1e-7
-    output_activation: str = "sigmoid"
     seed: int = 0
 
     @property
@@ -57,11 +62,6 @@ class CodeEmbedderConfig(JsonConfig):
                 raise ValidationError(f"code embedder: {name} must be positive")
         if self.window < 1:
             raise ValidationError(f"code embedder: window must be at least 1, got {self.window}")
-        if self.output_activation not in ("sigmoid", "softmax"):
-            raise ValidationError(
-                f"code embedder: output_activation must be sigmoid or softmax, "
-                f"got {self.output_activation!r}"
-            )
         if not 0.0 < self.prob_clip < 0.5:
             raise ValidationError(f"code embedder: prob_clip outside (0, 0.5)")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -178,21 +178,11 @@ class CodeEmbedderModel:
         return self._pos_cache[t]
 
     def _block(self, x: Tensor, blocked: np.ndarray, layer: dict) -> Tensor:
-        b, t, d = x.shape
-        nh, dh = self.config.n_heads, self.config.d_head
-        # (B, 1, T, d) @ (nh, d, 3·dh) -> (B, nh, T, 3·dh): every head at once.
-        qkv = nm.matmul(nm.reshape(x, (b, 1, t, d)), layer["wqkv"])
-        q = nm.slice_axis(qkv, 3, 0, dh)
-        k = nm.slice_axis(qkv, 3, dh, 2 * dh)
-        v = nm.slice_axis(qkv, 3, 2 * dh, 3 * dh)
-        scores = nm.matmul(q, nm.transpose(k)) * (1.0 / np.sqrt(float(dh)))
-        mask = np.broadcast_to(blocked[:, None], scores.shape)
-        weights = nm.softmax(nm.masked_fill(scores, mask))
-        att = nm.tsum(nm.matmul(nm.matmul(weights, v), layer["wo"]), axis=1) + layer["bo"]
-        x = nm.layer_norm(x + att) * layer["ln1_g"] + layer["ln1_b"]
-        inner = nm.relu(nm.matmul(x, layer["w1"]) + layer["b1"])
-        ff = nm.matmul(inner, layer["w2"]) + layer["b2"]
-        return nm.layer_norm(x + ff) * layer["ln2_g"] + layer["ln2_b"]
+        att = nm.causal_attention(x, layer["wqkv"], layer["wo"], layer["bo"], blocked)
+        x = nm.add_layer_norm(x, att, layer["ln1_g"], layer["ln1_b"])
+        inner = nm.linear(x, layer["w1"], layer["b1"], relu=True)
+        ff = nm.linear(inner, layer["w2"], layer["b2"])
+        return nm.add_layer_norm(x, ff, layer["ln2_g"], layer["ln2_b"])
 
     def forward(self, batch: VisitSequenceBatch) -> tuple:
         """Returns (outputs (B, T, d_code), code probabilities (B, T, |C|))."""
@@ -208,12 +198,8 @@ class CodeEmbedderModel:
         for layer in self.layers:
             x = self._block(x, blocked, layer)
             assert x.shape == (b, t, self.config.d_code)
-        logits = nm.matmul(x, self.out_w) + self.out_b
-        assert logits.shape == (b, t, self.vocab_size)
-        if self.config.output_activation == "softmax":
-            chat = nm.softmax(logits)
-        else:
-            chat = nm.sigmoid(logits)
+        chat = nm.sigmoid(nm.linear(x, self.out_w, self.out_b))
+        assert chat.shape == (b, t, self.vocab_size)
         return x, chat
 
 
@@ -237,10 +223,6 @@ def skip_gram_loss(
             f"skip_gram_loss: shapes disagree, chat {chat.shape}, "
             f"targets {targets.shape}, real {real.shape}"
         )
-    eps = prob_clip
-    log_p = nm.log(nm.clip(chat, eps, 1.0 - eps))
-    log_q = nm.log(nm.clip(1.0 - chat, eps, 1.0 - eps))
-
     # Per (b, t, code): how many valid target visits t + j hold the code
     # (hit) and how many lack it (miss).
     hit = np.zeros((b, t, c))
@@ -258,8 +240,7 @@ def skip_gram_loss(
 
     if n_pairs == 0:
         raise ValidationError("skip_gram_loss: no valid (t, j) pairs in the batch")
-    total = nm.tsum(log_p * Tensor(hit) + log_q * Tensor(miss))
-    return total * (-1.0 / n_pairs), n_pairs
+    return nm.scale(nm.binary_xent(chat, hit, miss, prob_clip), 1.0 / n_pairs), n_pairs
 
 
 def patient_matrices(cohort: Cohort, vocab: CodeVocabulary) -> dict:

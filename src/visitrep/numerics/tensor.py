@@ -13,6 +13,12 @@ exception: its ``-inf`` entries exist by contract for ``softmax``, and its
 other entries were checked where they were made. An op's error names the
 op, the output shape and any ``Parameter`` among its direct inputs, e.g.
 ``matmul: NaN in output (32, 7, 32); inputs include parameter 'layer0.wqkv'``.
+
+Four fused kernels each record one node for a chain of the elementary ones,
+with a hand-written VJP: ``causal_attention``, ``add_layer_norm``,
+``linear`` and ``binary_xent``. ``causal_attention``'s ``-inf`` scores for
+blocked keys never leave the kernel, and its output is finite-checked like
+any other op's.
 """
 
 from __future__ import annotations
@@ -470,3 +476,169 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         return z
 
     return Tensor._make_node("slice_axis", out, [(a, vjp)])
+
+
+# -- fused kernels ---------------------------------------------------------------
+#
+# Each is one graph node whose forward runs, in order, the numpy expressions
+# of the composed kernels it replaces, so its outputs are bitwise theirs. The
+# VJPs are written by hand; work shared by several parents runs once per
+# incoming gradient.
+
+
+def _once_per_grad(compute):
+    """compute(g), evaluated once for each distinct incoming gradient array."""
+    memo = [None, None]
+
+    def shared(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, compute(g)
+        return memo[1]
+
+    return shared
+
+
+def causal_attention(x: Tensor, wqkv: Tensor, wo: Tensor, bo: Tensor, blocked) -> Tensor:
+    """Multi-head self-attention over x (B, T, d) with every head at once:
+    head h's q|k|v are the column blocks of wqkv[h] (nh, d, 3·dh), its output
+    meets wo[h] (nh, dh, d), the heads are summed and bo (1, d) added.
+    `blocked` (B, T, T) marks the keys each query may not attend to; a query
+    with every key blocked is an error. The -inf scores stay inside."""
+    if x.ndim != 3 or wqkv.ndim != 3 or wqkv.shape[1] != x.shape[2] or wqkv.shape[2] % 3:
+        raise ValueError(f"causal_attention: x {x.shape} and wqkv {wqkv.shape} disagree")
+    b, t, d = x.shape
+    nh, dh = wqkv.shape[0], wqkv.shape[2] // 3
+    if wo.shape != (nh, dh, d):
+        raise ValueError(f"causal_attention: wo {wo.shape}, expected {(nh, dh, d)}")
+    blocked = np.asarray(blocked)
+    if blocked.dtype != np.bool_ or blocked.shape != (b, t, t):
+        raise ValueError(
+            f"causal_attention: blocked must be a boolean {(b, t, t)} mask, "
+            f"got {blocked.dtype} {blocked.shape}"
+        )
+    xd, w3, wod = x.data, wqkv.data, wo.data
+    qkv = np.matmul(xd.reshape(b, 1, t, d), w3)
+    q = qkv[..., :dh].copy()
+    k = qkv[..., dh : 2 * dh].copy()
+    v = qkv[..., 2 * dh :].copy()
+    s = float(1.0 / np.sqrt(float(dh)))
+    scores = np.where(blocked[:, None], -np.inf, np.matmul(q, k.swapaxes(-1, -2).copy()) * s)
+    m = np.max(scores, axis=-1, keepdims=True)
+    if np.isneginf(m).any():
+        raise ValueError("causal_attention: a query is fully masked (every key blocked)")
+    e = np.exp(scores - m)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    heads = np.matmul(weights, v)
+    out = np.matmul(heads, wod).sum(axis=1) + bo.data
+
+    @_once_per_grad
+    def grads(g):
+        g_heads = np.matmul(g[:, None], wod.swapaxes(-1, -2))
+        g_w = np.matmul(g_heads, v.swapaxes(-1, -2))
+        g_v = np.matmul(weights.swapaxes(-1, -2), g_heads)
+        g_s = (g_w - (g_w * weights).sum(axis=-1, keepdims=True)) * weights * s
+        g_qkv = np.concatenate([np.matmul(g_s, k), np.matmul(g_s.swapaxes(-1, -2), q), g_v], -1)
+        rows = b * t
+        g_x = np.matmul(
+            g_qkv.transpose(0, 2, 1, 3).reshape(rows, nh * 3 * dh),
+            w3.transpose(0, 2, 1).reshape(nh * 3 * dh, d),
+        ).reshape(b, t, d)
+        g_w3 = np.matmul(
+            xd.reshape(rows, d).T, g_qkv.transpose(1, 0, 2, 3).reshape(nh, rows, 3 * dh)
+        )
+        g_wo = np.matmul(heads.transpose(1, 3, 0, 2).reshape(nh, dh, rows), g.reshape(rows, d))
+        return g_x, g_w3, g_wo
+
+    return Tensor._make_node(
+        "causal_attention",
+        out,
+        [
+            (x, lambda g: grads(g)[0]),
+            (wqkv, lambda g: grads(g)[1]),
+            (wo, lambda g: grads(g)[2]),
+            (bo, lambda g: _unbroadcast(g, bo.data.shape)),
+        ],
+    )
+
+
+def add_layer_norm(x: Tensor, r: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+    """layer_norm(x + r) * g + b: residual, norm over the last axis and affine."""
+    try:
+        total = x.data + r.data
+    except ValueError:
+        raise ValueError(f"add_layer_norm: shapes {x.shape} and {r.shape} are not broadcastable")
+    mu = total.mean(axis=-1, keepdims=True)
+    var = total.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    normed = (total - mu) * inv
+    gd = g.data
+    out = normed * gd + b.data
+
+    @_once_per_grad
+    def g_total(go):
+        gn = go * gd
+        gm = gn.mean(axis=-1, keepdims=True)
+        gym = (gn * normed).mean(axis=-1, keepdims=True)
+        return inv * (gn - gm - normed * gym)
+
+    return Tensor._make_node(
+        "add_layer_norm",
+        out,
+        [
+            (x, lambda go: _unbroadcast(g_total(go), x.data.shape)),
+            (r, lambda go: _unbroadcast(g_total(go), r.data.shape)),
+            (g, lambda go: _unbroadcast(go * normed, gd.shape)),
+            (b, lambda go: _unbroadcast(go, b.data.shape)),
+        ],
+    )
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b over the last axis of x (..., d_in), then max(·, 0) when
+    `relu`; the weight gradient is one GEMM over every leading row."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ValueError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
+    xd, wd = x.data, w.data
+    d_in, d_out = wd.shape
+    out = np.matmul(xd, wd) + b.data
+    if relu:
+        mask = out > 0.0
+        out = np.maximum(out, 0.0)
+
+    @_once_per_grad
+    def pre(g):
+        return g * mask if relu else g
+
+    return Tensor._make_node(
+        "linear",
+        out,
+        [
+            (x, lambda g: np.matmul(pre(g), wd.swapaxes(-1, -2))),
+            (w, lambda g: np.matmul(xd.reshape(-1, d_in).T, pre(g).reshape(-1, d_out))),
+            (b, lambda g: _unbroadcast(pre(g), b.data.shape)),
+        ],
+    )
+
+
+def binary_xent(p: Tensor, hit: np.ndarray, miss: np.ndarray, eps: float) -> Tensor:
+    """The summed binary cross-entropy -sum(hit·log p + miss·log(1 - p)), each
+    probability clipped to [eps, 1 - eps]; `hit` and `miss` weigh the two
+    terms per entry (a target y gives hit = y, miss = 1 - y). Where a clip
+    binds, its term passes no gradient."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"binary_xent: eps must lie in (0, 0.5), got {eps}")
+    if np.shape(hit) != p.shape or np.shape(miss) != p.shape:
+        raise ValueError(
+            f"binary_xent: hit {np.shape(hit)} and miss {np.shape(miss)} must match p {p.shape}"
+        )
+    pd = p.data
+    pc = np.clip(pd, eps, 1.0 - eps)
+    qc = np.clip(1.0 - pd, eps, 1.0 - eps)
+    total = np.asarray(-(np.log(pc) * hit + np.log(qc) * miss).sum())
+
+    def vjp(g):
+        dp = np.where((pd > eps) & (pd < 1.0 - eps), hit / pc, 0.0)
+        dq = np.where((qc > eps) & (qc < 1.0 - eps), miss / qc, 0.0)
+        return g * (dq - dp)
+
+    return Tensor._make_node("binary_xent", total, [(p, vjp)])

@@ -80,8 +80,8 @@ class ClassifierModel:
             raise ValidationError(
                 f"classifier expects input of width {self.d_in}, got shape {x.shape}"
             )
-        h = nm.relu(x @ self.w1 + self.b1)
-        logits = h @ self.w2 + self.b2
+        h = nm.linear(x, self.w1, self.b1, relu=True)
+        logits = nm.linear(h, self.w2, self.b2)
         if self.n_out == 1:
             return nm.sigmoid(logits)
         return nm.softmax(logits)
@@ -116,10 +116,7 @@ def classification_loss(probs: Tensor, y: np.ndarray, task: str) -> Tensor:
     n = probs.shape[0]
     if task in BINARY_TASKS:
         target = np.asarray(y, dtype=np.float64).reshape(n, 1)
-        p = nm.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
-        q = nm.clip(1.0 - probs, PROB_CLIP, 1.0 - PROB_CLIP)
-        per = nm.mul(Tensor(target), nm.log(p)) + nm.mul(Tensor(1.0 - target), nm.log(q))
-        return nm.scale(nm.tsum(per), -1.0 / n)
+        return nm.scale(nm.binary_xent(probs, target, 1.0 - target, PROB_CLIP), 1.0 / n)
     hot = _los_one_hot(y)
     picked = nm.mul(Tensor(hot), nm.log(nm.clip(probs, PROB_CLIP, 1.0)))
     return nm.scale(nm.tsum(picked), -1.0 / n)

@@ -87,7 +87,7 @@ class TestStageSequence:
     def test_split_is_disjoint(self, run_dir):
         out, _ = run_dir
         split = json.loads((out / "split.json").read_text())
-        assert split["folds"] == 2
+        assert set(split) == {"holdout", "train"}
         assert not set(split["train"]) & set(split["holdout"])
         assert len(split["train"]) + len(split["holdout"]) == 18
 
@@ -182,6 +182,13 @@ class TestPrerequisites:
         assert main(["generate", "--config", str(bad)]) == 1
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_output_activation_key_is_refused(self, tmp_path, capsys):
+        """The code model always ends in a sigmoid; the old key is not read."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"code_embedder": {"output_activation": "sigmoid"}}))
+        assert main(["generate", "--config", str(bad)]) == 1
+        assert "unknown keys ['output_activation']" in capsys.readouterr().err
+
     def test_ablate_needs_crossval(self, run_dir, capsys):
         _, base = run_dir
         assert main(["evaluate", *base, "--ablate", "text"]) == 1
@@ -208,6 +215,10 @@ class TestTamperedCheckpoint:
         "edit, message",
         [
             (lambda h: h["config"]["code_embedder"].update(bogus=1), "unknown keys"),
+            (
+                lambda h: h["config"]["code_embedder"].update(output_activation="sigmoid"),
+                r"unknown keys \['output_activation'\]; re-run train-code\n$",
+            ),
             (lambda h: h["config"]["code_embedder"].update(d_code="8"), "d_code"),
             (lambda h: h["config"].pop("code_embedder"), "lacks the 'code_embedder'"),
             (lambda h: h.pop("params"), "lacks \\['params'\\]"),
@@ -216,8 +227,8 @@ class TestTamperedCheckpoint:
             (lambda h: h.update(vocab_hash=5), "vocab_hash is not a string"),
         ],
         ids=[
-            "unknown-key", "wrong-type", "no-section", "no-params", "bad-entry",
-            "null-vocab-hash", "int-vocab-hash",
+            "unknown-key", "output-activation", "wrong-type", "no-section", "no-params",
+            "bad-entry", "null-vocab-hash", "int-vocab-hash",
         ],
     )
     def test_exits_1_naming_the_file(self, run_dir, tmp_path, capsys, edit, message):
@@ -385,6 +396,37 @@ class TestMalformedRepresentations:
         assert "re-run represent" in err
 
 
+def _cut_at_half(rows):
+    """Keep the first half of the lines; the rest of the visits go missing."""
+    missing = [(row["patient_id"], row["visit_index"]) for row in rows[len(rows) // 2 :]]
+    del rows[len(rows) // 2 :]
+    return f"lacks {len(missing)} visit(s) of preprocessed.jsonl, first {min(missing)!r}"
+
+
+def _rekey_to_absent_patient(rows):
+    rows[1]["patient_id"] = "nobody"
+    return (
+        "holds 1 visit(s) absent from preprocessed.jsonl, "
+        f"first {('nobody', rows[1]['visit_index'])!r}"
+    )
+
+
+class TestRepresentationKeys:
+    """A reps file must hold exactly the cohort's visits, or the join would
+    silently score fewer rows."""
+
+    @pytest.mark.parametrize("command", ["train-task", "evaluate"])
+    @pytest.mark.parametrize("edit", [_cut_at_half, _rekey_to_absent_patient], ids=["cut", "rekey"])
+    def test_exits_1_naming_file_and_represent(self, run_dir, tmp_path, capsys, command, edit):
+        base = _copy_run(run_dir, tmp_path)
+        path = tmp_path / "reps_mortality.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        message = edit(rows)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main([command, *base]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}; re-run represent\n"
+
+
 class TestGroupMap:
     def test_grouped_codes_survive_preprocessed_jsonl(self, tmp_path):
         """Later stages re-ingest preprocessed.jsonl, so it must hold the
@@ -529,6 +571,13 @@ class TestRunDirectoryContract:
         assert err.startswith(f"error: {ckpt}: truncated parameter ")
         assert err.endswith("; re-run train-code\n")
         assert not (tmp_path / "code_embeddings.csv").exists()
+
+    def test_split_with_folds_key_still_reads(self, run_dir, tmp_path):
+        """Older split.json files also carry the fold count, which nothing reads."""
+        base = _copy_run(run_dir, tmp_path)
+        split = json.loads((tmp_path / "split.json").read_text())
+        (tmp_path / "split.json").write_text(json.dumps(dict(split, folds=2)))
+        assert main(["evaluate", *base]) == 0
 
     def test_missing_cohort_names_generate(self, tmp_path, capsys):
         assert main(["preprocess", "--out", str(tmp_path)]) == 1

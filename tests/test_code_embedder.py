@@ -4,6 +4,7 @@ against a direct-summation oracle, gradients, training, and ranking."""
 import numpy as np
 import pytest
 
+import visitrep.numerics as nm
 from visitrep.cohort import build_vocabulary, preprocess
 from visitrep.code_embedder import (
     CodeEmbedderConfig,
@@ -88,6 +89,59 @@ def manual_forward(model, codes, real):
     return x, 1.0 / (1.0 + np.exp(-logits))
 
 
+def composed_forward(model, batch):
+    """The model's graph built from elementary kernels only: the reference
+    the fused attention, residual layer norm and linear kernels reproduce."""
+    cfg = model.config
+    b, t, _ = batch.codes.shape
+    d, nh, dh = cfg.d_code, cfg.n_heads, cfg.d_head
+    blocked = attention_blocked_mask(batch.real)
+    x = nm.matmul(Tensor(batch.codes), model.embed) + Tensor(positional_encoding(t, d))
+    for layer in model.layers:
+        qkv = nm.matmul(nm.reshape(x, (b, 1, t, d)), layer["wqkv"])
+        q = nm.slice_axis(qkv, 3, 0, dh)
+        k = nm.slice_axis(qkv, 3, dh, 2 * dh)
+        v = nm.slice_axis(qkv, 3, 2 * dh, 3 * dh)
+        scores = nm.matmul(q, nm.transpose(k)) * (1.0 / np.sqrt(float(dh)))
+        mask = np.broadcast_to(blocked[:, None], scores.shape)
+        weights = nm.softmax(nm.masked_fill(scores, mask))
+        att = nm.tsum(nm.matmul(nm.matmul(weights, v), layer["wo"]), axis=1) + layer["bo"]
+        x = nm.layer_norm(x + att) * layer["ln1_g"] + layer["ln1_b"]
+        inner = nm.relu(nm.matmul(x, layer["w1"]) + layer["b1"])
+        ff = nm.matmul(inner, layer["w2"]) + layer["b2"]
+        x = nm.layer_norm(x + ff) * layer["ln2_g"] + layer["ln2_b"]
+    return x, nm.sigmoid(nm.matmul(x, model.out_w) + model.out_b)
+
+
+def composed_skip_gram_loss(chat, targets, real, window, eps=1e-7):
+    """The unfused loss graph: clip, log and the weighted sum as kernels."""
+    b, t, c = chat.shape
+    hit, miss, n = np.zeros((b, t, c)), np.zeros((b, t, c)), 0
+    for j in range(-window, window + 1):
+        lo, hi = max(0, -j), min(t, t - j)
+        if j == 0 or lo >= hi:
+            continue
+        valid = (real[:, lo:hi] & real[:, lo + j : hi + j])[:, :, None]
+        tg = targets[:, lo + j : hi + j, :]
+        hit[:, lo:hi] += tg * valid
+        miss[:, lo:hi] += (1.0 - tg) * valid
+        n += int(valid.sum())
+    log_p = nm.log(nm.clip(chat, eps, 1.0 - eps))
+    log_q = nm.log(nm.clip(1.0 - chat, eps, 1.0 - eps))
+    return nm.tsum(log_p * Tensor(hit) + log_q * Tensor(miss)) * (-1.0 / n)
+
+
+def backward_graph_nodes(root):
+    """Tensors a backward walk from root visits, leaves included."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent, _ in stack.pop()._vjps:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
 class TestPositionalEncoding:
     def test_position_zero_alternates_zero_one(self):
         pe = positional_encoding(4, 6)
@@ -143,12 +197,6 @@ class TestForward:
         batch = build_batch([np.ones((1, 6))])
         outputs, _ = model.forward(batch)
         assert outputs.shape == (1, 1, 8)
-
-    def test_softmax_output_mode_normalizes_rows(self):
-        model = tiny_model(output_activation="softmax")
-        batch = build_batch([np.ones((3, 6))])
-        _, chat = model.forward(batch)
-        np.testing.assert_allclose(chat.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_vocab_width_checked(self):
         model = tiny_model()
@@ -211,6 +259,68 @@ class TestForward:
             assert layer["w1"].data.tobytes() == draw((d, 4 * d))
             assert layer["w2"].data.tobytes() == draw((4 * d, d))
         assert model.out_w.data.tobytes() == draw((d, vocab))
+
+
+def _padded_batch(rng, vocab_size, lengths):
+    return build_batch(
+        [(rng.random((n, vocab_size)) < 0.3).astype(float) for n in lengths]
+    )
+
+
+class TestFusedAgainstComposed:
+    """The fused kernels against the composed graph they replaced."""
+
+    SHAPES = [
+        dict(vocab_size=7, d_code=6, n_layers=2, n_heads=3, d_head=4, lengths=(5, 2, 4)),
+        dict(vocab_size=6, d_code=8, n_layers=1, n_heads=2, d_head=4, lengths=(3,)),
+        dict(vocab_size=48, d_code=32, n_layers=1, n_heads=4, d_head=8, lengths=(5, 3, 4, 2)),
+    ]
+
+    def _losses(self, model, batch):
+        _, chat = model.forward(batch)
+        fused, _ = skip_gram_loss(chat, batch.codes, batch.real, 2)
+        _, chat_c = composed_forward(model, batch)
+        return fused, composed_skip_gram_loss(chat_c, batch.codes, batch.real, 2)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["2-layer", "1-row", "fit-code"])
+    def test_forward_and_loss_are_bitwise(self, shape):
+        shape = dict(shape)
+        lengths = shape.pop("lengths")
+        model = tiny_model(seed=3, **shape)
+        batch = _padded_batch(np.random.default_rng(17), shape["vocab_size"], lengths)
+        outputs, chat = model.forward(batch)
+        want_out, want_chat = composed_forward(model, batch)
+        assert outputs.data.tobytes() == want_out.data.tobytes()
+        assert chat.data.tobytes() == want_chat.data.tobytes()
+        fused, composed = self._losses(model, batch)
+        assert fused.data.tobytes() == composed.data.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["2-layer", "1-row", "fit-code"])
+    def test_gradients_match_within_1e_12(self, shape):
+        shape = dict(shape)
+        lengths = shape.pop("lengths")
+        model = tiny_model(seed=4, **shape)
+        batch = _padded_batch(np.random.default_rng(18), shape["vocab_size"], lengths)
+        grads = []
+        for loss in self._losses(model, batch):
+            for p in model.parameters():
+                p.zero_grad()
+            loss.backward()
+            grads.append([p.grad.copy() for p in model.parameters()])
+        for p, got, want in zip(model.parameters(), *grads):
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(got - want).max() <= 1e-12 * scale, p.name
+
+    def test_training_step_graph_has_at_most_25_nodes(self):
+        """One step at the fit-code shape: B=32, d=32, 4 heads x 8."""
+        cfg = CodeEmbedderConfig(d_code=32, n_layers=1, n_heads=4, d_head=8, batch_size=32)
+        model = CodeEmbedderModel(48, cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        batch = _padded_batch(rng, 48, rng.integers(2, 6, size=32))
+        _, chat = model.forward(batch)
+        loss, _ = skip_gram_loss(chat, batch.codes, batch.real, cfg.window)
+        assert backward_graph_nodes(loss) <= 25
+
 
 class TestSkipGramLoss:
     def test_matches_direct_summation_oracle_exactly(self):

@@ -6,7 +6,8 @@ import pytest
 
 from visitrep.cohort import TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_READMISSION
 from visitrep.errors import ValidationError
-from visitrep.numerics import Tensor, load_state, max_relative_error
+import visitrep.numerics as nm
+from visitrep.numerics import Parameter, Tensor, load_state, max_relative_error
 from visitrep.tasks import (
     PROB_CLIP,
     ClassifierModel,
@@ -94,6 +95,30 @@ class TestLossOracles:
             want += -(y[i] * np.log(p) + (1 - y[i]) * np.log(1 - p))
         want /= 6
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_binary_loss_matches_the_composed_graph(self):
+        """One binary_xent node against clip, log, mul and sum as kernels:
+        the loss bitwise, the gradient within 1e-12 relative, probabilities
+        clipped at both ends included."""
+        rng = np.random.default_rng(9)
+        values = np.concatenate([rng.uniform(0.05, 0.95, 6), [1e-9, 1 - 1e-9]])
+        probs = Parameter(values.reshape(8, 1), "p")
+        y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        target = y.reshape(8, 1)
+        p = nm.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
+        q = nm.clip(1.0 - probs, PROB_CLIP, 1.0 - PROB_CLIP)
+        per = nm.mul(Tensor(target), nm.log(p)) + nm.mul(Tensor(1.0 - target), nm.log(q))
+        grads = []
+        for loss in (
+            classification_loss(probs, y, TASK_MORTALITY),
+            nm.scale(nm.tsum(per), -1.0 / 8),
+        ):
+            probs.zero_grad()
+            loss.backward()
+            grads.append((loss.data.tobytes(), probs.grad.copy()))
+        (fused, g_fused), (composed, g_composed) = grads
+        assert fused == composed
+        assert np.abs(g_fused - g_composed).max() <= 1e-12 * np.abs(g_composed).max()
 
     def test_multiclass_cross_entropy_direct_summation(self):
         rng = np.random.default_rng(6)

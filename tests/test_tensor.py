@@ -7,10 +7,14 @@ from visitrep.numerics import (
     Parameter,
     Tensor,
     add,
+    add_layer_norm,
+    binary_xent,
+    causal_attention,
     clip,
     concat,
     gather_rows,
     layer_norm,
+    linear,
     log,
     masked_fill,
     matmul,
@@ -127,6 +131,21 @@ class TestErrorContracts:
             ValueError, match=rf"^{kernel.__name__}: inf in output \(2, 2\)$"
         ):
             kernel(x, x)
+
+    def test_causal_attention_refuses_a_fully_masked_query(self):
+        x = Tensor(np.ones((1, 2, 4)))
+        wqkv, wo = Tensor(np.ones((1, 4, 6))), Tensor(np.ones((1, 2, 4)))
+        bo = Tensor(np.zeros((1, 4)))
+        blocked = np.array([[[True, True], [False, False]]])
+        with pytest.raises(ValueError, match="fully masked"):
+            causal_attention(x, wqkv, wo, bo, blocked)
+
+    def test_binary_xent_checks_eps_and_shapes(self):
+        p = Tensor(np.full((2, 3), 0.5))
+        with pytest.raises(ValueError, match="eps"):
+            binary_xent(p, np.ones((2, 3)), np.zeros((2, 3)), 0.5)
+        with pytest.raises(ValueError, match=r"must match p \(2, 3\)"):
+            binary_xent(p, np.ones((2, 1)), np.zeros((2, 3)), 1e-7)
 
     def test_masked_fill_inf_reaches_softmax_only(self):
         x = Tensor(np.zeros((2, 3)))
@@ -277,6 +296,44 @@ class TestKernelGradients:
         _fd_check(lambda: tsum(tanh(reshape(x, (2, 12)))), [x])
         _fd_check(lambda: tsum(sigmoid(slice_axis(x, 1, 1, 4))), [x])
         _fd_check(lambda: tsum(tanh(gather_rows(x, [0, 2, 2, 3]))), [x])
+
+    def test_causal_attention(self):
+        """Padded batch, two heads; the second row's last key is padding."""
+        x = self._param(2, 3, 4)
+        wqkv, wo, bo = self._param(2, 4, 6), self._param(2, 2, 4), self._param(1, 4)
+        real = np.array([[True, True, True], [True, True, False]])
+        blocked = np.triu(np.ones((3, 3), dtype=bool), k=1)[None] | ~real[:, None, :]
+        w = Tensor(self.rng.normal(size=(2, 3, 4)))
+        _fd_check(
+            lambda: tsum(causal_attention(x, wqkv, wo, bo, blocked) * w), [x, wqkv, wo, bo]
+        )
+
+    def test_add_layer_norm(self):
+        x, r = self._param(2, 3, 5), self._param(2, 3, 5)
+        g, b = self._param(1, 5), self._param(1, 5)
+        w = Tensor(self.rng.normal(size=(2, 3, 5)))
+        _fd_check(lambda: tsum(add_layer_norm(x, r, g, b) * w), [x, r, g, b])
+
+    @pytest.mark.parametrize("use_relu", [False, True], ids=["affine", "relu"])
+    def test_linear(self, use_relu):
+        x, w, b = self._param(2, 3, 4), self._param(4, 5), self._param(1, 5)
+        # Finite differences straddling the relu kink would disagree.
+        assert np.abs(x.data @ w.data + b.data).min() > 1e-3
+        v = Tensor(self.rng.normal(size=(2, 3, 5)))
+        _fd_check(lambda: tsum(linear(x, w, b, relu=use_relu) * v), [x, w, b])
+
+    def test_binary_xent_with_clipped_ends(self):
+        """Entries below eps and above 1 - eps pass no gradient."""
+        eps = 0.05
+        p = Parameter(
+            np.concatenate([self.rng.uniform(0.1, 0.9, size=6), [0.01, 0.03, 0.97, 0.99]]), "p"
+        )
+        hit = self.rng.integers(0, 3, size=10).astype(float)
+        miss = self.rng.integers(0, 3, size=10).astype(float)
+        _fd_check(lambda: binary_xent(p, hit, miss, eps), [p])
+        p.grad = np.zeros_like(p.data)
+        binary_xent(p, hit, miss, eps).backward()
+        assert (p.grad[6:] == 0.0).all() and (p.grad[:6] != 0.0).any()
 
     def test_random_composites(self):
         """Stacked pipelines of kernels, checked end to end."""
