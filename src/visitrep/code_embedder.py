@@ -6,7 +6,10 @@ a sum of per-code embedding rows), sinusoidal position terms are added, and
 a stack of causally masked multi-head self-attention blocks mixes history
 into each position. Training maximizes a visit-level skip-gram objective:
 the output head at visit t predicts, per code, the codes of the visits
-within a +-window around t, scored with binary cross-entropy.
+within a +-window around t, scored with binary cross-entropy. Those
+targets never change, so train_code_embedder counts each patient's hits
+and valid pairs once per fit, beside its codes (SkipGramRows), and each
+batch only gathers and pads those rows.
 
 A block is five fused numerics kernels, one graph node each:
 `causal_attention` (every head at once, summed through `wo`, plus `bo`),
@@ -203,28 +206,16 @@ class CodeEmbedderModel:
         return x, chat
 
 
-def skip_gram_loss(
-    chat: Tensor,
-    targets: np.ndarray,
-    real: np.ndarray,
-    window: int,
-    prob_clip: float = 1e-7,
-) -> tuple:
-    """Mean over valid (t, j) pairs of the summed per-code cross-entropy
-    between the prediction at t and the target visit at t + j, 0 < |j| <= w.
-
-    Pairs where either endpoint is padding are skipped. Returns the scalar
-    loss Tensor and the number of pairs it averaged. A batch with no valid
-    pair at all (every patient has a single visit) is an error.
-    """
-    b, t, c = chat.shape
-    if targets.shape != (b, t, c) or real.shape != (b, t):
+def skip_gram_counts(targets: np.ndarray, real: np.ndarray, window: int) -> tuple:
+    """Per (b, t, code) of a padded batch: how many valid target visits
+    t + j, 0 < |j| <= window, hold the code (hit) and how many lack it
+    (miss), plus the number of valid (t, j) pairs. Pairs where either
+    endpoint is padding are skipped. Returns (hit, miss, n_pairs)."""
+    if targets.ndim != 3 or real.shape != targets.shape[:2]:
         raise ValidationError(
-            f"skip_gram_loss: shapes disagree, chat {chat.shape}, "
-            f"targets {targets.shape}, real {real.shape}"
+            f"skip_gram_counts: shapes disagree, targets {targets.shape}, real {real.shape}"
         )
-    # Per (b, t, code): how many valid target visits t + j hold the code
-    # (hit) and how many lack it (miss).
+    b, t, c = targets.shape
     hit = np.zeros((b, t, c))
     miss = np.zeros((b, t, c))
     n_pairs = 0
@@ -237,10 +228,64 @@ def skip_gram_loss(
         hit[:, lo:hi] += tg * valid
         miss[:, lo:hi] += (1.0 - tg) * valid
         n_pairs += int(valid.sum())
+    return hit, miss, n_pairs
 
+
+def skip_gram_loss(
+    chat: Tensor,
+    hit: np.ndarray,
+    miss: np.ndarray,
+    n_pairs: int,
+    prob_clip: float = 1e-7,
+) -> tuple:
+    """Mean over valid (t, j) pairs of the summed per-code cross-entropy
+    between the prediction at t and the target visit at t + j, from the
+    counts of skip_gram_counts. Returns the scalar loss Tensor and the
+    number of pairs it averaged. A batch with no valid pair at all (every
+    patient has a single visit) is an error."""
     if n_pairs == 0:
         raise ValidationError("skip_gram_loss: no valid (t, j) pairs in the batch")
     return nm.scale(nm.binary_xent(chat, hit, miss, prob_clip), 1.0 / n_pairs), n_pairs
+
+
+@dataclass
+class SkipGramRows:
+    """Every training patient's visits as small-integer rows [codes | hit |
+    pairs], stacked patient by patient above one zero row that padding
+    reads: the multi-hot codes, skip_gram_counts' hit per code, and the
+    number of valid pairs per visit. Multi-hot targets make
+    miss = pairs - hit exact, so miss is not stored."""
+
+    rows: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def build(cls, matrices: list, window: int) -> "SkipGramRows":
+        dtype = np.min_scalar_type(2 * window)
+        blocks = []
+        for m in matrices:
+            hit, miss, _ = skip_gram_counts(m[None], np.ones((1, len(m)), dtype=bool), window)
+            pairs = hit[0, :, :1] + miss[0, :, :1]
+            blocks.append(np.hstack([m, hit[0], pairs]).astype(dtype))
+        blocks.append(np.zeros((1, blocks[0].shape[1]), dtype=dtype))
+        lengths = np.array([len(m) for m in matrices])
+        starts = np.cumsum(lengths) - lengths
+        return cls(np.concatenate(blocks), starts, lengths)
+
+    def batch(self, patients: np.ndarray) -> tuple:
+        """(VisitSequenceBatch, (hit, miss, n_pairs)) for the patients at
+        these positions, padded to the longest: bit for bit build_batch of
+        their matrices and skip_gram_counts of that batch."""
+        lengths = self.lengths[patients]
+        real = np.arange(lengths.max()) < lengths[:, None]
+        index = np.where(real, self.starts[patients][:, None] + np.arange(real.shape[1]), -1)
+        rows = self.rows[index]
+        c = (rows.shape[2] - 1) // 2
+        hit = rows[..., c : 2 * c].astype(np.float64)
+        pairs = rows[..., 2 * c :].astype(np.float64)
+        batch = VisitSequenceBatch(rows[..., :c].astype(np.float64), real)
+        return batch, (hit, pairs - hit, int(pairs.sum()))
 
 
 def patient_matrices(cohort: Cohort, vocab: CodeVocabulary) -> dict:
@@ -272,26 +317,31 @@ def train_code_embedder(
     ids = sorted(mats)
     order = rng.permutation(len(ids))
     n_val = max(1, int(round(config.val_fraction * len(ids)))) if len(ids) > 2 else 1
-    val_ids = [ids[i] for i in order[:n_val]]
-    train_ids = [ids[i] for i in order[n_val:]]
-    if not train_ids:
+    val, train = order[:n_val], order[n_val:]
+    if not len(train):
         raise ValidationError("train_code_embedder: validation split consumed every patient")
+    # The targets never change, so every patient's counts are built once.
+    rows = SkipGramRows.build([mats[pid] for pid in ids], config.window)
+    del mats
 
-    def batches(pids):
-        for start in range(0, len(pids), config.batch_size):
-            chunk = pids[start : start + config.batch_size]
-            batch = build_batch([mats[pid] for pid in chunk])
+    def chunks(patients):
+        size = config.batch_size
+        return [patients[i : i + size] for i in range(0, len(patients), size)]
+
+    def losses(batches):
+        for batch, counts in batches:
             _, chat = model.forward(batch)
-            yield skip_gram_loss(chat, batch.codes, batch.real, config.window, config.prob_clip)
+            yield skip_gram_loss(chat, *counts, config.prob_clip)
 
+    val_batches = [rows.batch(chunk) for chunk in chunks(val)]
     history = nm.fit(
         model.parameters(),
         nm.CosineAnnealing(lr0=config.lr0, period=config.lr_period, lr_min=config.lr_min),
         config.epochs,
         rng,
-        len(train_ids),
-        lambda order: batches([train_ids[i] for i in order]),
-        lambda: batches(val_ids),
+        len(train),
+        lambda order: losses(map(rows.batch, chunks(train[order]))),
+        lambda: losses(val_batches),
     )
     return model, history
 

@@ -23,52 +23,108 @@ class TrainHistory:
     best_epoch: int = -1
 
 
+def _empty() -> np.ndarray:
+    return np.zeros(0)
+
+
 @dataclass
 class AdamState:
-    """First/second moment estimates and the shared step counter."""
+    """The parameter arena of one fit(): every parameter's data and gradient
+    are views into the flat float64 buffers `data` and `grad`, and the
+    moment estimates `m` and `v` run beside them. `views` holds each
+    parameter's (data view, gradient view), in the order init_adam was
+    given, which is also their order in the buffers."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    data: np.ndarray = field(default_factory=_empty)
+    grad: np.ndarray = field(default_factory=_empty)
+    m: np.ndarray = field(default_factory=_empty)
+    v: np.ndarray = field(default_factory=_empty)
+    views: list = field(default_factory=list)
 
 
 def init_adam(params: Sequence[Parameter]) -> AdamState:
-    """Zero moment estimates for each parameter, default decay rates."""
-    return AdamState(
-        m=[np.zeros_like(p.data) for p in params],
-        v=[np.zeros_like(p.data) for p in params],
-    )
+    """Copy every parameter and its gradient into one arena, rebind p.data
+    and p.grad as views into it, and zero the moments. A parameter listed
+    twice is refused: its two views would drift apart."""
+    seen = set()
+    for p in params:
+        if id(p) in seen:
+            raise ValueError(f"init_adam: parameter {p.name!r} is listed twice")
+        seen.add(id(p))
+    n = sum(p.data.size for p in params)
+    state = AdamState(data=np.empty(n), grad=np.zeros(n), m=np.zeros(n), v=np.zeros(n))
+    lo = 0
+    for p in params:
+        hi = lo + p.data.size
+        data = state.data[lo:hi].reshape(p.data.shape)
+        grad = state.grad[lo:hi].reshape(p.data.shape)
+        data[...] = p.data
+        if p.grad is not None:
+            grad[...] = p.grad
+        p.data, p.grad = data, grad
+        state.views.append((data, grad))
+        lo = hi
+    return state
+
+
+def _adopt(p: Parameter, attr: str, view: np.ndarray) -> None:
+    """Copy a rebound p.data or p.grad into its arena view and rebind it."""
+    value = getattr(p, attr)
+    if value is view:
+        return
+    if value is None:
+        raise ValueError(f"adam_step: parameter {p.name!r} has no gradient buffer")
+    if value.shape != view.shape:
+        what = "gradient" if attr == "grad" else "data"
+        raise ValueError(
+            f"adam_step: {what} shape {value.shape} != parameter shape {view.shape}"
+        )
+    view[...] = value
+    setattr(p, attr, view)
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState, lr: float) -> None:
-    """One in-place Adam update from the parameters' current gradients."""
+    """One in-place Adam update from the parameters' current gradients, run
+    once over the whole arena. A p.data or p.grad rebound since the last
+    step is copied into the arena first; a non-finite gradient is an error
+    naming the parameter that holds the first one."""
     if lr <= 0.0:
         raise ValueError(f"adam_step: learning rate must be positive, got {lr}")
-    if len(state.m) != len(params):
+    if len(state.views) != len(params):
         raise ValueError(
-            f"adam_step: state tracks {len(state.m)} parameters, got {len(params)}"
+            f"adam_step: state tracks {len(state.views)} parameters, got {len(params)}"
+        )
+    for p, (data, grad) in zip(params, state.views):
+        _adopt(p, "data", data)
+        _adopt(p, "grad", grad)
+    g = state.grad
+    if not np.isfinite(g).all():
+        # The views lie in buffer order, so the first bad view holds the first bad value.
+        p = next(p for p, (_, grad) in zip(params, state.views) if not np.isfinite(grad).all())
+        raise ValueError(
+            f"adam_step: non-finite gradient in parameter {p.name!r} at step {state.step + 1}"
         )
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for i, p in enumerate(params):
-        g = p.grad
-        if g is None:
-            raise ValueError(f"adam_step: parameter {p.name!r} has no gradient buffer")
-        if g.shape != p.data.shape:
-            raise ValueError(
-                f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape}"
-            )
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # data -= lr * (m / c1) / (sqrt(v / c2) + eps) with m = b1 * m + (1 - b1) * g
+    # and v = b2 * v + (1 - b2) * (g * g), one in-place operation at a time:
+    # each element gets the float of that expression.
+    m, v = state.m, state.v
+    step, denom = np.empty_like(g), np.empty_like(g)
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=step)
+    v *= b2
+    v += np.multiply(np.multiply(g, g, out=step), 1.0 - b2, out=step)
+    np.multiply(np.divide(m, c1, out=step), lr, out=step)
+    np.add(np.sqrt(np.divide(v, c2, out=denom), out=denom), state.eps, out=denom)
+    state.data -= np.divide(step, denom, out=step)
 
 
 @dataclass(frozen=True)
@@ -162,6 +218,10 @@ def fit(
     stepped. With val_batches the parameters of the epoch with the lowest
     validation loss are restored at the end; without it the last epoch's
     parameters stay and count as the best epoch.
+
+    `params` live in one arena (init_adam) for the whole call and stay views
+    into it afterwards: zeroing the gradients is one fill, and the
+    best-epoch snapshot and its restore are one copy each.
     """
     params = list(params)
     state = init_adam(params)
@@ -171,8 +231,7 @@ def fit(
         lr = lr_at(schedule, epoch)
 
         def step(loss):
-            for p in params:
-                p.zero_grad()
+            state.grad.fill(0.0)
             loss.backward()
             adam_step(params, state, lr)
 
@@ -186,11 +245,10 @@ def fit(
         val = _epoch_mean(val_batches(), f"epoch {epoch} (lr {lr}), validation")
         history.val_loss.append(val)
         if val < best_val:
-            best_val, best = val, [p.data.copy() for p in params]
+            best_val, best = val, state.data.copy()
             history.best_epoch = epoch
     if best is None:
         history.best_epoch = epochs - 1
     else:
-        for p, data in zip(params, best):
-            p.data = data
+        state.data[...] = best
     return history

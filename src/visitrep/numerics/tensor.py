@@ -91,7 +91,9 @@ class Tensor:
     # -- backward ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad: an
+        existing gradient array is added into in place, so a parameter's
+        gradient stays a view into its arena."""
         if self.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -126,7 +128,7 @@ class Tensor:
                 if parent.grad is None:
                     parent.grad = np.array(contrib, dtype=np.float64, copy=True)
                 else:
-                    parent.grad = parent.grad + contrib
+                    parent.grad += contrib
             if node._vjps:
                 # Interior grads are only needed once; free them eagerly.
                 node.grad = None
@@ -189,7 +191,8 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        """Zero the gradient in place, so a view into an arena stays one."""
+        self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -306,12 +309,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each branch
+    # runs the stable expression of its sign and never overflows.
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     return Tensor._make_node("sigmoid", out, [(a, lambda g: g * out * (1.0 - out))])
 
 
@@ -567,10 +570,11 @@ def add_layer_norm(x: Tensor, r: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5
         total = x.data + r.data
     except ValueError:
         raise ValueError(f"add_layer_norm: shapes {x.shape} and {r.shape} are not broadcastable")
-    mu = total.mean(axis=-1, keepdims=True)
-    var = total.var(axis=-1, keepdims=True)
+    centered = total - total.mean(axis=-1, keepdims=True)
+    # np.var's own expression, with the centered values reused.
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    normed = (total - mu) * inv
+    normed = centered * inv
     gd = g.data
     out = normed * gd + b.data
 

@@ -21,6 +21,7 @@ from visitrep.code_embedder import (
     encode_history,
     load_code_model,
     save_code_model,
+    skip_gram_counts,
     skip_gram_loss,
     train_code_embedder,
 )
@@ -113,7 +114,7 @@ def test_c1_gradient_suite():
 
     def code_loss():
         _, chat = model.forward(batch)
-        loss, _ = skip_gram_loss(chat, batch.codes, batch.real, cfg.window)
+        loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, cfg.window))
         return loss
 
     errs["code model"] = nm.max_relative_error(code_loss, model.parameters())
@@ -183,7 +184,7 @@ def test_c3_loss_oracles():
     probs = rng.uniform(0.1, 0.9, size=(2, 3, 4))
     targets = (rng.random((2, 3, 4)) < 0.5).astype(np.float64)
     real = np.array([[True, True, True], [True, True, False]])
-    loss, n_pairs = skip_gram_loss(Tensor(probs), targets, real, window)
+    loss, n_pairs = skip_gram_loss(Tensor(probs), *skip_gram_counts(targets, real, window))
 
     total, count = 0.0, 0
     for i in range(2):

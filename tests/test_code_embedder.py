@@ -9,6 +9,7 @@ from visitrep.cohort import build_vocabulary, preprocess
 from visitrep.code_embedder import (
     CodeEmbedderConfig,
     CodeEmbedderModel,
+    SkipGramRows,
     VisitSequenceBatch,
     attention_blocked_mask,
     build_batch,
@@ -16,6 +17,7 @@ from visitrep.code_embedder import (
     patient_matrices,
     positional_encoding,
     predict_next_codes,
+    skip_gram_counts,
     skip_gram_loss,
     train_code_embedder,
 )
@@ -114,18 +116,9 @@ def composed_forward(model, batch):
 
 
 def composed_skip_gram_loss(chat, targets, real, window, eps=1e-7):
-    """The unfused loss graph: clip, log and the weighted sum as kernels."""
-    b, t, c = chat.shape
-    hit, miss, n = np.zeros((b, t, c)), np.zeros((b, t, c)), 0
-    for j in range(-window, window + 1):
-        lo, hi = max(0, -j), min(t, t - j)
-        if j == 0 or lo >= hi:
-            continue
-        valid = (real[:, lo:hi] & real[:, lo + j : hi + j])[:, :, None]
-        tg = targets[:, lo + j : hi + j, :]
-        hit[:, lo:hi] += tg * valid
-        miss[:, lo:hi] += (1.0 - tg) * valid
-        n += int(valid.sum())
+    """The unfused loss graph: clip, log and the weighted sum as kernels,
+    over the counts of skip_gram_counts."""
+    hit, miss, n = skip_gram_counts(targets, real, window)
     log_p = nm.log(nm.clip(chat, eps, 1.0 - eps))
     log_q = nm.log(nm.clip(1.0 - chat, eps, 1.0 - eps))
     return nm.tsum(log_p * Tensor(hit) + log_q * Tensor(miss)) * (-1.0 / n)
@@ -278,7 +271,7 @@ class TestFusedAgainstComposed:
 
     def _losses(self, model, batch):
         _, chat = model.forward(batch)
-        fused, _ = skip_gram_loss(chat, batch.codes, batch.real, 2)
+        fused, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, 2))
         _, chat_c = composed_forward(model, batch)
         return fused, composed_skip_gram_loss(chat_c, batch.codes, batch.real, 2)
 
@@ -318,7 +311,7 @@ class TestFusedAgainstComposed:
         rng = np.random.default_rng(1)
         batch = _padded_batch(rng, 48, rng.integers(2, 6, size=32))
         _, chat = model.forward(batch)
-        loss, _ = skip_gram_loss(chat, batch.codes, batch.real, cfg.window)
+        loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, cfg.window))
         assert backward_graph_nodes(loss) <= 25
 
 
@@ -329,7 +322,7 @@ class TestSkipGramLoss:
         chat_np = rng.uniform(0.05, 0.95, size=(1, 2, 3))
         targets = rng.integers(0, 2, size=(1, 2, 3)).astype(float)
         real = np.ones((1, 2), dtype=bool)
-        loss, n = skip_gram_loss(Tensor(chat_np), targets, real, window=2)
+        loss, n = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=2))
         want, n_want = manual_skip_gram(chat_np, targets, real, window=2)
         assert n == n_want == 2
         np.testing.assert_allclose(float(loss.data.reshape(())), want, atol=1e-12)
@@ -343,7 +336,7 @@ class TestSkipGramLoss:
             lengths = rng.integers(1, t + 1, size=b)
             lengths[0] = t
             real = np.arange(t)[None, :] < lengths[:, None]
-            loss, n = skip_gram_loss(Tensor(chat_np), targets, real, window=2)
+            loss, n = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=2))
             want, n_want = manual_skip_gram(chat_np, targets, real, window=2)
             assert n == n_want
             np.testing.assert_allclose(float(loss.data.reshape(())), want, rtol=1e-12)
@@ -353,30 +346,32 @@ class TestSkipGramLoss:
         chat_np = np.full((1, 3, 2), 0.5)
         targets = np.zeros((1, 3, 2))
         real = np.ones((1, 3), dtype=bool)
-        _, n = skip_gram_loss(Tensor(chat_np), targets, real, window=2)
+        _, n = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=2))
         assert n == 6
-        _, n1 = skip_gram_loss(Tensor(chat_np), targets, real, window=1)
+        _, n1 = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=1))
         assert n1 == 4
 
     def test_single_visit_contributes_nothing(self):
         chat_np = np.full((2, 2, 3), 0.5)
         targets = np.zeros((2, 2, 3))
         real = np.array([[True, True], [True, False]])
-        _, n = skip_gram_loss(Tensor(chat_np), targets, real, window=2)
+        _, n = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=2))
         assert n == 2  # only the first patient's two ordered pairs
 
     def test_all_single_visit_batch_is_an_error(self):
         chat_np = np.full((2, 2, 3), 0.5)
         real = np.array([[True, False], [True, False]])
         with pytest.raises(ValidationError, match="no valid"):
-            skip_gram_loss(Tensor(chat_np), np.zeros((2, 2, 3)), real, window=2)
+            skip_gram_loss(Tensor(chat_np), *skip_gram_counts(np.zeros((2, 2, 3)), real, window=2))
 
     def test_perfect_prediction_loss_is_near_zero(self):
         """Identical neighbor visits predicted exactly: loss below |C| log(1/(1-eps))."""
         eps = 1e-7
         targets = np.array([[[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]])
         real = np.ones((1, 2), dtype=bool)
-        loss, _ = skip_gram_loss(Tensor(targets.copy()), targets, real, window=1, prob_clip=eps)
+        loss, _ = skip_gram_loss(
+            Tensor(targets.copy()), *skip_gram_counts(targets, real, window=1), prob_clip=eps
+        )
         bound = 3 * (-np.log(1 - eps)) * 1.0001 + 1e-12
         assert 0.0 <= float(loss.data.reshape(())) <= bound
 
@@ -385,10 +380,47 @@ class TestSkipGramLoss:
         eps = 1e-7
         targets = np.array([[[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]])
         real = np.ones((1, 2), dtype=bool)
-        loss, _ = skip_gram_loss(Tensor(targets.copy()), targets, real, window=1, prob_clip=eps)
+        loss, _ = skip_gram_loss(
+            Tensor(targets.copy()), *skip_gram_counts(targets, real, window=1), prob_clip=eps
+        )
         np.testing.assert_allclose(
             float(loss.data.reshape(())), 3 * -np.log(eps), rtol=1e-6
         )
+
+
+class TestSkipGramRows:
+    """Counts built once per patient against skip_gram_counts on the padded batch."""
+
+    @staticmethod
+    def _check(matrices, window, patients):
+        rows = SkipGramRows.build(matrices, window)
+        batch, (hit, miss, n_pairs) = rows.batch(np.asarray(patients))
+        want = build_batch([matrices[i] for i in patients])
+        assert batch.codes.tobytes() == want.codes.tobytes()
+        assert batch.real.tobytes() == want.real.tobytes()
+        want_hit, want_miss, want_pairs = skip_gram_counts(want.codes, want.real, window)
+        assert hit.tobytes() == want_hit.tobytes()
+        assert miss.tobytes() == want_miss.tobytes()
+        assert n_pairs == want_pairs
+        return n_pairs
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 7])
+    def test_ragged_batches_are_bitwise(self, window):
+        rng = np.random.default_rng(window)
+        lengths = [5, 1, 3, 2, 6, 1, 4]
+        matrices = [(rng.random((n, 6)) < 0.4).astype(float) for n in lengths]
+        for patients in ([0, 1, 2, 3, 4, 5, 6], [6, 2, 0], [4], [3, 1, 3]):
+            self._check(matrices, window, patients)
+
+    def test_window_at_least_the_longest_history(self):
+        rng = np.random.default_rng(3)
+        matrices = [(rng.random((n, 4)) < 0.5).astype(float) for n in (3, 2, 3)]
+        assert self._check(matrices, 5, [0, 1, 2]) == 6 + 2 + 6
+
+    def test_batch_with_no_valid_pair(self):
+        rng = np.random.default_rng(4)
+        matrices = [(rng.random((n, 4)) < 0.5).astype(float) for n in (1, 3, 1)]
+        assert self._check(matrices, 2, [0, 2]) == 0
 
 
 class TestGradient:
@@ -404,7 +436,7 @@ class TestGradient:
 
         def build():
             _, chat = model.forward(batch)
-            loss, _ = skip_gram_loss(chat, batch.codes, batch.real, window=2)
+            loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, window=2))
             return loss
 
         err = max_relative_error(build, model.parameters(), h=1e-5)

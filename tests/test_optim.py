@@ -1,9 +1,11 @@
-"""Adam update math and learning-rate schedules against closed forms, and
-the fit() training loop on a small least-squares problem."""
+"""Adam update math and learning-rate schedules against closed forms, the
+parameter arena against the per-parameter Adam loop it replaced, and the
+fit() training loop on a small least-squares problem."""
 
 import numpy as np
 import pytest
 
+from visitrep.numerics import optim
 from visitrep.numerics import (
     AdamState,
     CosineAnnealing,
@@ -13,6 +15,7 @@ from visitrep.numerics import (
     adam_step,
     fit,
     init_adam,
+    load_state,
     lr_at,
     matmul,
     mul,
@@ -84,6 +87,83 @@ class TestAdam:
         assert run() == run()
 
 
+class PerParameterAdam:
+    """The per-parameter Adam loop adam_step ran before the arena: the oracle."""
+
+    def __init__(self, values):
+        self.data = [v.copy() for v in values]
+        self.m = [np.zeros_like(v) for v in values]
+        self.v = [np.zeros_like(v) for v in values]
+        self.t = 0
+
+    def step(self, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.t += 1
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for i, g in enumerate(grads):
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat = self.m[i] / c1
+            v_hat = self.v[i] / c2
+            self.data[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _three_params(rng):
+    shapes = {"a": (3, 4), "b": (1, 4), "c": (2, 2, 3)}
+    return [Parameter(rng.normal(size=shape), name) for name, shape in shapes.items()]
+
+
+class TestArena:
+    def test_matches_per_parameter_loop_bitwise_through_rebinds(self):
+        rng = np.random.default_rng(5)
+        params = _three_params(rng)
+        oracle = PerParameterAdam([p.data for p in params])
+        state = init_adam(params)
+        for t in range(5):
+            grads = [rng.normal(size=p.data.shape) for p in params]
+            if t == 2:
+                # load_state rebinds p.data; adam_step must adopt the new arrays.
+                loaded = {p.name: rng.normal(size=p.data.shape) for p in params}
+                load_state(params, loaded)
+                oracle.data = [loaded[p.name].copy() for p in params]
+            for i, (p, g) in enumerate(zip(params, grads)):
+                if t == 3 and i == 1:
+                    p.grad = g.copy()  # a rebound gradient, not a write into the view
+                else:
+                    p.grad[...] = g
+            adam_step(params, state, lr=0.01 * (t + 1))
+            oracle.step(grads, lr=0.01 * (t + 1))
+            for p, want in zip(params, oracle.data):
+                assert p.data.tobytes() == want.tobytes(), (t, p.name)
+                assert np.shares_memory(p.data, state.data)
+                assert np.shares_memory(p.grad, state.grad)
+
+    def test_a_parameter_listed_twice_is_refused(self):
+        p = Parameter(np.zeros((2, 2)), "w")
+        with pytest.raises(ValueError, match="parameter 'w' is listed twice"):
+            init_adam([p, Parameter(np.zeros(3), "b"), p])
+
+    def test_zero_grad_keeps_the_gradient_a_view(self):
+        params = _three_params(np.random.default_rng(6))
+        state = init_adam(params)
+        state.grad[...] = 1.0
+        params[1].zero_grad()
+        assert np.shares_memory(params[1].grad, state.grad)
+        np.testing.assert_array_equal(params[1].grad, 0.0)
+        np.testing.assert_array_equal(params[0].grad, 1.0)
+
+    def test_non_finite_gradient_names_parameter_and_step(self):
+        params = _three_params(np.random.default_rng(7))
+        state = init_adam(params)
+        adam_step(params, state, lr=0.1)
+        before = state.data.copy()
+        params[1].grad[0, 2] = np.nan
+        params[2].grad[0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match=r"non-finite gradient in parameter 'b' at step 2"):
+            adam_step(params, state, lr=0.1)
+        assert state.step == 1
+        assert state.data.tobytes() == before.tobytes()
+
+
 class TestSchedules:
     def test_cosine_endpoints(self):
         sched = CosineAnnealing(lr0=0.00025, period=50)
@@ -136,7 +216,8 @@ class LeastSquares:
         self.X = data.normal(size=(n, 2))
         self.y = self.X @ np.array([[1.5], [-0.5]])
         self.w = Parameter(np.zeros((2, 1)), "w")
-        self.after_epoch = []  # w after each epoch's last step
+        self.params = [self.w]
+        self.after_epoch = []  # the parameters after each epoch's last step
 
     def loss(self, rows):
         err = matmul(Tensor(self.X[rows]), self.w) - Tensor(self.y[rows])
@@ -146,13 +227,26 @@ class LeastSquares:
         for start in range(0, len(order), 2):
             rows = order[start : start + 2]
             yield self.loss(rows), len(rows)
-        self.after_epoch.append(self.w.data.copy())
+        self.after_epoch.append(np.concatenate([p.data.ravel() for p in self.params]))
 
     def fit(self, rng, epochs=4, val_batches=None):
         return fit(
-            [self.w], StepDecay(0.1, 0.5, 2), epochs, rng, len(self.X),
+            self.params, StepDecay(0.1, 0.5, 2), epochs, rng, len(self.X),
             self.train_batches, val_batches,
         )
+
+
+class TwoParameterLine(LeastSquares):
+    """LeastSquares with a bias, y = X @ w + b: two parameters in one arena."""
+
+    def __init__(self, n=6):
+        super().__init__(n)
+        self.b = Parameter(np.zeros((1, 1)), "b")
+        self.params.append(self.b)
+
+    def loss(self, rows):
+        err = matmul(Tensor(self.X[rows]), self.w) + self.b - Tensor(self.y[rows])
+        return tsum(mul(err, err)) * (1.0 / len(rows))
 
 
 class TestFit:
@@ -201,3 +295,29 @@ class TestFit:
         assert run(7) == run(7)
         # The drawn row order reaches the result, so the check above has teeth.
         assert run(7)[0] != run(8)[0]
+
+    def test_fit_leaves_data_and_gradients_views_into_the_arena(self, monkeypatch):
+        states, views = [], []
+
+        def spy(params, state, lr):
+            # Backward added into the gradients in place, so they are still views.
+            states.append(state)
+            views.append([np.shares_memory(p.grad, state.grad) for p in params])
+            adam_step(params, state, lr)
+
+        monkeypatch.setattr(optim, "adam_step", spy)
+        task = TwoParameterLine()
+        val_values = iter([2.0, 1.0, 3.0])
+
+        def val_batches():
+            yield Tensor(next(val_values)), 1
+
+        history = task.fit(np.random.default_rng(2), epochs=3, val_batches=val_batches)
+        assert history.best_epoch == 1
+        state = states[0]
+        assert all(s is state for s in states)
+        assert all(all(step) for step in views)
+        for p in (task.w, task.b):
+            assert np.shares_memory(p.data, state.data), p.name
+            assert np.shares_memory(p.grad, state.grad), p.name
+        assert state.data.tobytes() == task.after_epoch[1].tobytes()

@@ -105,6 +105,43 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, table.data[[2, 0, 2]])
 
 
+def old_sigmoid(x):
+    """The four boolean-indexed passes sigmoid ran before: the oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def old_add_layer_norm(x, r, g, b, eps=1e-5):
+    """add_layer_norm's forward with np.var, as before: the oracle."""
+    total = x + r
+    mu = total.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(total.var(axis=-1, keepdims=True) + eps)
+    return (total - mu) * inv * g + b
+
+
+class TestBitwiseAgainstOldExpressions:
+    def test_sigmoid(self):
+        rng = np.random.default_rng(8)
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0])
+        cases = [edges] + [rng.normal(size=(32, 9, 48)) * s for s in (1.0, 10.0, 100.0)]
+        for x in cases:
+            assert sigmoid(Tensor(x)).data.tobytes() == old_sigmoid(x).tobytes()
+
+    def test_add_layer_norm(self):
+        rng = np.random.default_rng(9)
+        for shape in [(32, 9, 32), (3, 5, 7), (1, 1, 4), (40, 16)]:
+            for _ in range(50):
+                x = rng.normal(size=shape) * rng.uniform(0.01, 100.0) + rng.normal() * 10
+                r = rng.normal(size=shape)
+                g, b = rng.normal(size=(1, shape[-1])), rng.normal(size=(1, shape[-1]))
+                got = add_layer_norm(Tensor(x), Tensor(r), Tensor(g), Tensor(b)).data
+                assert got.tobytes() == old_add_layer_norm(x, r, g, b).tobytes()
+
+
 class TestErrorContracts:
     def test_matmul_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
