@@ -47,6 +47,7 @@ from .patient_rep import (
     read_representations,
     write_representations,
 )
+from .shape import STRING, checker
 from .synth import generate_cohort, write_ground_truth
 from .tasks import balance_for_los, load_classifier, save_classifier, train_task
 from .text_embedder import TokenVocabulary, load_summarizer, save_summarizer, train_summarizer
@@ -98,14 +99,15 @@ def _load_preprocessed(cfg: RunConfig):
     return cohort, _read(cfg, "vocab.json", CodeVocabulary.from_json)
 
 
+_SPLIT = checker({key: [f"{key} id", STRING] for key in ("train", "holdout")}, "split")
+
+
 def _read_split(cfg: RunConfig, cohort: Cohort):
     """(train ids, holdout ids) from split.json, each naming a patient of `cohort`."""
     known = set(cohort.patient_ids())
 
     def parse(obj):
-        ids = [obj.get(key) if isinstance(obj, dict) else None for key in ("train", "holdout")]
-        if not all(isinstance(x, list) and all(isinstance(i, str) for i in x) for x in ids):
-            raise ValidationError("split: expected 'train' and 'holdout' lists of patient ids")
+        ids = [_SPLIT(obj)["train"], obj["holdout"]]
         faults = [
             (set(ids[0] + ids[1]) - known, "absent from preprocessed.jsonl"),
             (set(ids[0]) & set(ids[1]), "in both train and holdout"),
@@ -115,9 +117,7 @@ def _read_split(cfg: RunConfig, cohort: Cohort):
         ]
         for bad, what in faults:
             if bad:
-                raise ValidationError(
-                    f"split: {len(bad)} patient id(s) {what}, first {min(bad)!r}"
-                )
+                raise ValidationError(f"split: {len(bad)} patient id(s) {what}, first {min(bad)!r}")
         return ids
 
     return _read(cfg, "split.json", parse)
@@ -394,7 +394,6 @@ def _resolve(args) -> RunConfig:
         cfg = replace(cfg, task=args.task)
     if args.folds is not None:
         cfg = replace(cfg, eval=replace(cfg.eval, folds=args.folds))
-    cfg.validate()
     return cfg
 
 

@@ -131,7 +131,6 @@ class CodeEmbedderModel:
     """Parameters and forward pass; see train_code_embedder for fitting."""
 
     def __init__(self, vocab_size: int, config: CodeEmbedderConfig, rng: np.random.Generator):
-        config.validate()
         if vocab_size < 1:
             raise ValidationError(f"code embedder: empty vocabulary")
         self.config = config
@@ -303,7 +302,6 @@ def train_code_embedder(
     """Fit on every patient with at least two visits; returns the model that
     scored best on an internal patient-held-out validation split, plus the
     loss history."""
-    config.validate()
     eligible = [p for p in cohort.patients if len(p.visits) >= 2]
     if len(eligible) < 2:
         raise ValidationError(

@@ -14,8 +14,11 @@ In memory a code is a (system, id) pair, and a visit holds a frozenset of
 them. Grouping in `preprocess` replaces the id by its group id, so a
 written preprocessed cohort holds group ids.
 
-Timestamps are integer seconds. Within a patient, visits are ordered by
-admission time; note times stay inside [admit - 1 day, discharge + 1 day].
+Timestamps are integer seconds. Ingest checks each line against one
+declared shape (`_RECORD`, see `visitrep.shape`), then the rules across
+fields: a stay ends no earlier than it starts, note times stay inside
+[admit - 1 day, discharge + 1 day], and no two visits share an admission
+time (visits are kept in admission order).
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .atomic import atomic_open
 from .errors import ValidationError
+from .shape import COUNT, INTEGER, NAME, POSITIVE, STRING, Scalar, checker
 
 HOUR = 3600
 DAY = 86400
@@ -101,107 +106,47 @@ class Cohort:
 # -- ingestion -------------------------------------------------------------------
 
 
-def _as_object(value, what: str, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{where}: {what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _as_list(value, what: str, where: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{where}: {what} must be a list, got {type(value).__name__}")
-    return value
-
-
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ValidationError(f"{where}: missing field '{key}'")
-    return obj[key]
-
-
-def _as_int(value, what: str, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}: {what} must be an integer, got {value!r}")
-    return value
-
-
-def _as_str(value, what: str, where: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{where}: {what} must be a string, got {value!r}")
-    return value
-
-
-def _parse_visit(obj, where: str) -> Visit:
-    _as_object(obj, "visit", where)
-    admit = _as_int(_require(obj, "admit_time", where), "admit_time", where)
-    discharge = _as_int(_require(obj, "discharge_time", where), "discharge_time", where)
-    if discharge < admit:
-        raise ValidationError(f"{where}: discharge_time {discharge} < admit_time {admit}")
-    codes = []
-    for j, c in enumerate(_as_list(_require(obj, "codes", where), "codes", where)):
-        cwhere = f"{where}, code {j}"
-        _as_object(c, "code", cwhere)
-        system = _require(c, "system", cwhere)
-        if system not in SYSTEMS:
-            raise ValidationError(f"{cwhere}: unknown system {system!r}, expected one of {SYSTEMS}")
-        raw = _require(c, "code", cwhere)
-        if not isinstance(raw, str) or not raw:
-            raise ValidationError(f"{cwhere}: code must be a non-empty string")
-        codes.append((system, raw))
-    notes = []
-    for j, n in enumerate(_as_list(obj.get("notes", []), "notes", where)):
-        nwhere = f"{where}, note {j}"
-        _as_object(n, "note", nwhere)
-        t = _as_int(_require(n, "time", nwhere), "time", nwhere)
-        text = _require(n, "text", nwhere)
-        if not isinstance(text, str):
-            raise ValidationError(f"{nwhere}: text must be a string")
-        if not (admit - DAY <= t <= discharge + DAY):
-            raise ValidationError(
-                f"{nwhere}: note time {t} outside [admit - 1d, discharge + 1d]"
-            )
-        kind = n.get("kind")
-        if kind is not None and not isinstance(kind, str):
-            raise ValidationError(f"{nwhere}: kind must be a string or null")
-        notes.append(Note(time=t, text=text, kind=kind))
-    died = obj.get("died_in_visit", False)
-    if not isinstance(died, bool):
-        raise ValidationError(f"{where}: died_in_visit must be a boolean")
-    return Visit(
-        admit_time=admit,
-        discharge_time=discharge,
-        codes=frozenset(codes),
-        notes=tuple(sorted(notes, key=lambda n: n.time)),
-        died_in_visit=died,
-    )
+_SYSTEM = Scalar({str}, f"one of {SYSTEMS}", SYSTEMS.__contains__)
+_RECORD = checker({
+    "patient_id": NAME, "demographics": {"age": COUNT, "gender": STRING, "race": STRING},
+    "visits": ["visit", {
+        "admit_time": INTEGER, "discharge_time": INTEGER,
+        "codes": ["code", {"system": _SYSTEM, "code": NAME}],
+        "notes?": ["note", {"time": INTEGER, "text": STRING,
+                            "kind?": Scalar({str, type(None)}, "a string or null")}],
+        "died_in_visit?": Scalar({bool}, "a boolean"),
+    }],
+}, "record")
 
 
 def _parse_record(obj, where: str) -> PatientRecord:
-    _as_object(obj, "record", where)
-    pid = _require(obj, "patient_id", where)
-    if not isinstance(pid, str) or not pid:
-        raise ValidationError(f"{where}: patient_id must be a non-empty string")
-    demo = _as_object(_require(obj, "demographics", where), "demographics", where)
-    age = _as_int(_require(demo, "age", where), "age", where)
-    if age < 0:
-        raise ValidationError(f"{where}: negative age {age}")
-    gender = _as_str(_require(demo, "gender", where), "gender", where)
-    race = _as_str(_require(demo, "race", where), "race", where)
-    raw_visits = _require(obj, "visits", where)
-    if not isinstance(raw_visits, list) or not raw_visits:
-        raise ValidationError(f"{where}: visits must be a non-empty list")
-    visits = [_parse_visit(v, f"{where}, visit {i}") for i, v in enumerate(raw_visits)]
+    _RECORD(obj, where)
+    visits = []
+    for i, v in enumerate(obj["visits"]):
+        admit, discharge = v["admit_time"], v["discharge_time"]
+        if discharge < admit:
+            raise ValidationError(
+                f"{where}, visit {i}: discharge_time {discharge} < admit_time {admit}")
+        notes = [Note(n["time"], n["text"], n.get("kind")) for n in v.get("notes", ())]
+        for j, n in enumerate(notes):
+            if not admit - DAY <= n.time <= discharge + DAY:
+                raise ValidationError(f"{where}, visit {i}, note {j}: note time {n.time} "
+                                      "outside [admit - 1d, discharge + 1d]")
+        codes = frozenset(map(itemgetter("system", "code"), v["codes"]))
+        notes.sort(key=lambda n: n.time)
+        visits.append(Visit(admit, discharge, codes, tuple(notes), v.get("died_in_visit", False)))
+    if not visits:
+        raise ValidationError(f"{where}: visits must be a non-empty list, got []")
     visits.sort(key=lambda v: v.admit_time)
-    for a, b in zip(visits, visits[1:]):
-        if b.admit_time <= a.admit_time:
-            raise ValidationError(f"{where}: visits are not strictly ordered by admit_time")
-    return PatientRecord(patient_id=pid, age=age, gender=gender, race=race, visits=tuple(visits))
+    if any(a.admit_time == b.admit_time for a, b in zip(visits, visits[1:])):
+        raise ValidationError(f"{where}: visits are not strictly ordered by admit_time")
+    d = obj["demographics"]
+    return PatientRecord(obj["patient_id"], d["age"], d["gender"], d["race"], tuple(visits))
 
 
 def ingest_cohort(path: str) -> Cohort:
     """Parse a JSONL cohort file; the first bad line raises, naming its number."""
-    patients: list[PatientRecord] = []
-    seen: set[str] = set()
+    patients: dict[str, PatientRecord] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -212,13 +157,12 @@ def ingest_cohort(path: str) -> Cohort:
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{where}: malformed JSON ({e.msg})")
             record = _parse_record(obj, where)
-            if record.patient_id in seen:
+            if record.patient_id in patients:
                 raise ValidationError(f"{where}: duplicate patient_id {record.patient_id!r}")
-            seen.add(record.patient_id)
-            patients.append(record)
+            patients[record.patient_id] = record
     if not patients:
         raise ValidationError(f"{path}: no valid patient records")
-    return Cohort(patients)
+    return Cohort(list(patients.values()))
 
 
 def write_cohort_jsonl(cohort: Cohort, path: str) -> None:
@@ -352,21 +296,12 @@ class CodeVocabulary:
 
     @staticmethod
     def from_json(obj: dict) -> "CodeVocabulary":
-        try:
-            entries = [
-                VocabEntry(system=e["system"], group_id=e["group_id"], freq=e["freq"])
-                for e in obj["entries"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"vocabulary: malformed entry list ({exc!r})") from exc
-        for i, e in enumerate(entries):
-            if not (e.system in SYSTEMS and isinstance(e.group_id, str) and e.group_id
-                    and type(e.freq) is int and e.freq >= 1):
-                raise ValidationError(
-                    f"vocabulary: entry {i} needs a system in {SYSTEMS}, a non-empty "
-                    f"group_id string and an integer freq >= 1, got {e}"
-                )
-        return CodeVocabulary(entries)
+        entries = _VOCABULARY(obj)["entries"]
+        return CodeVocabulary([VocabEntry(e["system"], e["group_id"], e["freq"]) for e in entries])
+
+
+_VOCABULARY = checker(
+    {"entries": ["entry", {"system": _SYSTEM, "group_id": NAME, "freq": POSITIVE}]}, "vocabulary")
 
 
 def build_vocabulary(cohort: Cohort) -> CodeVocabulary:

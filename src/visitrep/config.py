@@ -8,7 +8,7 @@ are rejected at every level rather than silently ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .atomic import write_json
 from .cohort import TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_READMISSION
@@ -42,12 +42,9 @@ class PreprocessConfig(JsonConfig):
     min_visits: int = 1
 
     def validate(self) -> None:
-        if self.min_code_freq < 1:
-            raise ValidationError(
-                f"preprocess: min_code_freq must be >= 1, got {self.min_code_freq}"
-            )
-        if self.min_visits < 1:
-            raise ValidationError(f"preprocess: min_visits must be >= 1, got {self.min_visits}")
+        for name in ("min_code_freq", "min_visits"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"preprocess: {name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,6 @@ class RunConfig(JsonConfig):
             raise ValidationError(
                 f"config: unknown task {self.task!r}, expected one of {sorted(TASK_ALIASES)}"
             )
-        for section in (getattr(self, f.name) for f in fields(self)):
-            if hasattr(section, "validate"):
-                section.validate()
 
     @property
     def internal_task(self) -> str:

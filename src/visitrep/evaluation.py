@@ -295,7 +295,6 @@ def crossval(
     summarizer_config = summarizer_config or SummarizerConfig()
     head_config = head_config or TaskHeadConfig()
     eval_config = eval_config or EvalConfig()
-    eval_config.validate()
     for name in ablations:
         if name not in ABLATION_VARIANTS:
             raise ValidationError(

@@ -190,10 +190,6 @@ class Parameter(Tensor):
         self.name = name
         self.grad = np.zeros_like(self.data)
 
-    def zero_grad(self) -> None:
-        """Zero the gradient in place, so a view into an arena stays one."""
-        self.grad.fill(0.0)
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 

@@ -41,6 +41,7 @@ from .cohort import (
 )
 from .code_embedder import CodeEmbedderModel, encode_history
 from .errors import ValidationError
+from .shape import COUNT, NAME, STRING, Scalar, checker
 from .text_embedder import SummarizerModel, sentence_batches, summarize, text_chunks
 
 SEGMENTS = ("code", "text", "demo")
@@ -165,29 +166,27 @@ def write_representations(path, reps: Representations) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
+_ROW = checker({"patient_id": NAME, "visit_index": COUNT, "task": STRING,
+                "z": Scalar({list}, "a list of finite numbers")}, "row")
+
+
 def read_representations(path, task: str = None) -> Representations:
-    """The table a JSONL export holds. Each row needs a visit key of its own (a
-    non-empty patient id string, a non-negative int visit index) and the first
-    row's task and width; the file must hold at least one row, and rows for
-    `task` when it is given."""
+    """The table a JSONL export holds. Each row, of the `_ROW` shape, needs a
+    visit key of its own and the first row's task and width; the file must
+    hold at least one row, and rows for `task` when it is given."""
     rows, line_of = [], {}
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                key = (obj["patient_id"], obj["visit_index"])
-                if not isinstance(key[0], str) or not key[0]:
-                    raise ValueError(f"patient_id must be a non-empty string, got {key[0]!r}")
-                if type(key[1]) is not int or key[1] < 0:
-                    raise ValueError(f"visit_index must be a non-negative integer, got {key[1]!r}")
-                row_task = obj["task"]
+                obj = _ROW(json.loads(line))
                 z = np.asarray(obj["z"], dtype=np.float64)
                 if z.ndim != 1 or not np.isfinite(z).all():
                     raise ValueError("z must be a list of finite numbers")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad representation row ({exc})") from exc
+            key, row_task = (obj["patient_id"], obj["visit_index"]), obj["task"]
             if not rows:
                 first = (lineno, row_task, len(z))
             if (row_task, len(z)) != first[1:]:

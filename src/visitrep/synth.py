@@ -22,15 +22,19 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .cohort import DAY, HOUR, Cohort, Note, PatientRecord, Visit
+from .cohort import DAY, HOUR, SYSTEMS, Cohort, Note, PatientRecord, Visit
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
+from .shape import Scalar
 
 SYSTEM_PREFIX = {"dx": "D", "proc": "P", "med": "M"}
 
 
 @dataclass(frozen=True)
 class SynthConfig(JsonConfig):
+    json_items = {"vocab_sizes": Scalar({list}, f"a [system, size >= 1] pair, system in {SYSTEMS}",
+                  lambda p: len(p) == 2 and p[0] in SYSTEMS and type(p[1]) is int and p[1] >= 1)}
+
     n_patients: int = 200
     n_conditions: int = 8
     codes_per_condition: int = 6
@@ -158,7 +162,6 @@ def _note_text(config, rng, conditions, active_cids, all_cids) -> str:
 
 def generate_cohort(config: SynthConfig) -> tuple:
     """Deterministically build (Cohort, GroundTruth) from the config seed."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     conditions = _build_conditions(config, rng)
 

@@ -20,6 +20,7 @@ from .cohort import N_LOS_CLASSES, TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_RE
 from .errors import CheckpointError, ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
+from .shape import POSITIVE, Scalar, checker
 
 BINARY_TASKS = (TASK_READMISSION, TASK_MORTALITY)
 HEAD_TASKS = (*BINARY_TASKS, TASK_LOS)
@@ -125,7 +126,6 @@ def classification_loss(probs: Tensor, y: np.ndarray, task: str) -> Tensor:
 def train_task(X: np.ndarray, y: np.ndarray, task: str, config: TaskHeadConfig = None):
     """Fit one head on precomputed vectors; returns (model, history)."""
     config = config or TaskHeadConfig()
-    config.validate()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     task_output_width(task)
@@ -193,16 +193,16 @@ def save_classifier(path, model: ClassifierModel, config: TaskHeadConfig, vocab_
     write_checkpoint(path, "classifier", meta, vocab_hash, model.parameters())
 
 
+_HEADER = checker({"task": Scalar({str}, f"one of {HEAD_TASKS}", HEAD_TASKS.__contains__),
+                   "d_in": POSITIVE}, "header")
+
+
 def load_classifier(path, vocab_hash: str, task: str = None, d_in: int = None):
     """Rebuild (model, config); refuses other kinds and other vocabularies
     and, where `task` and `d_in` are given, a head of another task or width."""
     config, meta, arrays = read_model(path, "classifier", vocab_hash, "task_head", TaskHeadConfig)
-    head_task, width = meta.get("task"), meta.get("d_in")
-    if head_task not in HEAD_TASKS or type(width) is not int or width < 1:
-        raise CheckpointError(
-            f"{path}: header needs a task in {HEAD_TASKS} and an integer d_in >= 1, "
-            f"got task {head_task!r} and d_in {width!r}"
-        )
+    _HEADER(meta, path)
+    head_task, width = meta["task"], meta["d_in"]
     if (task or head_task, d_in or width) != (head_task, width):
         raise CheckpointError(
             f"{path}: holds a {head_task!r} head of input width {width}, "

@@ -35,6 +35,7 @@ from .cohort import Cohort
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
+from .shape import STRING, checker
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -79,10 +80,10 @@ class TokenVocabulary:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TokenVocabulary":
-        tokens = obj.get("tokens") if isinstance(obj, dict) else None
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise ValidationError("token vocabulary: 'tokens' must be a list of strings")
-        return cls(tokens)
+        return cls(_TOKENS(obj)["tokens"])
+
+
+_TOKENS = checker({"tokens": ["token", STRING]}, "token vocabulary")
 
 
 def build_token_vocabulary(cohort: Cohort, min_freq: int = 2, max_tokens: int = 20000):
@@ -225,7 +226,6 @@ class SummarizerModel:
     """
 
     def __init__(self, vocab: TokenVocabulary, config: SummarizerConfig, rng):
-        config.validate()
         self.config = config
         d_t, d_e = config.d_text, config.d_enc
         self.bag = BagEncoder(vocab, d_t, rng)
@@ -398,7 +398,6 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
     erodes whatever the bag vectors encoded; freezing pins the targets so
     the autoencoder has to model real structure.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     vocab = build_token_vocabulary(
         cohort, min_freq=config.min_token_freq, max_tokens=config.max_tokens

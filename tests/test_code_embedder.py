@@ -297,7 +297,7 @@ class TestFusedAgainstComposed:
         grads = []
         for loss in self._losses(model, batch):
             for p in model.parameters():
-                p.zero_grad()
+                p.grad.fill(0.0)
             loss.backward()
             grads.append([p.grad.copy() for p in model.parameters()])
         for p, got, want in zip(model.parameters(), *grads):

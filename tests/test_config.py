@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from visitrep.cli import main
 from visitrep.config import (
     Paths,
     RunConfig,
@@ -78,3 +79,28 @@ class TestRunConfig:
         assert a.read_bytes() == b.read_bytes()
         keys = list(json.loads(a.read_text()))
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("eval", "recall_ks", ["a"]),
+        ("eval", "recall_ks", [1.5]),
+        ("eval", "recall_ks", [True]),
+        ("synth", "vocab_sizes", [["dx", "x"]]),
+        ("synth", "vocab_sizes", [1.5]),
+        ("synth", "vocab_sizes", [["zz", 40], ["med", 40]]),
+        ("synth", "vocab_sizes", [["dx", -4], ["med", 60]]),
+        ("synth", "vocab_sizes", [["dx", 40, 3], ["med", 40]]),
+    ],
+    ids=[
+        "recall-str", "recall-float", "recall-bool", "sizes-str-size", "sizes-float",
+        "sizes-unknown-system", "sizes-negative", "sizes-triple",
+    ],
+)
+def test_bad_tuple_item_exits_1_naming_the_field(tmp_path, capsys, section, field, value):
+    """Every stage reads the config first, so generate stands for all of them."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {field: value}, "paths": {"out": str(tmp_path)}}))
+    assert main(["generate", "--config", str(path)]) == 1
+    assert f"error: config.{section}, {field} 0: {field} must be " in capsys.readouterr().err

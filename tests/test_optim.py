@@ -142,15 +142,6 @@ class TestArena:
         with pytest.raises(ValueError, match="parameter 'w' is listed twice"):
             init_adam([p, Parameter(np.zeros(3), "b"), p])
 
-    def test_zero_grad_keeps_the_gradient_a_view(self):
-        params = _three_params(np.random.default_rng(6))
-        state = init_adam(params)
-        state.grad[...] = 1.0
-        params[1].zero_grad()
-        assert np.shares_memory(params[1].grad, state.grad)
-        np.testing.assert_array_equal(params[1].grad, 0.0)
-        np.testing.assert_array_equal(params[0].grad, 1.0)
-
     def test_non_finite_gradient_names_parameter_and_step(self):
         params = _three_params(np.random.default_rng(7))
         state = init_adam(params)

@@ -113,7 +113,7 @@ class TestLossOracles:
             classification_loss(probs, y, TASK_MORTALITY),
             nm.scale(nm.tsum(per), -1.0 / 8),
         ):
-            probs.zero_grad()
+            probs.grad.fill(0.0)
             loss.backward()
             grads.append((loss.data.tobytes(), probs.grad.copy()))
         (fused, g_fused), (composed, g_composed) = grads

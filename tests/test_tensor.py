@@ -230,7 +230,7 @@ class TestBackwardBasics:
         used = Parameter(np.ones((2, 2)), "used")
         unused = Parameter(np.ones((2, 2)), "unused")
         for p in (used, unused):
-            p.zero_grad()
+            p.grad.fill(0.0)
         loss = tsum(sigmoid(used))
         loss.backward()
         assert (used.grad != 0).any()
@@ -238,7 +238,7 @@ class TestBackwardBasics:
 
     def test_gradients_accumulate_across_fanout(self):
         x = Parameter(np.array([[2.0]]), "x")
-        x.zero_grad()
+        x.grad.fill(0.0)
         y = x + x  # dy/dx = 2
         tsum(y).backward()
         np.testing.assert_allclose(x.grad, [[2.0]], atol=1e-15)
