@@ -51,6 +51,8 @@ ABLATION_VARIANTS = {
     "code+demo": ("code", "demo"),
     "text+demo": ("text", "demo"),
 }
+# The head variant that is crossval's permutation null (labels shuffled).
+SHUFFLED = "shuffled"
 
 
 # -- metrics -----------------------------------------------------------------------
@@ -212,8 +214,9 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
     The model scores every prefix of a patient at once: row t of one causal
     forward ranks the visit after t exactly as a forward over visits 0..t
     would, and each batch of patients shares one padded forward. With
-    `ranking` given (a precomputed code ordering, e.g. the frequency
-    baseline), that fixed ranking is scored instead of the model's.
+    `ranking` given (a permutation of the vocabulary indices, best first,
+    e.g. the frequency baseline), every prefix is scored by that one fixed
+    row instead of the model's.
     """
     per_system_values = {}
     skipped = 0
@@ -221,10 +224,14 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
     sys_idx = {s: vocab.system_indices(s) for s in systems}
     fixed = None
     if ranking is not None:
-        members = {s: set(idx.tolist()) for s, idx in sys_idx.items()}
-        fixed = {
-            s: [int(c) for c in ranking if int(c) in members[s]] for s in systems
-        }
+        ranking = np.asarray(ranking)
+        if (ranking.shape != (len(vocab),) or ranking.dtype.kind not in "iu"
+                or set(ranking.tolist()) != set(range(len(vocab)))):
+            raise ValidationError(
+                f"next_code_recall: ranking must be a permutation of 0..{len(vocab) - 1}"
+            )
+        fixed = np.empty(len(vocab))
+        fixed[ranking] = -np.arange(len(vocab))
     patients = [r for r in cohort.patients if len(r.visits) >= 2]
     step = model.config.batch_size if fixed is None else max(len(patients), 1)
     for start in range(0, len(patients), step):
@@ -232,9 +239,10 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
             np.stack([encode_visit_codes(v, vocab) for v in r.visits])
             for r in patients[start : start + step]
         ]
-        chats = [None] * len(matrices)
         if fixed is None:
             chats = [chat for _, chat in forward_histories(model, matrices)]
+        else:
+            chats = [np.broadcast_to(fixed, m.shape) for m in matrices]
         for matrix, chat in zip(matrices, chats):
             for t in range(len(matrix) - 1):
                 truth_vec = matrix[t + 1]
@@ -244,10 +252,7 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
                     if not truth:
                         skipped += 1
                         continue
-                    if fixed is not None:
-                        ranked = fixed[system]
-                    else:
-                        ranked = rank_codes(chat[t], idx).tolist()
+                    ranked = rank_codes(chat[t], idx).tolist()
                     for k in ks:
                         per_system_values.setdefault((system, k), []).append(
                             recall_at_k(ranked, truth, k)
@@ -281,13 +286,15 @@ def crossval(
     head_config: TaskHeadConfig = None,
     eval_config: EvalConfig = None,
     ablations=("full",),
-    shuffle_labels: bool = False,
 ) -> dict:
     """Patient-level k-fold evaluation; returns {metric name: MetricReport}.
 
     Upstream models are retrained per fold on the train patients only and
-    shared across ablation variants; only the head is refit per variant.
-    Fold failures carry the fold index.
+    shared across the head variants in `ablations`: segment sets named in
+    ABLATION_VARIANTS, and SHUFFLED, the full vector fit and scored on labels
+    permuted within each split (before length-of-stay balancing) with the
+    full head's seed. Metrics of a variant other than "full" end in
+    `[variant]`; the codes task fits no head. Fold failures carry the fold index.
     """
     if task not in TASKS:
         raise ValidationError(f"crossval: unknown task {task!r}, expected one of {TASKS}")
@@ -295,100 +302,58 @@ def crossval(
     summarizer_config = summarizer_config or SummarizerConfig()
     head_config = head_config or TaskHeadConfig()
     eval_config = eval_config or EvalConfig()
+    seed = eval_config.seed
     for name in ablations:
-        if name not in ABLATION_VARIANTS:
+        if name not in ABLATION_VARIANTS and name != SHUFFLED:
             raise ValidationError(
-                f"crossval: unknown ablation {name!r}, expected from {sorted(ABLATION_VARIANTS)}"
+                f"crossval: unknown ablation {name!r}, "
+                f"expected from {sorted([*ABLATION_VARIANTS, SHUFFLED])}"
             )
 
-    folds = patient_kfold_split(cohort, eval_config.folds, eval_config.seed)
     values: dict = {}
-    for i, held_out in enumerate(folds):
+    for i, held_out in enumerate(patient_kfold_split(cohort, eval_config.folds, seed)):
         try:
-            fold_values = _run_fold(
-                cohort,
-                task,
-                held_out,
-                i,
-                code_config,
-                summarizer_config,
-                head_config,
-                eval_config,
-                ablations,
-                shuffle_labels,
-            )
+            train_cohort = cohort.subset(set(cohort.patient_ids()) - set(held_out))
+            test_cohort = cohort.subset(held_out)
+            overlap = set(train_cohort.patient_ids()) & set(test_cohort.patient_ids())
+            assert not overlap, f"patient leakage across folds: {sorted(overlap)[:5]}"
+
+            vocab = build_vocabulary(train_cohort)
+            code_cfg = replace(code_config, seed=derive_seed(seed, f"code:{i}"))
+            code_model, _ = train_code_embedder(train_cohort, vocab, code_cfg)
+            if task == TASK_CODES:
+                fold_values = next_code_report(
+                    code_model, train_cohort, test_cohort, vocab, eval_config.recall_ks
+                )
+            else:
+                summ_cfg = replace(summarizer_config, seed=derive_seed(seed, f"text:{i}"))
+                summarizer, _ = train_summarizer(train_cohort, summ_cfg)
+                codec = DemographicsCodec.from_cohort(train_cohort)
+                pipeline = RepresentationPipeline(code_model, summarizer, codec, vocab)
+                train, test = (join_representations(pipeline.represent_cohort(part, task),
+                                                    extract_labels(part, task))[:2]
+                               for part in (train_cohort, test_cohort))
+                fold_values = {}
+                for variant in ablations:
+                    segments = "full" if variant == SHUFFLED else variant
+                    split = train, test
+                    if variant == SHUFFLED:
+                        rng = np.random.default_rng(derive_seed(seed, f"shuffle:{i}"))
+                        split = [(X, y[rng.permutation(len(y))]) for X, y in split]
+                    if task == TASK_LOS:
+                        split = balance_for_los(*split, seed=derive_seed(seed, f"balance:{i}"))
+                    keep = ABLATION_VARIANTS[segments]
+                    (X_train, y_train), (X_test, y_test) = (
+                        (zero_segments(X, pipeline.space, keep), y) for X, y in split
+                    )
+                    head_cfg = replace(head_config, seed=derive_seed(seed, f"head:{segments}:{i}"))
+                    model, _ = train_task(X_train, y_train, task, head_cfg)
+                    suffix = "" if variant == "full" else f"[{variant}]"
+                    for name, value in score_head(model, X_test, y_test, task).items():
+                        fold_values[f"{name}{suffix}"] = value
         except Exception as exc:
             kind = ValidationError if isinstance(exc, ValidationError) else RuntimeError
             raise kind(f"crossval: fold {i} failed: {exc}") from exc
         for name, value in fold_values.items():
             values.setdefault(name, []).append(value)
     return {name: MetricReport(name, vals) for name, vals in values.items()}
-
-
-def _run_fold(
-    cohort,
-    task,
-    held_out,
-    fold_index,
-    code_config,
-    summarizer_config,
-    head_config,
-    eval_config,
-    ablations,
-    shuffle_labels,
-):
-    train_cohort = cohort.subset(set(cohort.patient_ids()) - set(held_out))
-    test_cohort = cohort.subset(held_out)
-    overlap = set(train_cohort.patient_ids()) & set(test_cohort.patient_ids())
-    assert not overlap, f"patient leakage across folds: {sorted(overlap)[:5]}"
-
-    vocab = build_vocabulary(train_cohort)
-    code_cfg = replace(code_config, seed=derive_seed(eval_config.seed, f"code:{fold_index}"))
-    code_model, _ = train_code_embedder(train_cohort, vocab, code_cfg)
-
-    if task == TASK_CODES:
-        return next_code_report(
-            code_model, train_cohort, test_cohort, vocab, eval_config.recall_ks
-        )
-
-    summ_cfg = replace(
-        summarizer_config, seed=derive_seed(eval_config.seed, f"text:{fold_index}")
-    )
-    summarizer, _ = train_summarizer(train_cohort, summ_cfg)
-    codec = DemographicsCodec.from_cohort(train_cohort)
-    pipeline = RepresentationPipeline(code_model, summarizer, codec, vocab)
-
-    reps_train = pipeline.represent_cohort(train_cohort, task)
-    reps_test = pipeline.represent_cohort(test_cohort, task)
-    X_train, y_train, _ = join_representations(reps_train, extract_labels(train_cohort, task))
-    X_test, y_test, _ = join_representations(reps_test, extract_labels(test_cohort, task))
-
-    if shuffle_labels:
-        # Permutation null: destroy the label-feature pairing in both splits
-        # so the whole pipeline is scored against exchangeable labels.
-        shuffle_rng = np.random.default_rng(
-            derive_seed(eval_config.seed, f"shuffle:{fold_index}")
-        )
-        y_train = y_train[shuffle_rng.permutation(len(y_train))]
-        y_test = y_test[shuffle_rng.permutation(len(y_test))]
-
-    if task == TASK_LOS:
-        (X_train, y_train), (X_test, y_test) = balance_for_los(
-            (X_train, y_train),
-            (X_test, y_test),
-            seed=derive_seed(eval_config.seed, f"balance:{fold_index}"),
-        )
-
-    out = {}
-    for variant in ablations:
-        keep = ABLATION_VARIANTS[variant]
-        Xtr = zero_segments(X_train, pipeline.space, keep)
-        Xte = zero_segments(X_test, pipeline.space, keep)
-        head_cfg = replace(
-            head_config, seed=derive_seed(eval_config.seed, f"head:{variant}:{fold_index}")
-        )
-        model, _ = train_task(Xtr, y_train, task, head_cfg)
-        suffix = "" if variant == "full" else f"[{variant}]"
-        for name, value in score_head(model, Xte, y_test, task).items():
-            out[f"{name}{suffix}"] = value
-    return out

@@ -25,6 +25,7 @@ after the fact to produce every ablation variant from one pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,7 @@ def write_representations(path, reps: Representations) -> None:
 
 
 _ROW = checker({"patient_id": NAME, "visit_index": COUNT, "task": STRING,
-                "z": Scalar({list}, "a list of finite numbers")}, "row")
+                "z": ["z item", Scalar({float, int}, "a finite number", math.isfinite)]}, "row")
 
 
 def read_representations(path, task: str = None) -> Representations:
@@ -182,9 +183,7 @@ def read_representations(path, task: str = None) -> Representations:
             try:
                 obj = _ROW(json.loads(line))
                 z = np.asarray(obj["z"], dtype=np.float64)
-                if z.ndim != 1 or not np.isfinite(z).all():
-                    raise ValueError("z must be a list of finite numbers")
-            except (TypeError, ValueError) as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad representation row ({exc})") from exc
             key, row_task = (obj["patient_id"], obj["visit_index"]), obj["task"]
             if not rows:

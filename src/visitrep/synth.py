@@ -51,18 +51,20 @@ class SynthConfig(JsonConfig):
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_patients < 1:
-            raise ValidationError(f"synth: n_patients must be positive, got {self.n_patients}")
-        if self.n_conditions < 2:
-            raise ValidationError("synth: need at least two conditions")
-        if not 0.0 <= self.chronic_fraction <= 1.0:
-            raise ValidationError(f"synth: chronic_fraction outside [0, 1]: {self.chronic_fraction}")
+        many = float("inf")
+        ranges = {  # field: (lowest, highest), both inclusive
+            "n_patients": (1, many), "n_conditions": (2, many), "codes_per_condition": (1, many),
+            "chronic_fraction": (0, 1), "visits_min": (1, self.visits_max),
+            "tokens_per_condition": (1, many), "shared_tokens": (0, self.tokens_per_condition),
+            "n_noise_tokens": (1, many), "noise_token_rate": (0, 1), "note_tokens": (1, many),
+        }
+        for name, (lo, hi) in ranges.items():
+            if not lo <= getattr(self, name) <= hi:
+                raise ValidationError(
+                    f"synth: {name} must be in [{lo}, {hi}], got {getattr(self, name)}"
+                )
         if not 0.0 <= self.label_noise < 0.5:
             raise ValidationError(f"synth: label_noise must be in [0, 0.5), got {self.label_noise}")
-        if not 1 <= self.visits_min <= self.visits_max:
-            raise ValidationError(
-                f"synth: bad visit range [{self.visits_min}, {self.visits_max}]"
-            )
         pool = sum(n for _, n in self.vocab_sizes)
         need = self.n_conditions * self.codes_per_condition
         if need > pool:

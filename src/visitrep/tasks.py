@@ -172,7 +172,7 @@ def balance_for_los(train, test, seed: int = 0):
     y_train = np.asarray(y_train)
     y_test = np.asarray(y_test)
     classes = sorted(np.unique(y_train).tolist())
-    missing = [c for c in classes if not (y_test == c).any()]
+    missing = [int(c) for c in classes if not (y_test == c).any()]
     if missing:
         raise ValidationError(
             f"balance_for_los: test split has no examples of classes {missing}"

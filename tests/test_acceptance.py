@@ -307,18 +307,14 @@ def test_c6_downstream_lift(labeled_cohort):
 
     reports = crossval(
         labeled_cohort, "mortality", code_cfg, summ_cfg, head_cfg, eval_cfg,
-        ablations=("full", "code", "text", "demo"),
+        ablations=("full", "code", "text", "demo", "shuffled"),
     )
     full = reports["auroc"].mean
     singles = {v: reports[f"auroc[{v}]"].mean for v in ("code", "text", "demo")}
     assert full >= 0.75, full
     assert full >= max(singles.values()), (full, singles)
-
-    shuffled = crossval(
-        labeled_cohort, "mortality", code_cfg, summ_cfg, head_cfg, eval_cfg,
-        ablations=("full",), shuffle_labels=True,
-    )
-    assert abs(shuffled["auroc"].mean - 0.5) <= 0.05, shuffled["auroc"].mean
+    shuffled = reports["auroc[shuffled]"].mean
+    assert abs(shuffled - 0.5) <= 0.05, shuffled
 
 
 PIPELINE_CONFIG = {

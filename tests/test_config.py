@@ -104,3 +104,28 @@ def test_bad_tuple_item_exits_1_naming_the_field(tmp_path, capsys, section, fiel
     path.write_text(json.dumps({section: {field: value}, "paths": {"out": str(tmp_path)}}))
     assert main(["generate", "--config", str(path)]) == 1
     assert f"error: config.{section}, {field} 0: {field} must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"n_noise_tokens": -1}, "n_noise_tokens"),
+        ({"tokens_per_condition": 0, "shared_tokens": 0}, "tokens_per_condition"),
+        ({"noise_token_rate": 1.5}, "noise_token_rate"),
+        ({"noise_token_rate": -0.1}, "noise_token_rate"),
+        ({"note_tokens": -1}, "note_tokens"),
+        ({"shared_tokens": -3}, "shared_tokens"),
+        ({"shared_tokens": 20}, "shared_tokens"),
+        ({"codes_per_condition": -1}, "codes_per_condition"),
+    ],
+    ids=[
+        "noise-tokens-negative", "tokens-zero", "noise-rate-above-1", "noise-rate-negative",
+        "note-tokens-negative", "shared-negative", "shared-above-tokens", "codes-negative",
+    ],
+)
+def test_synth_out_of_range_exits_1_naming_the_field(tmp_path, capsys, values, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"synth": values, "paths": {"out": str(tmp_path)}}))
+    assert main(["generate", "--config", str(path)]) == 1
+    assert f"error: synth: {field} " in capsys.readouterr().err
+    assert not (tmp_path / "cohort.jsonl").exists()

@@ -3,8 +3,9 @@
 Each demo runs as its own process with src/ on PYTHONPATH and must exit 0;
 together they take a few seconds. Demo 03 calls `sentence_matrix` and
 `summarize` directly, and demo 05 drives every CLI stage. Demo 04 is left
-out: it cross-validates mortality over four ablations (over 20 s), and
-the same `crossval` path already runs in test_acceptance's c6.
+out: it cross-validates mortality over four ablations and the
+shuffled-label null (about 7 s on 2 CPUs), and the same `crossval` call
+already runs in test_acceptance's c6.
 """
 
 import os

@@ -260,8 +260,9 @@ class TestFrequencyBaseline:
         assert ev.frequency_baseline(cohort, vocab).tolist() == expect
 
 
-def per_prefix_recall(model, cohort, vocab, ks):
-    """next_code_recall's definition, one forward per (prefix, system) pair."""
+def per_prefix_recall(model, cohort, vocab, ks, ranking=None):
+    """next_code_recall's definition, one forward per (prefix, system) pair,
+    or, with `ranking` given, that ranking filtered to the system's codes."""
     values, skipped = {}, 0
     systems = sorted({e.system for e in vocab.entries})
     for record in cohort.patients:
@@ -273,11 +274,13 @@ def per_prefix_recall(model, cohort, vocab, ks):
                 if not truth:
                     skipped += 1
                     continue
-                ranked = predict_next_codes(model, matrix[: t + 1], system_indices=idx)
+                if ranking is None:
+                    ranked = predict_next_codes(model, matrix[: t + 1], system_indices=idx).tolist()
+                else:
+                    members = set(idx.tolist())
+                    ranked = [int(c) for c in ranking if int(c) in members]
                 for k in ks:
-                    values.setdefault((system, k), []).append(
-                        ev.recall_at_k(ranked.tolist(), truth, k)
-                    )
+                    values.setdefault((system, k), []).append(ev.recall_at_k(ranked, truth, k))
     return {key: float(np.mean(v)) for key, v in values.items()}, skipped
 
 
@@ -319,6 +322,33 @@ class TestBatchedNextCodeRecall:
         assert ev.next_code_recall(model, cohort, vocab, ks=(1, 3, 10)) == per_prefix_recall(
             model, cohort, vocab, ks=(1, 3, 10)
         )
+
+    def test_fixed_ranking_matches_filtered_list_oracle(self):
+        cohort, vocab, _ = self.setup_model()
+        rankings = [
+            ev.frequency_baseline(cohort, vocab),
+            np.random.default_rng(0).permutation(len(vocab)),
+            list(range(len(vocab)))[::-1],
+        ]
+        for ranking in rankings:
+            assert ev.next_code_recall(
+                None, cohort, vocab, ks=(1, 3, 10), ranking=ranking
+            ) == per_prefix_recall(None, cohort, vocab, ks=(1, 3, 10), ranking=ranking)
+
+    def test_ranking_must_be_a_permutation_of_the_vocabulary(self):
+        cohort, vocab, _ = self.setup_model()
+        ranking = ev.frequency_baseline(cohort, vocab)
+        for bad in (
+            ranking[:-1],
+            np.append(ranking[:-1], ranking[0]),
+            ranking + 1,
+            ranking.astype(float),
+            ranking.reshape(1, -1),
+            ranking[0],
+            [True] * len(vocab),
+        ):
+            with pytest.raises(ValidationError, match="ranking must be a permutation"):
+                ev.next_code_recall(None, cohort, vocab, ks=(10,), ranking=bad)
 
 
 class TestEvalConfig:
@@ -414,9 +444,47 @@ class TestCrossval:
             summarizer_config=summ_cfg,
             head_config=head_cfg,
             eval_config=ev.EvalConfig(folds=2, seed=3),
-            shuffle_labels=True,
+            ablations=("full", "shuffled"),
         )
-        assert set(reports) == {"auroc", "auprc"}
+        assert set(reports) == {"auroc", "auprc", "auroc[shuffled]", "auprc[shuffled]"}
+
+    def test_upstream_models_train_once_per_fold(self, smoke_cohort, monkeypatch):
+        """Every head variant, the null included, shares one code model and
+        one summarizer per fold, and the null does not depend on which other
+        variants run beside it."""
+        code_cfg, summ_cfg, head_cfg = tiny_configs()
+        calls = {"train_code_embedder": 0, "train_summarizer": 0}
+
+        def counted(name):
+            train = getattr(ev, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return train(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ev, name, counted(name))
+
+        def run(ablations):
+            return ev.crossval(
+                smoke_cohort,
+                TASK_MORTALITY,
+                code_config=code_cfg,
+                summarizer_config=summ_cfg,
+                head_config=head_cfg,
+                eval_config=ev.EvalConfig(folds=2, seed=3),
+                ablations=ablations,
+            )
+
+        every = run((*ev.ABLATION_VARIANTS, "shuffled"))
+        assert calls == {"train_code_embedder": 2, "train_summarizer": 2}
+        alone = run(("shuffled",))
+        assert set(alone) == {"auroc[shuffled]", "auprc[shuffled]"}
+        assert {name: every[name].folds for name in alone} == {
+            name: rep.folds for name, rep in alone.items()
+        }
 
     def test_codes_task_metrics(self, smoke_cohort):
         code_cfg, summ_cfg, head_cfg = tiny_configs()
@@ -441,7 +509,7 @@ class TestCrossval:
             ev.crossval(smoke_cohort, "triage")
 
     def test_unknown_ablation(self, smoke_cohort):
-        with pytest.raises(ValidationError, match="unknown ablation"):
+        with pytest.raises(ValidationError, match="unknown ablation 'notes'.*'shuffled'"):
             ev.crossval(smoke_cohort, TASK_MORTALITY, ablations=("full", "notes"))
 
     def test_fold_failures_carry_the_fold_index(self, smoke_cohort, monkeypatch):

@@ -110,6 +110,10 @@ def test_representation_row(tmp_path):
     row = {"patient_id": "p1", "visit_index": 0, "task": "mortality", "z": [0.5, 1.0]}
     paths = [("patient_id",), ("visit_index",), ("task",), ("z",), ("z", 0)]
     assert unclean_refusals(read, row, paths) == []
+    assert read(with_value(row, ("z",), [-1, 0.5])).vectors.tolist() == [[-1.0, 0.5]]
+    for z in (["1.5", True], [0.5, True], [0.5, "2"], [0.5, 10**400]):
+        with pytest.raises(ValidationError, match=r"reps\.jsonl:1: bad representation row"):
+            read(with_value(row, ("z",), z))
 
 
 def test_head_header(tmp_path):

@@ -247,5 +247,7 @@ class TestBalanceForLos:
     def test_missing_class_is_listed(self):
         train, test = self.fixture()
         bad_train = (train[0], np.array([1.0, 2.0, 4.0, 8.0]))
-        with pytest.raises(ValidationError, match="\\[4.0\\]"):
+        with pytest.raises(
+            ValidationError, match=r"^balance_for_los: test split has no examples of classes \[4\]$"
+        ):
             balance_for_los(bad_train, test)
