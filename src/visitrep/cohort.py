@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -206,6 +207,11 @@ def load_group_map(path: str) -> dict:
     return mapping
 
 
+def code_counts(patients) -> Counter:
+    """The number of visits each (system, id) code occurs in."""
+    return Counter(code for p in patients for v in p.visits for code in v.codes)
+
+
 def preprocess(
     cohort: Cohort,
     min_code_freq: int = 5,
@@ -234,13 +240,7 @@ def preprocess(
         else:
             grouped.append(p)
 
-    freq: dict[tuple[str, str], int] = {}
-    for p in grouped:
-        for v in p.visits:
-            for code in v.codes:
-                freq[code] = freq.get(code, 0) + 1
-
-    kept = {k for k, n in freq.items() if n >= min_code_freq}
+    kept = {k for k, n in code_counts(grouped).items() if n >= min_code_freq}
     out: list[PatientRecord] = []
     for p in grouped:
         out.append(replace(p, visits=tuple(replace(v, codes=v.codes & kept) for v in p.visits)))
@@ -307,11 +307,7 @@ _VOCABULARY = checker(
 def build_vocabulary(cohort: Cohort) -> CodeVocabulary:
     """Vocabulary over every code in the (already preprocessed) cohort,
     ordered by (system, group_id) so indices are reproducible."""
-    freq: dict[tuple[str, str], int] = {}
-    for p in cohort.patients:
-        for v in p.visits:
-            for code in v.codes:
-                freq[code] = freq.get(code, 0) + 1
+    freq = code_counts(cohort.patients)
     if not freq:
         raise ValidationError("build_vocabulary: cohort contains no codes")
     return CodeVocabulary(

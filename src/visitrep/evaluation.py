@@ -25,6 +25,7 @@ from .cohort import (
     CodeVocabulary,
     DemographicsCodec,
     build_vocabulary,
+    code_counts,
     encode_visit_codes,
     extract_labels,
     patient_kfold_split,
@@ -183,10 +184,8 @@ def write_report_csv(path, reports: dict) -> None:
 
 def frequency_baseline(cohort: Cohort, vocab: CodeVocabulary) -> np.ndarray:
     """Codes ranked by training frequency, ties broken by vocabulary index."""
-    counts = np.zeros(len(vocab))
-    for record in cohort.patients:
-        for visit in record.visits:
-            counts += encode_visit_codes(visit, vocab)
+    freq = code_counts(cohort.patients)
+    counts = np.array([freq[(e.system, e.group_id)] for e in vocab.entries])
     return np.lexsort((np.arange(len(vocab)), -counts))
 
 
@@ -216,7 +215,7 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
     would, and each batch of patients shares one padded forward. With
     `ranking` given (a permutation of the vocabulary indices, best first,
     e.g. the frequency baseline), every prefix is scored by that one fixed
-    row instead of the model's.
+    row instead of the model's, ranked once per system.
     """
     per_system_values = {}
     skipped = 0
@@ -230,8 +229,9 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
             raise ValidationError(
                 f"next_code_recall: ranking must be a permutation of 0..{len(vocab) - 1}"
             )
-        fixed = np.empty(len(vocab))
-        fixed[ranking] = -np.arange(len(vocab))
+        row = np.empty(len(vocab))
+        row[ranking] = -np.arange(len(vocab))
+        fixed = {s: rank_codes(row, idx).tolist() for s, idx in sys_idx.items()}
     patients = [r for r in cohort.patients if len(r.visits) >= 2]
     step = model.config.batch_size if fixed is None else max(len(patients), 1)
     for start in range(0, len(patients), step):
@@ -242,7 +242,7 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
         if fixed is None:
             chats = [chat for _, chat in forward_histories(model, matrices)]
         else:
-            chats = [np.broadcast_to(fixed, m.shape) for m in matrices]
+            chats = [None] * len(matrices)
         for matrix, chat in zip(matrices, chats):
             for t in range(len(matrix) - 1):
                 truth_vec = matrix[t + 1]
@@ -252,7 +252,7 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
                     if not truth:
                         skipped += 1
                         continue
-                    ranked = rank_codes(chat[t], idx).tolist()
+                    ranked = rank_codes(chat[t], idx).tolist() if fixed is None else fixed[system]
                     for k in ks:
                         per_system_values.setdefault((system, k), []).append(
                             recall_at_k(ranked, truth, k)

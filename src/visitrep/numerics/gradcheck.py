@@ -3,7 +3,7 @@
 ``build_loss`` must be a deterministic zero-argument callable that rebuilds
 the forward graph from the current parameter values and returns a scalar
 Tensor. The check perturbs every parameter entry by +-h and compares the
-analytic gradient against (f(x+h) - f(x-h)) / 2h.
+analytic gradient of one recorded pass against (f(x+h) - f(x-h)) / 2h.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, recording
 
 
 def _loss_value(build_loss: Callable[[], Tensor]) -> float:
@@ -59,10 +59,11 @@ def max_relative_error(
         if not p.requires_grad:
             raise ValueError("gradcheck: every checked tensor must require gradients")
         p.grad = np.zeros_like(p.data)
-    loss = build_loss()
-    if loss.data.size != 1:
-        raise ValueError(f"gradcheck: loss must be scalar, got shape {loss.shape}")
-    loss.backward()
+    with recording():
+        loss = build_loss()
+        if loss.data.size != 1:
+            raise ValueError(f"gradcheck: loss must be scalar, got shape {loss.shape}")
+        loss.backward()
     analytic = [np.array(p.grad, copy=True) for p in params]
     numeric = finite_difference_gradients(build_loss, params, h=h)
 

@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .tensor import Parameter
+from .tensor import Parameter, recording
 
 
 @dataclass
@@ -213,11 +213,12 @@ def fit(
     """Adam on `params` over `epochs` epochs; returns the loss history.
 
     Each epoch draws one permutation of the n_train training rows from
-    `rng` and trains on train_batches(order): every batch loss is checked
-    to be finite, then only `params` are zeroed, back-propagated into and
-    stepped. With val_batches the parameters of the epoch with the lowest
-    validation loss are restored at the end; without it the last epoch's
-    parameters stay and count as the best epoch.
+    `rng` and trains on train_batches(order) inside one recording() block:
+    every batch loss is checked to be finite, then only `params` are zeroed,
+    back-propagated into and stepped; validation records nothing. With
+    val_batches the parameters of the epoch with the lowest validation loss
+    are restored at the end; without it the last epoch's parameters stay and
+    count as the best epoch.
 
     `params` live in one arena (init_adam) for the whole call and stay views
     into it afterwards: zeroing the gradients is one fill, and the
@@ -236,9 +237,9 @@ def fit(
             adam_step(params, state, lr)
 
         order = rng.permutation(n_train)
-        history.train_loss.append(
-            _epoch_mean(train_batches(order), f"epoch {epoch} (lr {lr}), training", step)
-        )
+        with recording():  # open while the generator builds each loss in next()
+            train = _epoch_mean(train_batches(order), f"epoch {epoch} (lr {lr}), training", step)
+        history.train_loss.append(train)
         history.lrs.append(lr)
         if val_batches is None:
             continue

@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every operation records the value plus vector-Jacobian closures for the
-parents that need gradients. Calling ``backward()`` on a scalar walks the
-recorded graph in reverse topological order and accumulates gradients into
-the leaves. All arithmetic is float64; checkpointing elsewhere narrows to
-float32, never this module.
+Inside ``recording()`` an op keeps vector-Jacobian closures for the parents
+that need gradients and appends its node to the one open tape; ``backward()``
+walks that tape in reverse creation order into the leaves and empties it.
+Outside the block an op records nothing. All arithmetic is float64;
+checkpointing elsewhere narrows to float32, never this module.
 
 Every value is checked for finiteness once, where it is made: as a leaf
 (``Tensor(...)``), as an op's output (``_make_node``) or as loaded state
@@ -23,7 +23,24 @@ any other op's.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_tape: list | None = None  # the open tape's nodes in creation order, or None
+
+
+@contextmanager
+def recording():
+    """Hold the tape open for the block; a tape is never opened inside another."""
+    global _tape
+    if _tape is not None:
+        raise RuntimeError("recording: a tape is already open")
+    _tape = []
+    try:
+        yield
+    finally:
+        _tape = None
 
 
 def _check_finite(data: np.ndarray, op: str, what: str, inputs=()) -> None:
@@ -83,44 +100,29 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        vjps = tuple((p, fn) for p, fn in parents_and_vjps if p.requires_grad)
+        vjps = () if _tape is None else tuple(pv for pv in parents_and_vjps if pv[0].requires_grad)
         out._vjps = vjps
         out.requires_grad = bool(vjps)
+        if vjps:
+            _tape.append(out)
         return out
 
     # -- backward ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad: an
-        existing gradient array is added into in place, so a parameter's
-        gradient stays a view into its arena."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad, then
+        empty the tape: an existing gradient array is added into in place, so
+        a parameter's gradient stays a view into its arena."""
         if self.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
-        if not self._vjps:
-            raise ValueError("backward called before any forward computation was recorded")
-
-        # Iterative postorder: children before parents in `topo`.
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent, _ in node._vjps:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-
+        if _tape is None or self not in _tape:
+            raise ValueError("backward: the loss is not on the open tape of recording(), "
+                             "which must open before any forward computation")
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            g = node.grad
+        for node in reversed(_tape):
+            g, node.grad = node.grad, None  # needed once; freed eagerly
             if g is None:
                 continue
             for parent, vjp in node._vjps:
@@ -129,10 +131,7 @@ class Tensor:
                     parent.grad = np.array(contrib, dtype=np.float64, copy=True)
                 else:
                     parent.grad += contrib
-            if node._vjps:
-                # Interior grads are only needed once; free them eagerly.
-                node.grad = None
-        self.grad = np.ones_like(self.data)
+        _tape.clear()
 
     # -- operator sugar --------------------------------------------------------
 

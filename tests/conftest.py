@@ -1,7 +1,10 @@
-"""Shared builders for hand-made cohort fixtures."""
+"""Shared builders for hand-made cohort fixtures and test graphs."""
 
 from __future__ import annotations
 
+import numpy as np
+
+import visitrep.numerics as nm
 from visitrep.cohort import Cohort, Note, PatientRecord, Visit, DAY, HOUR
 
 
@@ -39,3 +42,33 @@ def make_record(pid: str, visits, age: int = 50, gender: str = "f", race: str = 
 
 def make_cohort(*records) -> Cohort:
     return Cohort(list(records))
+
+
+def all_kernel_loss():
+    """(build, params): a composite loss that routes gradients through all
+    twenty kernels, and the four parameters it reads."""
+    rng = np.random.default_rng(11)
+    a = nm.Parameter(rng.normal(size=(3, 4)) * 0.5, name="a")
+    b = nm.Parameter(rng.normal(size=(4, 3)) * 0.5, name="b")
+    table = nm.Parameter(rng.normal(size=(5, 4)) * 0.5, name="table")
+    v = nm.Parameter(rng.normal(size=(2, 3, 4)) * 0.5, name="v")
+    mask = np.array(
+        [[False, True, False], [True, False, False], [False, False, True]]
+    )
+    idx = np.array([0, 2, 4])
+
+    def kernel_loss():
+        prod = nm.matmul(a, b)
+        att = nm.softmax(nm.masked_fill(prod * 0.5, mask))
+        att2 = nm.matmul(att, nm.transpose(b))
+        normed = nm.layer_norm(att2)
+        acts = nm.relu(normed) + nm.tanh(normed) + nm.sigmoid(normed)
+        mixed = nm.mul(acts, nm.gather_rows(table, idx))
+        squashed = nm.sigmoid(nm.shift(nm.scale(mixed, 1.7), 0.3))
+        logged = nm.log(nm.clip(squashed, 0.01, 0.99))
+        t1 = nm.reshape(logged, (2, 6)).sum()
+        t2 = nm.tsum(nm.mean(nm.slice_axis(v, 1, 1, 3), axis=1))
+        t3 = nm.mean(nm.concat([prod, att], axis=0))
+        return t1 + t2 * 0.5 + t3
+
+    return kernel_loss, [a, b, table, v]

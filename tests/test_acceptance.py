@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import all_kernel_loss
 
 import visitrep.numerics as nm
 from visitrep.cli import main
@@ -40,7 +41,7 @@ from visitrep.evaluation import (
     next_code_recall,
     recall_at_k,
 )
-from visitrep.numerics import Parameter, Tensor
+from visitrep.numerics import Tensor
 from visitrep.synth import SynthConfig, generate_cohort
 from visitrep.tasks import TaskHeadConfig
 from visitrep.text_embedder import (
@@ -72,32 +73,7 @@ def test_c1_gradient_suite():
     start = time.perf_counter()
     errs = {}
 
-    # A composite loss that routes gradients through all twenty kernels.
-    rng = np.random.default_rng(11)
-    a = Parameter(rng.normal(size=(3, 4)) * 0.5, name="a")
-    b = Parameter(rng.normal(size=(4, 3)) * 0.5, name="b")
-    table = Parameter(rng.normal(size=(5, 4)) * 0.5, name="table")
-    v = Parameter(rng.normal(size=(2, 3, 4)) * 0.5, name="v")
-    mask = np.array(
-        [[False, True, False], [True, False, False], [False, False, True]]
-    )
-    idx = np.array([0, 2, 4])
-
-    def kernel_loss():
-        prod = nm.matmul(a, b)
-        att = nm.softmax(nm.masked_fill(prod * 0.5, mask))
-        att2 = nm.matmul(att, nm.transpose(b))
-        normed = nm.layer_norm(att2)
-        acts = nm.relu(normed) + nm.tanh(normed) + nm.sigmoid(normed)
-        mixed = nm.mul(acts, nm.gather_rows(table, idx))
-        squashed = nm.sigmoid(nm.shift(nm.scale(mixed, 1.7), 0.3))
-        logged = nm.log(nm.clip(squashed, 0.01, 0.99))
-        t1 = nm.reshape(logged, (2, 6)).sum()
-        t2 = nm.tsum(nm.mean(nm.slice_axis(v, 1, 1, 3), axis=1))
-        t3 = nm.mean(nm.concat([prod, att], axis=0))
-        return t1 + t2 * 0.5 + t3
-
-    errs["kernels"] = nm.max_relative_error(kernel_loss, [a, b, table, v])
+    errs["kernels"] = nm.max_relative_error(*all_kernel_loss())
 
     # Full code model: 6 codes, 3 visits, one padded slot in the batch.
     cfg = CodeEmbedderConfig(

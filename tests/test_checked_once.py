@@ -1,17 +1,26 @@
-"""Configs are checked once, when they are built: `JsonConfig.__post_init__`
-is the one place in src/visitrep that calls `.validate()`, so no caller
-re-checks a config it was handed. Like tests/test_imports.py, this walks
-each module's syntax tree."""
+"""Calls that have one home in src/visitrep. Like tests/test_imports.py,
+this walks each module's syntax tree.
+
+- `.validate()`: configs are checked once, when they are built, so
+  `JsonConfig.__post_init__` is the one caller and no caller re-checks a
+  config it was handed.
+- `.backward()` and `recording()`: only `numerics.optim.fit` and
+  `numerics.gradcheck.max_relative_error` open the tape and walk it, so
+  every other forward records nothing.
+"""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "visitrep"
 THE_CALLER = "JsonConfig.__post_init__"
+TAPE = {"backward", "recording"}
+TAPE_OWNERS = {"numerics/optim.py": "fit", "numerics/gradcheck.py": "max_relative_error"}
 
 
-def validate_calls(source: str) -> list:
-    """(line, enclosing class and function names) of each `.validate()` call."""
+def refused_calls(source: str, names) -> list:
+    """(line, enclosing class and function names) of each call to one of
+    `names`, as a method (`x.name()`) or as a function (`name()`)."""
     found = []
 
     def walk(node, scope):
@@ -19,13 +28,24 @@ def validate_calls(source: str) -> list:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "validate"):
-                found.append((child.lineno, ".".join(scope)))
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.append((child.lineno, ".".join(scope)))
             walk(child, scope)
 
     walk(ast.parse(source), ())
     return found
+
+
+def package_calls(names) -> list:
+    """(module path under src/visitrep, line, scope) of each call to `names`."""
+    return [
+        (path.relative_to(PACKAGE).as_posix(), line, scope)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, scope in refused_calls(path.read_text(encoding="utf-8"), names)
+    ]
 
 
 def test_oracle_finds_every_call_and_its_scope():
@@ -41,15 +61,36 @@ def test_oracle_finds_every_call_and_its_scope():
         "        self.validate()\n"
         "validate()\n"
     )
-    assert validate_calls(source) == [
-        (3, THE_CALLER), (5, "train"), (6, "train"), (9, "Other.__post_init__"),
+    assert refused_calls(source, {"validate"}) == [
+        (3, THE_CALLER), (5, "train"), (6, "train"), (9, "Other.__post_init__"), (10, ""),
+    ]
+
+
+def test_oracle_finds_every_tape_call_and_its_scope():
+    source = (
+        "def fit(params):\n"
+        "    def step(loss):\n"
+        "        loss.backward()\n"
+        "    with recording():\n"
+        "        step(None)\n"
+        "def represent(model):\n"
+        "    with nm.recording():\n"
+        "        model.forward().backward()\n"
+        "forward, backward = run(fwd), run(bwd)\n"
+        "rows = backward[0]\n"
+    )
+    assert refused_calls(source, TAPE) == [
+        (3, "fit.step"), (4, "fit"), (7, "represent"), (8, "represent"),
     ]
 
 
 def test_only_the_config_mixin_calls_validate():
-    calls = [
-        (f"{path.relative_to(PACKAGE.parent)}:{line}", scope)
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for line, scope in validate_calls(path.read_text(encoding="utf-8"))
-    ]
-    assert [scope for _, scope in calls] == [THE_CALLER], calls
+    calls = package_calls({"validate"})
+    assert [scope for _, _, scope in calls] == [THE_CALLER], calls
+
+
+def test_only_fit_and_gradcheck_open_and_walk_the_tape():
+    calls = package_calls(TAPE)
+    stray = [c for c in calls if TAPE_OWNERS.get(c[0]) != c[2].split(".")[0]]
+    assert not stray, stray
+    assert {(path, scope.split(".")[0]) for path, _, scope in calls} == set(TAPE_OWNERS.items())

@@ -269,11 +269,15 @@ class TestFusedAgainstComposed:
         dict(vocab_size=48, d_code=32, n_layers=1, n_heads=4, d_head=8, lengths=(5, 3, 4, 2)),
     ]
 
-    def _losses(self, model, batch):
+    @staticmethod
+    def _fused_loss(model, batch):
         _, chat = model.forward(batch)
-        fused, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, 2))
-        _, chat_c = composed_forward(model, batch)
-        return fused, composed_skip_gram_loss(chat_c, batch.codes, batch.real, 2)
+        return skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, 2))[0]
+
+    @staticmethod
+    def _composed_loss(model, batch):
+        _, chat = composed_forward(model, batch)
+        return composed_skip_gram_loss(chat, batch.codes, batch.real, 2)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=["2-layer", "1-row", "fit-code"])
     def test_forward_and_loss_are_bitwise(self, shape):
@@ -285,7 +289,7 @@ class TestFusedAgainstComposed:
         want_out, want_chat = composed_forward(model, batch)
         assert outputs.data.tobytes() == want_out.data.tobytes()
         assert chat.data.tobytes() == want_chat.data.tobytes()
-        fused, composed = self._losses(model, batch)
+        fused, composed = self._fused_loss(model, batch), self._composed_loss(model, batch)
         assert fused.data.tobytes() == composed.data.tobytes()
 
     @pytest.mark.parametrize("shape", SHAPES, ids=["2-layer", "1-row", "fit-code"])
@@ -295,24 +299,29 @@ class TestFusedAgainstComposed:
         model = tiny_model(seed=4, **shape)
         batch = _padded_batch(np.random.default_rng(18), shape["vocab_size"], lengths)
         grads = []
-        for loss in self._losses(model, batch):
+        for build in (self._fused_loss, self._composed_loss):
             for p in model.parameters():
                 p.grad.fill(0.0)
-            loss.backward()
+            with nm.recording():
+                loss = build(model, batch)
+                loss.backward()
             grads.append([p.grad.copy() for p in model.parameters()])
         for p, got, want in zip(model.parameters(), *grads):
             scale = max(np.abs(want).max(), 1e-300)
             assert np.abs(got - want).max() <= 1e-12 * scale, p.name
 
     def test_training_step_graph_has_at_most_25_nodes(self):
-        """One step at the fit-code shape: B=32, d=32, 4 heads x 8."""
+        """One step at the fit-code shape: B=32, d=32, 4 heads x 8, recorded
+        as fit records it. Exactly 25: outside the tape the loss would have
+        no parents and count 1."""
         cfg = CodeEmbedderConfig(d_code=32, n_layers=1, n_heads=4, d_head=8, batch_size=32)
         model = CodeEmbedderModel(48, cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         batch = _padded_batch(rng, 48, rng.integers(2, 6, size=32))
-        _, chat = model.forward(batch)
-        loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, cfg.window))
-        assert backward_graph_nodes(loss) <= 25
+        with nm.recording():
+            _, chat = model.forward(batch)
+            loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, cfg.window))
+        assert backward_graph_nodes(loss) == 25
 
 
 class TestSkipGramLoss:

@@ -105,16 +105,19 @@ class TestLossOracles:
         probs = Parameter(values.reshape(8, 1), "p")
         y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
         target = y.reshape(8, 1)
-        p = nm.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
-        q = nm.clip(1.0 - probs, PROB_CLIP, 1.0 - PROB_CLIP)
-        per = nm.mul(Tensor(target), nm.log(p)) + nm.mul(Tensor(1.0 - target), nm.log(q))
+
+        def composed_loss():
+            p = nm.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
+            q = nm.clip(1.0 - probs, PROB_CLIP, 1.0 - PROB_CLIP)
+            per = nm.mul(Tensor(target), nm.log(p)) + nm.mul(Tensor(1.0 - target), nm.log(q))
+            return nm.scale(nm.tsum(per), -1.0 / 8)
+
         grads = []
-        for loss in (
-            classification_loss(probs, y, TASK_MORTALITY),
-            nm.scale(nm.tsum(per), -1.0 / 8),
-        ):
+        for build in (lambda: classification_loss(probs, y, TASK_MORTALITY), composed_loss):
             probs.grad.fill(0.0)
-            loss.backward()
+            with nm.recording():
+                loss = build()
+                loss.backward()
             grads.append((loss.data.tobytes(), probs.grad.copy()))
         (fused, g_fused), (composed, g_composed) = grads
         assert fused == composed

@@ -1,10 +1,23 @@
-"""Kernel forward values, error contracts, and gradient correctness."""
+"""Kernel forward values, error contracts, gradient correctness, and the
+tape: what records a graph, and backward against the stack walk it replaced."""
 
 import numpy as np
 import pytest
+from conftest import all_kernel_loss, make_cohort, make_record, make_visit
 
+import visitrep.numerics.tensor as tensor_module
+from visitrep.cohort import TASK_MORTALITY, DemographicsCodec, build_vocabulary
+from visitrep.code_embedder import (
+    CodeEmbedderConfig,
+    CodeEmbedderModel,
+    build_batch,
+    forward_histories,
+    skip_gram_counts,
+    skip_gram_loss,
+)
 from visitrep.numerics import (
     Parameter,
+    StepDecay,
     Tensor,
     add,
     add_layer_norm,
@@ -12,6 +25,7 @@ from visitrep.numerics import (
     causal_attention,
     clip,
     concat,
+    fit,
     gather_rows,
     layer_norm,
     linear,
@@ -21,6 +35,7 @@ from visitrep.numerics import (
     max_relative_error,
     mean,
     mul,
+    recording,
     relu,
     reshape,
     sigmoid,
@@ -30,6 +45,19 @@ from visitrep.numerics import (
     transpose,
     tsum,
     uniform_init,
+)
+from visitrep.patient_rep import RepresentationPipeline
+from visitrep.synth import SynthConfig, generate_cohort
+from visitrep.tasks import ClassifierModel, predict
+from visitrep.text_embedder import (
+    SummarizerConfig,
+    SummarizerModel,
+    TokenVocabulary,
+    build_token_vocabulary,
+    reconstruction_loss,
+    sentence_batches,
+    summarize,
+    text_chunks,
 )
 
 
@@ -231,16 +259,18 @@ class TestBackwardBasics:
         unused = Parameter(np.ones((2, 2)), "unused")
         for p in (used, unused):
             p.grad.fill(0.0)
-        loss = tsum(sigmoid(used))
-        loss.backward()
+        with recording():
+            loss = tsum(sigmoid(used))
+            loss.backward()
         assert (used.grad != 0).any()
         np.testing.assert_array_equal(unused.grad, 0.0)
 
     def test_gradients_accumulate_across_fanout(self):
         x = Parameter(np.array([[2.0]]), "x")
         x.grad.fill(0.0)
-        y = x + x  # dy/dx = 2
-        tsum(y).backward()
+        with recording():
+            y = x + x  # dy/dx = 2
+            tsum(y).backward()
         np.testing.assert_allclose(x.grad, [[2.0]], atol=1e-15)
 
     def test_forward_and_backward_are_deterministic(self):
@@ -248,8 +278,9 @@ class TestBackwardBasics:
             rng = np.random.default_rng(123)
             w = Parameter(rng.normal(size=(4, 4)), "w")
             x = Tensor(rng.normal(size=(3, 4)))
-            loss = tsum(softmax(matmul(x, w)) * Tensor(rng.normal(size=(3, 4))))
-            loss.backward()
+            with recording():
+                loss = tsum(softmax(matmul(x, w)) * Tensor(rng.normal(size=(3, 4))))
+                loss.backward()
             return loss.data.copy(), w.grad.copy()
 
         l1, g1 = run()
@@ -369,7 +400,8 @@ class TestKernelGradients:
         miss = self.rng.integers(0, 3, size=10).astype(float)
         _fd_check(lambda: binary_xent(p, hit, miss, eps), [p])
         p.grad = np.zeros_like(p.data)
-        binary_xent(p, hit, miss, eps).backward()
+        with recording():
+            binary_xent(p, hit, miss, eps).backward()
         assert (p.grad[6:] == 0.0).all() and (p.grad[:6] != 0.0).any()
 
     def test_random_composites(self):
@@ -399,3 +431,204 @@ class TestInit:
     def test_bad_fan_in(self):
         with pytest.raises(ValueError):
             uniform_init(np.random.default_rng(0), (2, 2), fan_in=0)
+
+
+def manual_backward(loss):
+    """The graph search backward ran before the tape: an iterative postorder
+    over the recorded parents from `loss`, walked in reverse. The oracle
+    for the tape's gradients."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._vjps:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        g = node.grad
+        if g is None:
+            continue
+        for parent, vjp in node._vjps:
+            contrib = vjp(g)
+            if parent.grad is None:
+                parent.grad = np.array(contrib, dtype=np.float64, copy=True)
+            else:
+                parent.grad += contrib
+        if node._vjps:
+            node.grad = None
+
+
+def summarizer_step():
+    """One train_summarizer batch at c6's shape, encoder frozen as there."""
+    cohort = generate_cohort(SynthConfig(n_patients=60, n_conditions=8, seed=202))[0]
+    config = SummarizerConfig(
+        d_text=16, d_enc=16, chunk_size=32, epochs=6, batch_size=16, train_encoder=False
+    )
+    vocab = build_token_vocabulary(cohort, config.min_token_freq, config.max_tokens)
+    model = SummarizerModel(vocab, config, np.random.default_rng(config.seed))
+    model.bag.table.requires_grad = False
+    texts = (" ".join(n.text for n in v.notes) for p in cohort.patients for v in p.visits)
+    chunks = [c for c in (text_chunks(t, vocab, config.chunk_size) for t in texts) if c]
+    _, u = next(sentence_batches(model.bag, chunks, config.batch_size))
+
+    def build():
+        coins = np.random.default_rng(5)
+        u_hat = model.decode(model.encode(u), u, config.teacher_forcing, coins)
+        return reconstruction_loss(u_hat, u)
+
+    return build, [p for p in model.parameters() if p.requires_grad]
+
+
+def code_step():
+    """One fit-code step: B=32, 48 codes, d=32, 4 heads x 8."""
+    config = CodeEmbedderConfig(d_code=32, n_layers=1, n_heads=4, d_head=8, batch_size=32)
+    model = CodeEmbedderModel(48, config, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    lengths = rng.integers(2, 6, size=32)
+    batch = build_batch([(rng.random((n, 48)) < 0.3).astype(float) for n in lengths])
+
+    def build():
+        _, chat = model.forward(batch)
+        return skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, config.window))[0]
+
+    return build, model.parameters()
+
+
+class TestTapeAgainstStackWalk:
+    @pytest.mark.parametrize(
+        "graph",
+        [all_kernel_loss, summarizer_step, code_step],
+        ids=["c1-kernels", "c6-summarizer", "fit-code"],
+    )
+    def test_gradients_match_within_1e_12(self, graph):
+        build, params = graph()
+        grads = []
+        for walk in (manual_backward, Tensor.backward):
+            for p in params:
+                p.grad = np.zeros_like(p.data)
+            with recording():
+                walk(build())
+            grads.append([p.grad.copy() for p in params])
+        for p, got, want in zip(params, *grads):
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(got - want).max() <= 1e-12 * scale, p.name
+
+
+def tiny_models():
+    """An untrained pipeline, head and cohort: recording does not depend on
+    the parameter values."""
+    cohort = make_cohort(
+        make_record("p1", [
+            make_visit(0, 2, codes=[("dx", "a"), ("med", "x")], notes=[(1, "fever cough")]),
+            make_visit(40, 1, codes=[("dx", "b")], notes=[(1, "fever rash")]),
+        ]),
+        make_record("p2", [make_visit(5, 1, codes=[("med", "x")], notes=[(2, "cough rash")])]),
+    )
+    vocab = build_vocabulary(cohort)
+    rng = np.random.default_rng(0)
+    code_config = CodeEmbedderConfig(d_code=4, n_layers=1, n_heads=2, d_head=2)
+    code_model = CodeEmbedderModel(len(vocab), code_config, rng)
+    summarizer = SummarizerModel(
+        TokenVocabulary(("<unk>", "cough", "fever", "rash")),
+        SummarizerConfig(d_text=4, d_enc=3, chunk_size=2, batch_size=2),
+        rng,
+    )
+    pipeline = RepresentationPipeline(
+        code_model, summarizer, DemographicsCodec.from_cohort(cohort), vocab
+    )
+    return cohort, pipeline, ClassifierModel(5, TASK_MORTALITY, rng)
+
+
+INFERENCE = {
+    "represent_cohort": lambda c, pipe, head: pipe.represent_cohort(c, TASK_MORTALITY),
+    "forward_histories": lambda c, pipe, head: forward_histories(
+        pipe.code_model, [np.eye(2, len(pipe.vocab)), np.ones((1, len(pipe.vocab)))]
+    ),
+    "summarize": lambda c, pipe, head: summarize(pipe.summarizer, np.ones((2, 3, 4))),
+    "predict": lambda c, pipe, head: predict(head, np.ones((3, 5))),
+}
+
+
+class TestRecording:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every node an op makes while the test runs."""
+        nodes = []
+        make = Tensor._make_node
+
+        def spy(op, data, parents_and_vjps):
+            nodes.append(make(op, data, parents_and_vjps))
+            return nodes[-1]
+
+        monkeypatch.setattr(Tensor, "_make_node", staticmethod(spy))
+        return nodes
+
+    def test_an_op_on_a_parameter_records_only_inside_the_block(self):
+        w = Parameter(np.ones((2, 2)), "w")
+        out = matmul(w, w)
+        assert out._vjps == () and not out.requires_grad
+        with recording():
+            assert len(matmul(w, w)._vjps) == 2
+
+    @pytest.mark.parametrize("entry", INFERENCE)
+    def test_inference_records_nothing(self, entry, made):
+        cohort, pipeline, head = tiny_models()
+        INFERENCE[entry](cohort, pipeline, head)
+        assert made and all(n._vjps == () and not n.requires_grad for n in made)
+
+    def test_backward_outside_the_block_is_refused(self):
+        w = Parameter(np.ones(2), "w")
+        with pytest.raises(ValueError, match="not on the open tape"):
+            tsum(w * w).backward()
+
+    def test_backward_on_a_loss_from_a_closed_block_is_refused(self):
+        w = Parameter(np.ones(2), "w")
+        with recording():
+            loss = tsum(w * w)
+        with pytest.raises(ValueError, match="not on the open tape"):
+            loss.backward()
+        with recording(), pytest.raises(ValueError, match="not on the open tape"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, 0.0)
+
+    def test_backward_empties_the_tape(self):
+        w = Parameter(np.ones(2), "w")
+        with recording():
+            square = w * w
+            loss = tsum(square)
+            assert tensor_module._tape == [square, loss]
+            loss.backward()
+            assert tensor_module._tape == []
+            with pytest.raises(ValueError, match="not on the open tape"):
+                loss.backward()
+        np.testing.assert_array_equal(w.grad, 2.0)
+
+    def test_a_tape_is_not_opened_inside_another(self):
+        with recording():
+            with pytest.raises(RuntimeError, match="already open"):
+                with recording():
+                    pass
+            assert tensor_module._tape == []
+        assert tensor_module._tape is None
+
+    def test_the_tape_closes_after_an_error_inside_the_block(self):
+        w = Parameter(np.ones(2), "w")
+
+        def nan_batches(order):
+            loss = tsum(w * w)
+            loss.data = np.array(np.nan)
+            yield loss, 1
+
+        with pytest.raises(RuntimeError, match="diverged to nan"):
+            fit([w], StepDecay(0.1, 1.0, 1), 1, np.random.default_rng(0), 2, nan_batches)
+        assert tensor_module._tape is None
+        with recording():
+            loss = tsum(w * w)
+            loss.backward()
