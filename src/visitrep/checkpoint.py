@@ -16,6 +16,7 @@ config section before `load_params` fills a freshly built model.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Sequence
 
@@ -24,10 +25,17 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import CheckpointError, ValidationError
 from .numerics import load_state
+from .shape import COUNT, NAME, STRING, Scalar, checker
 
 MAGIC = b"TAPERCKP"
 VERSION = 1
 KINDS = ("code", "text", "classifier")
+_HEADER = checker({
+    "kind": Scalar({str}, f"one of {KINDS}", KINDS.__contains__),
+    "config": {},
+    "vocab_hash": STRING,
+    "params": ["param", {"name": NAME, "shape": ["dim", COUNT]}],
+}, "header")
 
 
 def write_checkpoint(
@@ -70,35 +78,21 @@ def read_checkpoint(path: str) -> tuple:
     if start + hlen > len(raw):
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[start : start + hlen].decode("utf-8"))
+        header = _HEADER(json.loads(raw[start : start + hlen].decode("utf-8")), path)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header ({e})")
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: corrupt header (not an object)")
-    if header.get("kind") not in KINDS:
-        raise CheckpointError(f"{path}: unknown section kind {header.get('kind')!r}")
-    missing = sorted({"config", "vocab_hash", "params"} - set(header))
-    if missing:
-        raise CheckpointError(f"{path}: header lacks {missing}")
-    if not isinstance(header["config"], dict):
-        raise CheckpointError(f"{path}: header config is not an object")
-    if not isinstance(header["vocab_hash"], str):
-        raise CheckpointError(f"{path}: header vocab_hash is not a string")
-    try:
-        entries = [(e["name"], tuple(int(d) for d in e["shape"])) for e in header["params"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: corrupt parameter list in header ({e!r})")
+    except ValidationError as e:
+        raise CheckpointError(str(e)) from None
 
     params = {}
     offset = start + hlen
-    for name, shape in entries:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 4
-        if count < 0 or offset + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated parameter {name!r}")
+    for entry in header["params"]:
+        count = math.prod(entry["shape"])
+        if offset + 4 * count > len(raw):
+            raise CheckpointError(f"{path}: truncated parameter {entry['name']!r}")
         flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        params[name] = flat.reshape(shape).astype(np.float64)
-        offset += nbytes
+        params[entry["name"]] = flat.reshape(entry["shape"]).astype(np.float64)
+        offset += 4 * count
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after parameters")
     return header["kind"], header["config"], header["vocab_hash"], params

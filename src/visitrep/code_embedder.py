@@ -31,7 +31,7 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import load_params, read_model, write_checkpoint
-from .cohort import Cohort, CodeVocabulary, encode_visit_codes
+from .cohort import Cohort, CodeVocabulary, visit_matrix
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
@@ -287,13 +287,6 @@ class SkipGramRows:
         return batch, (hit, pairs - hit, int(pairs.sum()))
 
 
-def patient_matrices(cohort: Cohort, vocab: CodeVocabulary) -> dict:
-    return {
-        p.patient_id: np.stack([encode_visit_codes(v, vocab) for v in p.visits])
-        for p in cohort.patients
-    }
-
-
 def train_code_embedder(
     cohort: Cohort,
     vocab: CodeVocabulary,
@@ -302,7 +295,9 @@ def train_code_embedder(
     """Fit on every patient with at least two visits; returns the model that
     scored best on an internal patient-held-out validation split, plus the
     loss history."""
-    eligible = [p for p in cohort.patients if len(p.visits) >= 2]
+    eligible = sorted(
+        (p for p in cohort.patients if len(p.visits) >= 2), key=lambda p: p.patient_id
+    )
     if len(eligible) < 2:
         raise ValidationError(
             f"train_code_embedder: need at least two patients with 2+ visits, "
@@ -311,16 +306,13 @@ def train_code_embedder(
     rng = np.random.default_rng(config.seed)
     model = CodeEmbedderModel(len(vocab), config, rng)
 
-    mats = patient_matrices(Cohort(eligible), vocab)
-    ids = sorted(mats)
-    order = rng.permutation(len(ids))
-    n_val = max(1, int(round(config.val_fraction * len(ids)))) if len(ids) > 2 else 1
+    order = rng.permutation(len(eligible))
+    n_val = max(1, int(round(config.val_fraction * len(eligible)))) if len(eligible) > 2 else 1
     val, train = order[:n_val], order[n_val:]
     if not len(train):
         raise ValidationError("train_code_embedder: validation split consumed every patient")
     # The targets never change, so every patient's counts are built once.
-    rows = SkipGramRows.build([mats[pid] for pid in ids], config.window)
-    del mats
+    rows = SkipGramRows.build([visit_matrix(p, vocab) for p in eligible], config.window)
 
     def chunks(patients):
         size = config.batch_size
@@ -345,8 +337,9 @@ def train_code_embedder(
 
 
 def forward_histories(model: CodeEmbedderModel, matrices) -> list:
-    """One padded forward over unpadded (T_i, |C|) visit matrices; per matrix,
-    its real rows as (outputs (T_i, d_code), code probabilities (T_i, |C|)).
+    """Per unpadded (T_i, |C|) visit matrix, in the order given, its real rows
+    as (outputs (T_i, d_code), code probabilities (T_i, |C|)), from one padded
+    forward per `model.config.batch_size` matrices: the one inference batcher.
 
     The causal mask makes row t depend on visits 0..t only, so row t of chat
     scores the next visit after the prefix ending at t."""
@@ -354,12 +347,16 @@ def forward_histories(model: CodeEmbedderModel, matrices) -> list:
     for m in mats:
         if m.ndim != 2:
             raise ValidationError(f"visit matrix: expected (T, |C|), got {m.shape}")
-    outputs, chat = model.forward(build_batch(mats))
-    return [(outputs.data[i, : len(m)], chat.data[i, : len(m)]) for i, m in enumerate(mats)]
+    out, step = [], model.config.batch_size
+    for start in range(0, len(mats), step):
+        chunk = mats[start : start + step]
+        outputs, chat = model.forward(build_batch(chunk))
+        out += [(outputs.data[i, : len(m)], chat.data[i, : len(m)]) for i, m in enumerate(chunk)]
+    return out
 
 
 def encode_history(model: CodeEmbedderModel, matrices):
-    """Layer-stack outputs for a list of visit matrices, one padded forward:
+    """Layer-stack outputs for a list of visit matrices (see forward_histories):
     a (T_i, d_code) array per (T_i, |C|) matrix. A single matrix gives its
     (T, d_code) outputs."""
     if isinstance(matrices, np.ndarray) and matrices.ndim == 2:
@@ -368,13 +365,15 @@ def encode_history(model: CodeEmbedderModel, matrices):
 
 
 def rank_codes(scores: np.ndarray, candidates: Optional[np.ndarray] = None) -> np.ndarray:
-    """Candidate vocabulary indices (default: all) by descending score; ties
-    break toward the smaller index so rankings are stable."""
+    """Candidate vocabulary indices (default: all) by descending score along
+    the last axis, one ranking per row of a 2-D `scores`; ties break toward
+    the smaller index so rankings are stable."""
     if candidates is None:
-        cand = np.arange(len(scores), dtype=np.intp)
+        cand = np.arange(scores.shape[-1], dtype=np.intp)
     else:
         cand = np.asarray(candidates, dtype=np.intp)
-    return cand[np.lexsort((cand, -scores[cand]))]
+    keys = -scores[..., cand]
+    return cand[np.lexsort((np.broadcast_to(cand, keys.shape), keys), axis=-1)]
 
 
 def predict_next_codes(

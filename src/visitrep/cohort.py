@@ -325,6 +325,11 @@ def encode_visit_codes(visit: Visit, vocab: CodeVocabulary) -> np.ndarray:
     return x
 
 
+def visit_matrix(record: PatientRecord, vocab: CodeVocabulary) -> np.ndarray:
+    """(visits, |C|) float64: the patient's visits as `encode_visit_codes` rows."""
+    return np.stack([encode_visit_codes(v, vocab) for v in record.visits])
+
+
 class DemographicsCodec:
     """One-hot gender and race (with reserved 'other' slots) plus age buckets.
 

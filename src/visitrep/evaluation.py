@@ -26,9 +26,9 @@ from .cohort import (
     DemographicsCodec,
     build_vocabulary,
     code_counts,
-    encode_visit_codes,
     extract_labels,
     patient_kfold_split,
+    visit_matrix,
 )
 from .code_embedder import (
     CodeEmbedderConfig,
@@ -210,18 +210,16 @@ class EvalConfig(JsonConfig):
 def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=None):
     """recall@k per system for next-visit codes; returns ({(sys, k): mean}, skipped).
 
-    The model scores every prefix of a patient at once: row t of one causal
-    forward ranks the visit after t exactly as a forward over visits 0..t
-    would, and each batch of patients shares one padded forward. With
+    Each prefix of a patient is one row: its truth is the next visit, and its
+    scores are row t of one causal forward (see forward_histories), which
+    ranks the visit after t exactly as a forward over visits 0..t would. With
     `ranking` given (a permutation of the vocabulary indices, best first,
-    e.g. the frequency baseline), every prefix is scored by that one fixed
-    row instead of the model's, ranked once per system.
+    e.g. the frequency baseline), one fixed score row scores every prefix.
+    Per system, every row is ranked at once and its hits summed in rank
+    order; a row with no truth in the system is skipped.
     """
-    per_system_values = {}
-    skipped = 0
-    systems = sorted({e.system for e in vocab.entries})
-    sys_idx = {s: vocab.system_indices(s) for s in systems}
-    fixed = None
+    if any(k < 1 for k in ks):
+        raise ValidationError(f"next_code_recall: every k must be >= 1, got {tuple(ks)}")
     if ranking is not None:
         ranking = np.asarray(ranking)
         if (ranking.shape != (len(vocab),) or ranking.dtype.kind not in "iu"
@@ -229,37 +227,28 @@ def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=N
             raise ValidationError(
                 f"next_code_recall: ranking must be a permutation of 0..{len(vocab) - 1}"
             )
+    matrices = [visit_matrix(r, vocab) for r in cohort.patients if len(r.visits) >= 2]
+    if not matrices:
+        raise ValidationError("next_code_recall: no patient had a scorable next visit")
+    truth = np.concatenate([m[1:] for m in matrices]) > 0
+    if ranking is None:
+        scores = np.concatenate([chat[:-1] for _, chat in forward_histories(model, matrices)])
+    else:
         row = np.empty(len(vocab))
         row[ranking] = -np.arange(len(vocab))
-        fixed = {s: rank_codes(row, idx).tolist() for s, idx in sys_idx.items()}
-    patients = [r for r in cohort.patients if len(r.visits) >= 2]
-    step = model.config.batch_size if fixed is None else max(len(patients), 1)
-    for start in range(0, len(patients), step):
-        matrices = [
-            np.stack([encode_visit_codes(v, vocab) for v in r.visits])
-            for r in patients[start : start + step]
-        ]
-        if fixed is None:
-            chats = [chat for _, chat in forward_histories(model, matrices)]
-        else:
-            chats = [None] * len(matrices)
-        for matrix, chat in zip(matrices, chats):
-            for t in range(len(matrix) - 1):
-                truth_vec = matrix[t + 1]
-                for system in systems:
-                    idx = sys_idx[system]
-                    truth = set(idx[truth_vec[idx] > 0].tolist())
-                    if not truth:
-                        skipped += 1
-                        continue
-                    ranked = rank_codes(chat[t], idx).tolist() if fixed is None else fixed[system]
-                    for k in ks:
-                        per_system_values.setdefault((system, k), []).append(
-                            recall_at_k(ranked, truth, k)
-                        )
-    if not per_system_values:
+        scores = np.broadcast_to(row, truth.shape)
+    means, skipped = {}, 0
+    for system in sorted({e.system for e in vocab.entries}):
+        ranked = rank_codes(scores, vocab.system_indices(system))
+        found = np.cumsum(np.take_along_axis(truth, ranked, axis=1), axis=1)
+        found = found[found[:, -1] > 0]
+        skipped += len(truth) - len(found)
+        if len(found):
+            for k in ks:
+                hits = found[:, min(k, found.shape[1]) - 1]
+                means[(system, k)] = float(np.mean(hits / found[:, -1]))
+    if not means:
         raise ValidationError("next_code_recall: no patient had a scorable next visit")
-    means = {key: float(np.mean(vals)) for key, vals in per_system_values.items()}
     return means, skipped
 
 

@@ -9,9 +9,10 @@ one). The text segment summarizes the task's note window; a visit with no
 usable text gets a zero segment, as does the first visit's code segment.
 The demographics segment is the per-visit snapshot (age drifts with time).
 
-Inference is batched, one block per segment. The code pass encodes the
-histories of each code-model batch of patients in one padded forward; the
-causal and padding masks keep every row equal to its own unpadded forward.
+Inference is batched, one block per segment. The code pass is one
+`encode_history` call over every patient, which `forward_histories` runs
+in padded code-model batches; the causal and padding masks keep every row
+equal to its own unpadded forward.
 The text pass hands every visit's token-id windows to
 `text_embedder.sentence_batches`, the path summarizer training uses: each
 batch of visits with one sentence count is bag-encoded in one
@@ -37,8 +38,8 @@ from .cohort import (
     Cohort,
     CodeVocabulary,
     DemographicsCodec,
-    encode_visit_codes,
     select_task_text,
+    visit_matrix,
 )
 from .code_embedder import CodeEmbedderModel, encode_history
 from .errors import ValidationError
@@ -136,18 +137,9 @@ class RepresentationPipeline:
         if task not in TASKS:
             raise ValidationError(f"unknown task {task!r}, expected one of {TASKS}")
         patients = cohort.patients
-        step = self.code_model.config.batch_size
-        code = []
-        for start in range(0, len(patients), step):
-            chunk = patients[start : start + step]
-            histories = encode_history(
-                self.code_model,
-                [np.stack([encode_visit_codes(v, self.vocab) for v in r.visits]) for r in chunk],
-            )
-            for history in histories:
-                if task != TASK_CODES:
-                    history = np.vstack([np.zeros((1, self.space.d_code)), history[:-1]])
-                code.append(history)
+        code = encode_history(self.code_model, [visit_matrix(r, self.vocab) for r in patients])
+        if task != TASK_CODES:
+            code = [np.vstack([np.zeros((1, self.space.d_code)), h[:-1]]) for h in code]
         keys = [(r.patient_id, vi) for r in patients for vi in range(len(r.visits))]
         demo = [self.demo_codec.encode(r, vi) for r in patients for vi in range(len(r.visits))]
         blocks = [np.concatenate(code), self._text_vectors(cohort, task), np.stack(demo)]

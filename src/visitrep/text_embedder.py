@@ -290,6 +290,8 @@ class SummarizerModel:
             raise ValidationError("fractional teacher forcing requires a random generator")
         b, m, d_t = u.shape
         h = nm.reshape(nm.slice_axis(states, 1, m - 1, m), (b, self.config.d_enc))
+        fixed = [teacher_forcing == 1.0] * (m - 1)
+        coins = fixed if rng is None else rng.random(m - 1) < teacher_forcing
         x = Tensor(np.zeros((b, d_t)))
         outputs = []
         for t in range(m):
@@ -297,14 +299,7 @@ class SummarizerModel:
             y = h @ self.out_w + self.out_b
             outputs.append(y)
             if t + 1 < m:
-                if rng is not None:
-                    use_true = rng.random() < teacher_forcing
-                else:
-                    use_true = teacher_forcing == 1.0
-                if use_true:
-                    x = nm.reshape(nm.slice_axis(u, 1, t, t + 1), (b, d_t))
-                else:
-                    x = y
+                x = nm.reshape(nm.slice_axis(u, 1, t, t + 1), (b, d_t)) if coins[t] else y
         rows = [nm.reshape(y, (b, 1, d_t)) for y in outputs]
         return rows[0] if m == 1 else nm.concat(rows, axis=1)
 

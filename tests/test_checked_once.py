@@ -7,6 +7,10 @@ this walks each module's syntax tree.
 - `.backward()` and `recording()`: only `numerics.optim.fit` and
   `numerics.gradcheck.max_relative_error` open the tape and walk it, so
   every other forward records nothing.
+- `encode_visit_codes()`: `cohort.visit_matrix` is the one rule that turns a
+  patient's visits into code rows.
+- `build_batch()`: `code_embedder.forward_histories` is the one place that
+  batches patients for code-model inference.
 """
 
 import ast
@@ -16,6 +20,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "visitrep"
 THE_CALLER = "JsonConfig.__post_init__"
 TAPE = {"backward", "recording"}
 TAPE_OWNERS = {"numerics/optim.py": "fit", "numerics/gradcheck.py": "max_relative_error"}
+ONE_HOME = {
+    "encode_visit_codes": ("cohort.py", "visit_matrix"),
+    "build_batch": ("code_embedder.py", "forward_histories"),
+}
 
 
 def refused_calls(source: str, names) -> list:
@@ -84,6 +92,35 @@ def test_oracle_finds_every_tape_call_and_its_scope():
     ]
 
 
+def test_oracle_finds_every_visit_encoding_and_its_scope():
+    source = (
+        "def visit_matrix(record, vocab):\n"
+        "    return np.stack([encode_visit_codes(v, vocab) for v in record.visits])\n"
+        "class Pipeline:\n"
+        "    def represent_cohort(self, cohort):\n"
+        "        rows = [cohort_mod.encode_visit_codes(v, self.vocab) for v in visits]\n"
+        "encode = encode_visit_codes\n"
+    )
+    assert refused_calls(source, {"encode_visit_codes"}) == [
+        (2, "visit_matrix"), (5, "Pipeline.represent_cohort"),
+    ]
+
+
+def test_oracle_finds_every_batch_build_and_its_scope():
+    source = (
+        "def forward_histories(model, matrices):\n"
+        "    for start in range(0, len(matrices), step):\n"
+        "        model.forward(build_batch(matrices[start : start + step]))\n"
+        "def next_code_recall(model, matrices):\n"
+        "    def chunk(mats):\n"
+        "        return model.forward(code_embedder.build_batch(mats))\n"
+        "    return [chunk(m) for m in matrices]\n"
+    )
+    assert refused_calls(source, {"build_batch"}) == [
+        (3, "forward_histories"), (6, "next_code_recall.chunk"),
+    ]
+
+
 def test_only_the_config_mixin_calls_validate():
     calls = package_calls({"validate"})
     assert [scope for _, _, scope in calls] == [THE_CALLER], calls
@@ -94,3 +131,9 @@ def test_only_fit_and_gradcheck_open_and_walk_the_tape():
     stray = [c for c in calls if TAPE_OWNERS.get(c[0]) != c[2].split(".")[0]]
     assert not stray, stray
     assert {(path, scope.split(".")[0]) for path, _, scope in calls} == set(TAPE_OWNERS.items())
+
+
+def test_visit_encoding_and_batch_building_have_one_home():
+    for name, home in ONE_HOME.items():
+        calls = package_calls({name})
+        assert {(path, scope) for path, _, scope in calls} == {home}, (name, calls)

@@ -221,14 +221,31 @@ class TestTamperedCheckpoint:
             ),
             (lambda h: h["config"]["code_embedder"].update(d_code="8"), "d_code"),
             (lambda h: h["config"].pop("code_embedder"), "lacks the 'code_embedder'"),
-            (lambda h: h.pop("params"), "lacks \\['params'\\]"),
-            (lambda h: h["params"][0].pop("shape"), "corrupt parameter list"),
-            (lambda h: h.update(vocab_hash=None), "vocab_hash is not a string"),
-            (lambda h: h.update(vocab_hash=5), "vocab_hash is not a string"),
+            (lambda h: h.pop("params"), "missing field 'params'"),
+            (lambda h: h["params"][0].pop("shape"), "param 0: missing field 'shape'"),
+            (lambda h: h.update(vocab_hash=None), "vocab_hash must be a string, got None"),
+            (lambda h: h.update(vocab_hash=5), "vocab_hash must be a string, got 5"),
+            (
+                lambda h: h["params"][0].update(name=["embed.w"]),
+                r"param 0: name must be a non-empty string, got \['embed.w'\]",
+            ),
+            (
+                lambda h: h["params"][0].update(name={"embed": "w"}),
+                r"param 0: name must be a non-empty string, got \{'embed': 'w'\}",
+            ),
+            (
+                lambda h: h["params"][0].update(shape=[str(d) for d in h["params"][0]["shape"]]),
+                r"param 0, dim 0: dim must be a non-negative integer, got '\d+'",
+            ),
+            (
+                lambda h: h["params"][0].update(shape=[float(d) for d in h["params"][0]["shape"]]),
+                r"param 0, dim 0: dim must be a non-negative integer, got \d+\.0",
+            ),
         ],
         ids=[
             "unknown-key", "output-activation", "wrong-type", "no-section", "no-params",
-            "bad-entry", "null-vocab-hash", "int-vocab-hash",
+            "bad-entry", "null-vocab-hash", "int-vocab-hash", "name-list", "name-dict",
+            "shape-str", "shape-float",
         ],
     )
     def test_exits_1_naming_the_file(self, run_dir, tmp_path, capsys, edit, message):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import visitrep.numerics as nm
-from visitrep.cohort import build_vocabulary, preprocess
+from visitrep.cohort import build_vocabulary, preprocess, visit_matrix
 from visitrep.code_embedder import (
     CodeEmbedderConfig,
     CodeEmbedderModel,
@@ -14,9 +14,10 @@ from visitrep.code_embedder import (
     attention_blocked_mask,
     build_batch,
     encode_history,
-    patient_matrices,
+    forward_histories,
     positional_encoding,
     predict_next_codes,
+    rank_codes,
     skip_gram_counts,
     skip_gram_loss,
     train_code_embedder,
@@ -529,11 +530,47 @@ class TestPrediction:
     def test_system_restriction(self):
         cohort, vocab, _ = small_training_setup()
         model = tiny_model(vocab_size=len(vocab))
-        mats = patient_matrices(cohort, vocab)
-        history = next(iter(mats.values()))
+        history = visit_matrix(cohort.patients[0], vocab)
         dx = vocab.system_indices("dx")
         ranked = predict_next_codes(model, history, system_indices=dx)
         assert set(ranked.tolist()) == set(dx.tolist())
+
+    def test_forward_histories_runs_consecutive_chunks(self, monkeypatch):
+        model = tiny_model(batch_size=3)
+        rng = np.random.default_rng(5)
+        mats = [rng.integers(0, 2, size=(t, 6)).astype(float) for t in (2, 4, 1, 3, 5, 2, 3)]
+        expect = [
+            (x.data[i, : len(m)], c.data[i, : len(m)])
+            for start in range(0, len(mats), 3)
+            for x, c in [model.forward(build_batch(mats[start : start + 3]))]
+            for i, m in enumerate(mats[start : start + 3])
+        ]
+        forward, chunks = model.forward, []
+
+        def counted(batch):
+            chunks.append(batch)
+            return forward(batch)
+
+        monkeypatch.setattr(model, "forward", counted)
+        out = forward_histories(model, mats)
+        assert len(chunks) == -(-len(mats) // 3)
+        for i, batch in enumerate(chunks):
+            chunk = mats[3 * i : 3 * i + 3]
+            assert batch.real.sum(axis=1).tolist() == [len(m) for m in chunk]
+            for row, m in zip(batch.codes, chunk):
+                np.testing.assert_array_equal(row[: len(m)], m)
+        assert len(out) == len(expect)
+        for (outputs, chat), (x, c) in zip(out, expect):
+            assert outputs.tobytes() == x.tobytes() and chat.tobytes() == c.tobytes()
+
+    def test_rank_codes_ranks_each_row_as_one_row(self):
+        scores = np.random.default_rng(3).integers(0, 3, size=(6, 9)).astype(float)
+        scores[0] = 0.5  # every code tied
+        for cand in (None, np.array([7, 2, 5, 0, 8]), np.arange(9)[::-1]):
+            ranked = rank_codes(scores, cand)
+            assert ranked.shape == (6, 9 if cand is None else len(cand))
+            for row, r in zip(scores, ranked):
+                assert r.tolist() == rank_codes(row, cand).tolist()
 
     def test_encode_history_matches_forward_prefix(self):
         model = tiny_model()

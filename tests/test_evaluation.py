@@ -319,9 +319,32 @@ class TestBatchedNextCodeRecall:
 
     def test_recall_matches_per_prefix_oracle(self):
         cohort, vocab, model = self.setup_model()
-        assert ev.next_code_recall(model, cohort, vocab, ks=(1, 3, 10)) == per_prefix_recall(
-            model, cohort, vocab, ks=(1, 3, 10)
+        # 100 is past every system's size, so recall@100 reads the whole ranking.
+        assert all(len(vocab.system_indices(e.system)) < 100 for e in vocab.entries)
+        ks = (1, 3, 10, 100)
+        assert ev.next_code_recall(model, cohort, vocab, ks=ks) == per_prefix_recall(
+            model, cohort, vocab, ks=ks
         )
+
+    def test_one_forward_histories_call(self, monkeypatch):
+        cohort, vocab, model = self.setup_model()
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return forward_histories(*args)
+
+        monkeypatch.setattr(ev, "forward_histories", counted)
+        ev.next_code_recall(model, cohort, vocab, ks=(10,))
+        assert calls == [sum(len(p.visits) >= 2 for p in cohort.patients)]
+        ev.next_code_recall(None, cohort, vocab, ks=(10,), ranking=np.arange(len(vocab)))
+        assert len(calls) == 1
+
+    def test_k_below_one_refused(self):
+        cohort, vocab, model = self.setup_model()
+        for ranking in (None, np.arange(len(vocab))):
+            with pytest.raises(ValidationError, match="every k must be >= 1"):
+                ev.next_code_recall(model, cohort, vocab, ks=(0,), ranking=ranking)
 
     def test_fixed_ranking_matches_filtered_list_oracle(self):
         cohort, vocab, _ = self.setup_model()

@@ -21,6 +21,7 @@ from visitrep.cohort import (
     extract_labels,
     select_task_text,
 )
+from visitrep import code_embedder
 from visitrep.code_embedder import CodeEmbedderConfig, CodeEmbedderModel, encode_history
 from visitrep.errors import ValidationError
 from visitrep.patient_rep import (
@@ -276,6 +277,19 @@ class TestBatchedOracle:
         assert max(counts.count(m) for m in set(counts) - {0}) > pipe.summarizer.config.batch_size
         if task == TASK_MORTALITY:
             assert len(set(counts)) == 3
+
+    def test_one_forward_histories_call(self, monkeypatch):
+        cohort, pipe = self.build()
+        forward, calls = code_embedder.forward_histories, []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return forward(*args)
+
+        monkeypatch.setattr(code_embedder, "forward_histories", counted)
+        for task in (TASK_MORTALITY, TASK_CODES):
+            pipe.represent_cohort(cohort, task)
+        assert calls == [len(cohort.patients)] * 2
 
 
 class TestExport:
