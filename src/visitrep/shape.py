@@ -39,6 +39,10 @@ def _compile(shape, name: str):
         types, ok, check, fail = _compile(shape[1], shape[0])
 
         def each(value):
+            # A list of scalars that passes is checked in one pass; the item
+            # loop below runs only to name the first item that fails.
+            if not check and set(map(type, value)) <= types and (not ok or all(map(ok, value))):
+                return
             for i, x in enumerate(value):
                 try:
                     if type(x) not in types or (ok and not ok(x)):

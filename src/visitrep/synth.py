@@ -12,11 +12,21 @@ rate, and length of stay is drawn from a condition-scaled distribution.
 Because every emitted code is owned by exactly one condition, pairwise
 "same condition" membership is an exact oracle for what the code embedder
 should recover, and the label thresholds bound what any classifier can do.
+
+A note word is a `random()` coin (noise at `noise_token_rate`) and then an
+`integers(n)` index. Cohort bytes depend on that order of draws, so
+`_block_words` replays both notes of a visit word for word from one PCG64
+`random_raw` block: a coin is `(w >> 11) * 2**-53` of a 64-bit word `w`, an
+index is `(u * n) >> 32` of a 32-bit half `u` (the buffered high half, else a
+fresh word's low half; Lemire's method). Bounds outside [2, 2**32] (numpy
+draws nothing for 1 and 64-bit words above 2**32) and rejected halves (numpy
+draws again) take the scalar calls of `_scalar_words` instead.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -65,6 +75,10 @@ class SynthConfig(JsonConfig):
                 )
         if not 0.0 <= self.label_noise < 0.5:
             raise ValidationError(f"synth: label_noise must be in [0, 0.5), got {self.label_noise}")
+        systems = [s for s, _ in self.vocab_sizes]
+        for s in systems:
+            if systems.count(s) > 1:
+                raise ValidationError(f"synth: vocab_sizes names system {s!r} more than once")
         pool = sum(n for _, n in self.vocab_sizes)
         need = self.n_conditions * self.codes_per_condition
         if need > pool:
@@ -150,16 +164,56 @@ def _build_conditions(config: SynthConfig, rng: np.random.Generator) -> list:
     return conditions
 
 
-def _note_text(config, rng, conditions, active_cids, all_cids) -> str:
-    sources = active_cids if active_cids else all_cids
-    template = [t for cid in sources for t in conditions[cid].tokens]
+def _scalar_words(rng, count, rate, n_noise, template) -> list:
     words = []
-    for _ in range(config.note_tokens):
-        if rng.random() < config.noise_token_rate:
-            words.append(f"noise{rng.integers(config.n_noise_tokens)}")
+    for _ in range(count):
+        if rng.random() < rate:
+            words.append(f"noise{rng.integers(n_noise)}")
         else:
             words.append(template[rng.integers(len(template))])
-    return " ".join(words)
+    return words
+
+
+def _block_words(rng, count, rate, n_noise, template):
+    """`_scalar_words`' words and end state from one `random_raw` block, or None,
+    with the generator untouched, where a bound is outside [2, 2**32] or a
+    32-bit half is rejected (the scalar calls would then draw another)."""
+    bounds = {True: n_noise, False: len(template)}
+    if not all(2 <= n <= 2**32 for n in bounds.values()):
+        return None
+    rejected = {noise: (2**32 - n) % n for noise, n in bounds.items()}  # low 32 bits below
+    noise_below = math.ceil(rate * 2**53) << 11  # (w >> 11) * 2**-53 < rate, in integers
+    bg = rng.bit_generator
+    entry = bg.state
+    has, half = entry["has_uint32"], entry["uinteger"]
+    take = iter(bg.random_raw(count + (count - has + 1) // 2).tolist()).__next__
+    words = []
+    for _ in range(count):
+        noise = take() < noise_below  # random()
+        if has:  # integers(n): the buffered high half, else a fresh word's low half
+            has, u = 0, half
+        else:
+            word = take()
+            has, u, half = 1, word & 0xFFFFFFFF, word >> 32
+        m = u * bounds[noise]
+        if m & 0xFFFFFFFF < rejected[noise]:
+            bg.state = entry
+            return None
+        words.append(f"noise{m >> 32}" if noise else template[m >> 32])
+    bg.state = {**bg.state, "has_uint32": has, "uinteger": half}
+    return words
+
+
+def _note_texts(config, rng, conditions, active_cids, all_cids) -> tuple:
+    """A visit's two note texts, the admission note's first."""
+    sources = active_cids if active_cids else all_cids
+    template = [t for cid in sources for t in conditions[cid].tokens]
+    k = config.note_tokens
+    draw = (rng, 2 * k, config.noise_token_rate, config.n_noise_tokens, template)
+    words = _block_words(*draw)
+    if words is None:
+        words = _scalar_words(*draw)
+    return " ".join(words[:k]), " ".join(words[k:])
 
 
 def generate_cohort(config: SynthConfig) -> tuple:
@@ -206,11 +260,12 @@ def generate_cohort(config: SynthConfig) -> tuple:
 
             active = list(chronic_here) + [c for c in acute_here if acute_visit[c] == v]
             codes = frozenset(code for c in active for code in conditions[c].codes)
+            admit_text, discharge_text = _note_texts(config, rng, conditions, active, cids)
             notes = (
-                Note(time=admit + 2 * HOUR, text=_note_text(config, rng, conditions, active, cids)),
+                Note(time=admit + 2 * HOUR, text=admit_text),
                 Note(
                     time=discharge - HOUR if discharge - HOUR > admit else discharge,
-                    text=_note_text(config, rng, conditions, active, cids),
+                    text=discharge_text,
                     kind="discharge_summary",
                 ),
             )

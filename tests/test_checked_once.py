@@ -11,6 +11,8 @@ this walks each module's syntax tree.
   patient's visits into code rows.
 - `build_batch()`: `code_embedder.forward_histories` is the one place that
   batches patients for code-model inference.
+- `random_raw()`: `synth._block_words` is the one place that replays numpy's
+  random stream word by word, next to the scalar calls it must match.
 """
 
 import ast
@@ -23,6 +25,7 @@ TAPE_OWNERS = {"numerics/optim.py": "fit", "numerics/gradcheck.py": "max_relativ
 ONE_HOME = {
     "encode_visit_codes": ("cohort.py", "visit_matrix"),
     "build_batch": ("code_embedder.py", "forward_histories"),
+    "random_raw": ("synth.py", "_block_words"),
 }
 
 
@@ -118,6 +121,20 @@ def test_oracle_finds_every_batch_build_and_its_scope():
     )
     assert refused_calls(source, {"build_batch"}) == [
         (3, "forward_histories"), (6, "next_code_recall.chunk"),
+    ]
+
+
+def test_oracle_finds_every_raw_draw_and_its_scope():
+    source = (
+        "def _block_words(rng, count, rate, n_noise, template):\n"
+        "    raw = iter(rng.bit_generator.random_raw(count + count // 2).tolist())\n"
+        "def generate_cohort(config):\n"
+        "    bits = np.random.default_rng(config.seed).bit_generator\n"
+        "    skip = lambda k: bits.random_raw(k)\n"
+        "draw = PCG64().random_raw\n"
+    )
+    assert refused_calls(source, {"random_raw"}) == [
+        (2, "_block_words"), (5, "generate_cohort"),
     ]
 
 

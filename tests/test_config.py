@@ -117,10 +117,12 @@ def test_bad_tuple_item_exits_1_naming_the_field(tmp_path, capsys, section, fiel
         ({"shared_tokens": -3}, "shared_tokens"),
         ({"shared_tokens": 20}, "shared_tokens"),
         ({"codes_per_condition": -1}, "codes_per_condition"),
+        ({"vocab_sizes": [["dx", 16], ["dx", 16], ["med", 16]]}, "vocab_sizes"),
     ],
     ids=[
         "noise-tokens-negative", "tokens-zero", "noise-rate-above-1", "noise-rate-negative",
         "note-tokens-negative", "shared-negative", "shared-above-tokens", "codes-negative",
+        "sizes-repeated-system",
     ],
 )
 def test_synth_out_of_range_exits_1_naming_the_field(tmp_path, capsys, values, field):

@@ -114,6 +114,8 @@ def test_representation_row(tmp_path):
     for z in (["1.5", True], [0.5, True], [0.5, "2"], [0.5, 10**400]):
         with pytest.raises(ValidationError, match=r"reps\.jsonl:1: bad representation row"):
             read(with_value(row, ("z",), z))
+    with pytest.raises(ValidationError, match=r"z item 2: z item must be a finite number, got inf"):
+        read(with_value(row, ("z",), [0.5, 1.0, float("inf")]))
 
 
 def test_head_header(tmp_path):

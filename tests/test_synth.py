@@ -1,11 +1,13 @@
 """Planted structure of the synthetic cohort: determinism, emission rules,
-label thresholds, and the pairwise-affinity oracle."""
+label thresholds, the pairwise-affinity oracle, and the note-word block
+against the scalar draws it replays."""
 
 import json
 
 import numpy as np
 import pytest
 
+from visitrep import synth
 from visitrep.cohort import ingest_cohort, preprocess, write_cohort_jsonl
 from visitrep.errors import ValidationError
 from visitrep.synth import (
@@ -190,3 +192,89 @@ class TestAffinityOracle:
         for i, ci in enumerate(codes):
             for j, cj in enumerate(codes):
                 assert aff[i, j] == (owner[tuple(ci)] == owner[tuple(cj)])
+
+
+# Bounds at which the block replays the scalar calls (2 to 2**32, where
+# 2**31 + 1 rejects about half the 32-bit halves), and two it declines.
+REPLAYED_BOUNDS = (2, 12, 2**31 + 1, 2**32)
+DECLINED_BOUNDS = (1, 2**32 + 1)
+
+
+def twin_generators(seed, primed):
+    """Two generators in the same state; `primed` leaves a 32-bit half buffered."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    if primed:
+        for rng in pair:
+            rng.integers(7)
+    assert pair[0].bit_generator.state["has_uint32"] == primed
+    return pair
+
+
+class TestNoteWordBlock:
+    """`_block_words` against the scalar loop it replaces, `_scalar_words`."""
+
+    @pytest.mark.parametrize("primed", [False, True], ids=["empty-buffer", "buffered-half"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    def test_block_replays_the_scalar_calls_or_leaves_the_state(self, rate, primed):
+        bounds = REPLAYED_BOUNDS + DECLINED_BOUNDS
+        replayed = 0
+        for count in range(1, 50):
+            for n_noise in bounds:
+                for n_template in bounds:
+                    block, scalar = twin_generators(count, primed)
+                    template = range(n_template)  # template[i] == i, at any length
+                    entry = block.bit_generator.state
+                    words = synth._block_words(block, count, rate, n_noise, template)
+                    if words is None:
+                        assert block.bit_generator.state == entry
+                        assert n_noise in DECLINED_BOUNDS or n_template in DECLINED_BOUNDS \
+                            or 2**31 + 1 in (n_noise, n_template)
+                        continue
+                    replayed += 1
+                    assert words == synth._scalar_words(scalar, count, rate, n_noise, template)
+                    assert block.bit_generator.state == scalar.bit_generator.state
+        assert replayed > 49 * len(REPLAYED_BOUNDS) ** 2 // 2
+
+    def test_a_coin_equal_to_the_rate_is_not_noise(self):
+        """The coin boundary, which the other cases never hit: noise is
+        `random() < rate`, strictly. Seed 11's first coin is below 1/2, so the
+        next double up is not a multiple of 2**-53."""
+        coin = np.random.default_rng(11).random()
+        for rate, noise in ((coin, False), (np.nextafter(coin, 1.0), True)):
+            block, scalar = twin_generators(11, primed=False)
+            words = synth._block_words(block, 1, rate, 12, range(12))
+            assert words == synth._scalar_words(scalar, 1, rate, 12, range(12))
+            assert isinstance(words[0], str) == noise  # a template word is an int here
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"n_noise_tokens": 1},
+            {"n_noise_tokens": 2**31 + 1},
+            {"tokens_per_condition": 1, "shared_tokens": 0},
+            {"note_tokens": 1},
+            {"noise_token_rate": 0.0},
+            {"noise_token_rate": 1.0},
+        ],
+        ids=["default", "one-noise-token", "half-rejected", "one-template-token",
+             "one-note-token", "rate-0", "rate-1"],
+    )
+    def test_cohort_bytes_equal_with_the_block_off(self, tmp_path, monkeypatch, fields):
+        def written(tag):
+            cohort, truth = generate_cohort(SynthConfig(**fields))
+            write_cohort_jsonl(cohort, str(tmp_path / f"{tag}.jsonl"))
+            write_ground_truth(truth, str(tmp_path / f"{tag}.json"))
+            return [(tmp_path / f"{tag}{ext}").read_bytes() for ext in (".jsonl", ".json")]
+
+        block = written("block")
+        monkeypatch.setattr(synth, "_block_words", lambda *draw: None)
+        assert written("scalar") == block
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_config_never_takes_the_scalar_path(self, monkeypatch, seed):
+        calls = []
+        scalar = synth._scalar_words
+        monkeypatch.setattr(synth, "_scalar_words", lambda *draw: calls.append(1) or scalar(*draw))
+        generate_cohort(SynthConfig(seed=seed))
+        assert calls == []
