@@ -27,9 +27,7 @@ from .cohort import (
     TASK_LOS,
     CodeVocabulary,
     Cohort,
-    DemographicsCodec,
     build_vocabulary,
-    extract_labels,
     ingest_cohort,
     load_group_map,
     patient_kfold_split,
@@ -234,8 +232,7 @@ def cmd_represent(cfg: RunConfig, args) -> None:
     pre, vocab = _load_preprocessed(cfg)
     train_ids, _ = _read_split(cfg, pre)
     code_model, summarizer = _load_models(cfg, vocab)
-    codec = DemographicsCodec.from_cohort(pre.subset(train_ids))
-    pipeline = RepresentationPipeline(code_model, summarizer, codec, vocab)
+    pipeline = RepresentationPipeline(code_model, summarizer, vocab, pre.subset(train_ids))
     reps = pipeline.represent_cohort(pre, cfg.internal_task)
     path = _path(cfg, "reps_{task}.jsonl")
     write_representations(path, reps)
@@ -252,7 +249,7 @@ def cmd_train_task(cfg: RunConfig, args) -> None:
     pre, vocab = _load_preprocessed(cfg)
     train_ids, _ = _read_split(cfg, pre)
     reps = _read_reps(cfg, pre)
-    X, y, _ = join_representations(reps, extract_labels(pre.subset(train_ids), task))
+    X, y = join_representations(reps, pre.subset(train_ids))
     head_cfg = replace(cfg.task_head, seed=derive_seed(cfg.seed, f"train-task:{cfg.task}"))
     model, history = train_task(X, y, task, head_cfg)
     path = _path(cfg, "head_{task}.ckpt")
@@ -271,10 +268,7 @@ def _variant_from_ablate(ablate: str) -> str:
     kept = tuple(s for s in SEGMENTS if s not in zeroed)
     if not kept:
         raise ValidationError("--ablate: cannot zero every segment")
-    for name, segments in ev.ABLATION_VARIANTS.items():
-        if segments == kept:
-            return name
-    raise AssertionError(f"no variant keeps {kept}")
+    return {segments: name for name, segments in ev.ABLATION_VARIANTS.items()}[kept]
 
 
 def _evaluate_artifacts(cfg: RunConfig) -> dict:
@@ -292,11 +286,11 @@ def _evaluate_artifacts(cfg: RunConfig) -> dict:
     model, _ = _read(cfg, "head_{task}.ckpt", lambda path: load_classifier(
         path, vocab.content_hash(), task=task, d_in=reps.vectors.shape[1]
     ))
-    X_test, y_test, _ = join_representations(reps, extract_labels(pre.subset(holdout), task))
+    X_test, y_test = join_representations(reps, pre.subset(holdout))
     if task == TASK_LOS:
-        train_xy = join_representations(reps, extract_labels(pre.subset(train_ids), task))[:2]
-        _, (X_test, y_test) = balance_for_los(
-            train_xy, (X_test, y_test), seed=derive_seed(cfg.seed, "balance")
+        _, y_train = join_representations(reps, pre.subset(train_ids))
+        X_test, y_test = balance_for_los(
+            y_train, X_test, y_test, seed=derive_seed(cfg.seed, "balance")
         )
     return {
         name: ev.MetricReport(name, [value])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -23,10 +24,8 @@ from .cohort import (
     TASKS,
     Cohort,
     CodeVocabulary,
-    DemographicsCodec,
     build_vocabulary,
     code_counts,
-    extract_labels,
     patient_kfold_split,
     visit_matrix,
 )
@@ -39,18 +38,17 @@ from .code_embedder import (
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import derive_seed
-from .patient_rep import RepresentationPipeline, join_representations, zero_segments
+from .patient_rep import SEGMENTS, RepresentationPipeline, join_representations, zero_segments
 from .tasks import TaskHeadConfig, balance_for_los, predict, train_task
 from .text_embedder import SummarizerConfig, train_summarizer
 
+# Head variant name -> the segments it keeps: each non-empty subset of
+# SEGMENTS, named by its members joined with "+" in SEGMENTS order, and
+# "full" for all of them.
 ABLATION_VARIANTS = {
-    "full": ("code", "text", "demo"),
-    "code": ("code",),
-    "text": ("text",),
-    "demo": ("demo",),
-    "code+text": ("code", "text"),
-    "code+demo": ("code", "demo"),
-    "text+demo": ("text", "demo"),
+    "full" if len(kept) == len(SEGMENTS) else "+".join(kept): kept
+    for size in range(1, len(SEGMENTS) + 1)
+    for kept in combinations(SEGMENTS, size)
 }
 # The head variant that is crossval's permutation null (labels shuffled).
 SHUFFLED = "shuffled"
@@ -105,22 +103,14 @@ def pr_auc(scores, labels) -> float:
     if n_pos == 0:
         raise ValidationError("pr_auc: no positive labels")
     order = np.argsort(-scores, kind="stable")
-    s, y = scores[order], labels[order]
-    area, tp, fp, prev_recall = 0.0, 0, 0, 0.0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i : j + 1].sum())
-        fp += (j - i + 1) - int(y[i : j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(area)
+    s = scores[order]
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))  # last row of each tie group
+    tp = np.cumsum(labels[order])[ends]
+    recall = tp / n_pos
+    terms = np.diff(recall, prepend=0.0) * (tp / (ends + 1))
+    # np.cumsum adds the terms one at a time in rank order, on every Python
+    # (sum() compensates float sums from 3.12 on).
+    return float(np.cumsum(terms)[-1])
 
 
 def top1_accuracy(pred_classes, true_classes) -> float:
@@ -283,7 +273,9 @@ def crossval(
     ABLATION_VARIANTS, and SHUFFLED, the full vector fit and scored on labels
     permuted within each split (before length-of-stay balancing) with the
     full head's seed. Metrics of a variant other than "full" end in
-    `[variant]`; the codes task fits no head. Fold failures carry the fold index.
+    `[variant]`. The codes task fits no head, so it takes "full" alone; an
+    empty or inapplicable `ablations` is refused before anything trains.
+    Fold failures carry the fold index.
     """
     if task not in TASKS:
         raise ValidationError(f"crossval: unknown task {task!r}, expected one of {TASKS}")
@@ -292,11 +284,15 @@ def crossval(
     head_config = head_config or TaskHeadConfig()
     eval_config = eval_config or EvalConfig()
     seed = eval_config.seed
+    known = sorted([*ABLATION_VARIANTS, SHUFFLED])
+    if not ablations:
+        raise ValidationError(f"crossval: no head variant given, expected from {known}")
     for name in ablations:
-        if name not in ABLATION_VARIANTS and name != SHUFFLED:
+        if name not in known:
+            raise ValidationError(f"crossval: unknown ablation {name!r}, expected from {known}")
+        if task == TASK_CODES and name != "full":
             raise ValidationError(
-                f"crossval: unknown ablation {name!r}, "
-                f"expected from {sorted([*ABLATION_VARIANTS, SHUFFLED])}"
+                f"crossval: ablation {name!r} needs a task head, and the codes task fits none"
             )
 
     values: dict = {}
@@ -317,10 +313,8 @@ def crossval(
             else:
                 summ_cfg = replace(summarizer_config, seed=derive_seed(seed, f"text:{i}"))
                 summarizer, _ = train_summarizer(train_cohort, summ_cfg)
-                codec = DemographicsCodec.from_cohort(train_cohort)
-                pipeline = RepresentationPipeline(code_model, summarizer, codec, vocab)
-                train, test = (join_representations(pipeline.represent_cohort(part, task),
-                                                    extract_labels(part, task))[:2]
+                pipeline = RepresentationPipeline(code_model, summarizer, vocab, train_cohort)
+                train, test = (join_representations(pipeline.represent_cohort(part, task), part)
                                for part in (train_cohort, test_cohort))
                 fold_values = {}
                 for variant in ablations:
@@ -329,12 +323,14 @@ def crossval(
                     if variant == SHUFFLED:
                         rng = np.random.default_rng(derive_seed(seed, f"shuffle:{i}"))
                         split = [(X, y[rng.permutation(len(y))]) for X, y in split]
-                    if task == TASK_LOS:
-                        split = balance_for_los(*split, seed=derive_seed(seed, f"balance:{i}"))
                     keep = ABLATION_VARIANTS[segments]
                     (X_train, y_train), (X_test, y_test) = (
                         (zero_segments(X, pipeline.space, keep), y) for X, y in split
                     )
+                    if task == TASK_LOS:
+                        X_test, y_test = balance_for_los(
+                            y_train, X_test, y_test, seed=derive_seed(seed, f"balance:{i}")
+                        )
                     head_cfg = replace(head_config, seed=derive_seed(seed, f"head:{segments}:{i}"))
                     model, _ = train_task(X_train, y_train, task, head_cfg)
                     suffix = "" if variant == "full" else f"[{variant}]"

@@ -38,6 +38,7 @@ from .cohort import (
     Cohort,
     CodeVocabulary,
     DemographicsCodec,
+    extract_labels,
     select_task_text,
     visit_matrix,
 )
@@ -99,23 +100,24 @@ def zero_segments(z: np.ndarray, space: RepresentationSpace, keep) -> np.ndarray
 
 
 class RepresentationPipeline:
-    """Joins the frozen models into per-visit vectors for one cohort."""
+    """Joins the frozen models into per-visit vectors for one cohort; the
+    demographics codec is fit on `train`, the patients the models saw."""
 
     def __init__(
         self,
         code_model: CodeEmbedderModel,
         summarizer: SummarizerModel,
-        demo_codec: DemographicsCodec,
         vocab: CodeVocabulary,
+        train: Cohort,
     ):
         self.code_model = code_model
         self.summarizer = summarizer
-        self.demo_codec = demo_codec
         self.vocab = vocab
+        self.demo_codec = DemographicsCodec.from_cohort(train)
         self.space = RepresentationSpace(
             d_code=code_model.config.d_code,
             d_enc=summarizer.config.d_enc,
-            d_demo=demo_codec.dim,
+            d_demo=self.demo_codec.dim,
         )
 
     def _text_vectors(self, cohort: Cohort, task: str) -> np.ndarray:
@@ -198,20 +200,18 @@ def read_representations(path, task: str = None) -> Representations:
     return Representations(first[1], list(line_of), np.stack(rows))
 
 
-def join_representations(reps: Representations, labels):
-    """Align representations with labels on (patient_id, visit_index).
-
-    Returns (X, y, keys) for the visits present on both sides, ordered by
-    the label list, with y a float vector.
+def join_representations(reps: Representations, cohort: Cohort):
+    """The labelled rows of `cohort` for the table's task: (X, y) for the
+    visits `extract_labels` labels and the table holds, in label order, with
+    y a float vector.
     """
     row_of = {key: i for i, key in enumerate(reps.keys)}
-    rows, targets, keys = [], [], []
-    for label in labels:
+    rows, targets = [], []
+    for label in extract_labels(cohort, reps.task):
         key = (label.patient_id, label.visit_index)
         if key in row_of:
             rows.append(row_of[key])
             targets.append(label.value)
-            keys.append(key)
     if not rows:
         raise ValidationError("no overlap between representations and labels")
-    return reps.vectors[rows], np.asarray(targets, dtype=np.float64), keys
+    return reps.vectors[rows], np.asarray(targets, dtype=np.float64)

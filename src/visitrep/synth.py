@@ -288,13 +288,13 @@ def generate_cohort(config: SynthConfig) -> tuple:
         # other modalities are built to. Gender and race stay uninformative.
         raw_age = int(rng.integers(18, 90))
         burden = m_sev[pid] + r_sev[pid]
-        age = int(np.clip(round(0.45 * (raw_age - 18) + 9.0 * burden + 20.0), 18, 90))
+        age = min(max(round(0.45 * (raw_age - 18) + 9.0 * burden + 20.0), 18), 90)
         patients.append(
             PatientRecord(
                 patient_id=pid,
                 age=age,
-                gender=str(rng.choice(["f", "m"])),
-                race=str(rng.choice(["r0", "r1", "r2"])),
+                gender=["f", "m"][rng.integers(2)],
+                race=["r0", "r1", "r2"][rng.integers(3)],
                 visits=tuple(visits),
             )
         )

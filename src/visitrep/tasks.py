@@ -161,15 +161,13 @@ def train_task(X: np.ndarray, y: np.ndarray, task: str, config: TaskHeadConfig =
     return model, history
 
 
-def balance_for_los(train, test, seed: int = 0):
-    """Downsample the test split to equal per-class counts; train untouched.
+def balance_for_los(y_train, X_test, y_test, seed: int = 0):
+    """The test split (X, y) downsampled to equal per-class counts.
 
     Classes are those present in the training labels; a training class with
-    no test examples is an error (the balanced test could not cover it).
+    no test examples is an error (the balanced test could not cover it). The
+    rows chosen depend on the labels and the seed alone.
     """
-    X_train, y_train = train
-    X_test, y_test = test
-    y_train = np.asarray(y_train)
     y_test = np.asarray(y_test)
     classes = sorted(np.unique(y_train).tolist())
     missing = [int(c) for c in classes if not (y_test == c).any()]
@@ -184,7 +182,7 @@ def balance_for_los(train, test, seed: int = 0):
         pool = np.flatnonzero(y_test == c)
         chosen.extend(rng.choice(pool, size=per_class, replace=False).tolist())
     chosen = np.array(sorted(chosen))
-    return (X_train, y_train), (np.asarray(X_test)[chosen], y_test[chosen])
+    return np.asarray(X_test)[chosen], y_test[chosen]
 
 
 def save_classifier(path, model: ClassifierModel, config: TaskHeadConfig, vocab_hash: str) -> None:

@@ -13,6 +13,10 @@ this walks each module's syntax tree.
   batches patients for code-model inference.
 - `random_raw()`: `synth._block_words` is the one place that replays numpy's
   random stream word by word, next to the scalar calls it must match.
+- `from_cohort()` and `extract_labels()`: a `patient_rep.RepresentationPipeline`
+  fits the demographics codec on its training patients, and
+  `patient_rep.join_representations` labels the rows, for the CLI stages
+  and for every cross-validation fold alike.
 """
 
 import ast
@@ -26,6 +30,8 @@ ONE_HOME = {
     "encode_visit_codes": ("cohort.py", "visit_matrix"),
     "build_batch": ("code_embedder.py", "forward_histories"),
     "random_raw": ("synth.py", "_block_words"),
+    "from_cohort": ("patient_rep.py", "RepresentationPipeline.__init__"),
+    "extract_labels": ("patient_rep.py", "join_representations"),
 }
 
 

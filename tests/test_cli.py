@@ -513,6 +513,13 @@ class TestCrossvalCommand:
         report = json.loads((out / "crossval_mortality.json").read_text())
         assert set(report) == {"auroc[code]", "auprc[code]"}
 
+    def test_codes_task_refuses_ablate(self, run_dir, capsys):
+        out, base = run_dir
+        argv = ["evaluate", *base, "--task", "codes", "--crossval", "--ablate", "text,demo"]
+        assert main(argv) == 1
+        assert "ablation 'code' needs a task head" in capsys.readouterr().err
+        assert not (out / "crossval_codes.json").exists()
+
 
 class TestFlagOverrides:
     def test_seed_and_out_flags_override_config(self, tmp_path):

@@ -535,6 +535,19 @@ class TestCrossval:
         with pytest.raises(ValidationError, match="unknown ablation 'notes'.*'shuffled'"):
             ev.crossval(smoke_cohort, TASK_MORTALITY, ablations=("full", "notes"))
 
+    def test_no_ablation_is_refused_before_training(self, smoke_cohort, monkeypatch):
+        monkeypatch.setattr(ev, "train_code_embedder", None)
+        with pytest.raises(ValidationError, match=r"^crossval: no head variant given, .*'full'"):
+            ev.crossval(smoke_cohort, TASK_MORTALITY, ablations=())
+
+    def test_codes_task_refuses_a_head_variant_before_training(self, smoke_cohort, monkeypatch):
+        monkeypatch.setattr(ev, "train_code_embedder", None)
+        with pytest.raises(
+            ValidationError,
+            match=r"^crossval: ablation 'code\+text' needs a task head, and the codes task fits none$",
+        ):
+            ev.crossval(smoke_cohort, TASK_CODES, ablations=("full", "code+text"))
+
     def test_fold_failures_carry_the_fold_index(self, smoke_cohort, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("deliberate")

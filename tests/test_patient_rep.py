@@ -13,8 +13,6 @@ from visitrep.cohort import (
     TASK_LOS,
     TASK_MORTALITY,
     TASK_READMISSION,
-    DemographicsCodec,
-    VisitLabel,
     Cohort,
     build_vocabulary,
     encode_visit_codes,
@@ -82,8 +80,7 @@ def build_pipeline(cohort):
     scfg = SummarizerConfig(d_text=4, d_enc=3, chunk_size=2, epochs=1, batch_size=2)
     tokens = ("<unk>", "cough", "fever", "rash")
     summarizer = SummarizerModel(TokenVocabulary(tokens), scfg, rng)
-    codec = DemographicsCodec.from_cohort(cohort)
-    return RepresentationPipeline(code_model, summarizer, codec, vocab)
+    return RepresentationPipeline(code_model, summarizer, vocab, cohort)
 
 
 class TestSpace:
@@ -239,8 +236,7 @@ class TestBatchedOracle:
             SummarizerConfig(d_text=4, d_enc=3, chunk_size=self.CHUNK, batch_size=4),
             rng,
         )
-        codec = DemographicsCodec.from_cohort(cohort)
-        return cohort, RepresentationPipeline(code_model, summarizer, codec, vocab)
+        return cohort, RepresentationPipeline(code_model, summarizer, vocab, cohort)
 
     @pytest.mark.parametrize("task", [TASK_MORTALITY, TASK_CODES])
     def test_matches_per_visit_and_per_patient_oracle(self, task):
@@ -381,22 +377,31 @@ class TestJoin:
 
     def test_aligns_on_patient_and_visit(self):
         reps = self.reps([("a", 0, [1.0, 2.0]), ("b", 0, [3.0, 4.0])])
-        labels = [VisitLabel("b", 0, 1.0), VisitLabel("a", 0, 0.0), VisitLabel("c", 0, 1.0)]
-        X, y, keys = join_representations(reps, labels)
+        cohort = make_cohort(
+            make_record("b", [make_visit(died=True)]),
+            make_record("a", [make_visit()]),
+            make_record("c", [make_visit(died=True)]),
+        )
+        X, y = join_representations(reps, cohort)
         np.testing.assert_array_equal(X, [[3.0, 4.0], [1.0, 2.0]])
         np.testing.assert_array_equal(y, [1.0, 0.0])
-        assert keys == [("b", 0), ("a", 0)]
 
     def test_no_overlap_is_an_error(self):
         with pytest.raises(ValidationError, match="no overlap"):
-            join_representations(self.reps([("a", 0, [1.0])]), [VisitLabel("z", 9, 1.0)])
+            join_representations(
+                self.reps([("a", 0, [1.0])]), make_cohort(make_record("z", [make_visit()]))
+            )
+
     def test_works_against_extract_labels(self):
         cohort = small_cohort()
         pipe = build_pipeline(cohort)
         reps = pipe.represent_cohort(cohort, TASK_READMISSION)
-        labels = extract_labels(cohort, TASK_READMISSION)
-        X, y, keys = join_representations(reps, labels)
+        X, y = join_representations(reps, cohort)
         # p1 has 3 visits (2 labeled), p2 has a single unlabeled visit
-        assert keys == [("p1", 0), ("p1", 1)]
+        assert reps.keys[:2] == [("p1", 0), ("p1", 1)]
+        np.testing.assert_array_equal(X, reps.vectors[:2])
         assert X.shape == (2, pipe.space.total_dim)
         assert set(np.unique(y)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(
+            y, [label.value for label in extract_labels(cohort, TASK_READMISSION)]
+        )

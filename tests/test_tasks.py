@@ -223,34 +223,33 @@ class TestBalanceForLos:
         y_test = np.array([1.0] * 5 + [2.0] * 3 + [8.0] * 7)
         X_test = rng.normal(size=(len(y_test), 2))
         y_train = np.array([1.0, 2.0, 8.0, 8.0])
-        X_train = rng.normal(size=(4, 2))
-        return (X_train, y_train), (X_test, y_test)
+        return y_train, (X_test, y_test)
 
     def test_balanced_counts_and_untouched_train(self):
-        train, test = self.fixture()
-        (X_tr, y_tr), (X_te, y_te) = balance_for_los(train, test, seed=3)
-        assert X_tr is train[0] and y_tr is train[1]
+        y_train, test = self.fixture()
+        X_te, y_te = balance_for_los(y_train, *test, seed=3)
+        np.testing.assert_array_equal(y_train, [1.0, 2.0, 8.0, 8.0])
         for c in (1.0, 2.0, 8.0):
             assert (y_te == c).sum() == 3
         assert len(y_te) == 9
 
     def test_seeded_and_reproducible(self):
-        train, test = self.fixture()
-        _, (Xa, ya) = balance_for_los(train, test, seed=3)
-        _, (Xb, yb) = balance_for_los(train, test, seed=3)
+        y_train, test = self.fixture()
+        Xa, ya = balance_for_los(y_train, *test, seed=3)
+        Xb, yb = balance_for_los(y_train, *test, seed=3)
         np.testing.assert_array_equal(Xa, Xb)
         np.testing.assert_array_equal(ya, yb)
 
     def test_rows_come_from_the_test_pool(self):
-        train, test = self.fixture()
-        _, (X_te, y_te) = balance_for_los(train, test, seed=0)
+        y_train, test = self.fixture()
+        X_te, y_te = balance_for_los(y_train, *test, seed=0)
         pool = {tuple(row) for row in test[0]}
         assert all(tuple(row) in pool for row in X_te)
 
     def test_missing_class_is_listed(self):
-        train, test = self.fixture()
-        bad_train = (train[0], np.array([1.0, 2.0, 4.0, 8.0]))
+        _, test = self.fixture()
+        bad_train = np.array([1.0, 2.0, 4.0, 8.0])
         with pytest.raises(
             ValidationError, match=r"^balance_for_los: test split has no examples of classes \[4\]$"
         ):
-            balance_for_los(bad_train, test)
+            balance_for_los(bad_train, *test)

@@ -6,7 +6,7 @@ import pytest
 from conftest import all_kernel_loss, make_cohort, make_record, make_visit
 
 import visitrep.numerics.tensor as tensor_module
-from visitrep.cohort import TASK_MORTALITY, DemographicsCodec, build_vocabulary
+from visitrep.cohort import TASK_MORTALITY, build_vocabulary
 from visitrep.code_embedder import (
     CodeEmbedderConfig,
     CodeEmbedderModel,
@@ -540,9 +540,7 @@ def tiny_models():
         SummarizerConfig(d_text=4, d_enc=3, chunk_size=2, batch_size=2),
         rng,
     )
-    pipeline = RepresentationPipeline(
-        code_model, summarizer, DemographicsCodec.from_cohort(cohort), vocab
-    )
+    pipeline = RepresentationPipeline(code_model, summarizer, vocab, cohort)
     return cohort, pipeline, ClassifierModel(5, TASK_MORTALITY, rng)
 
 
