@@ -398,7 +398,7 @@ def main(argv=None) -> int:
         os.makedirs(cfg.paths.out, exist_ok=True)
         write_run_config(cfg, _path(cfg, "config.json"))
         COMMANDS[args.command][0](cfg, args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError names the path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

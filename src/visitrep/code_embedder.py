@@ -35,11 +35,18 @@ from .cohort import Cohort, CodeVocabulary, visit_matrix
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
+from .shape import POSITIVE, number_in
 
 
 @dataclass(frozen=True)
 class CodeEmbedderConfig(JsonConfig):
-    json_name = "code embedder config"
+    json_name = "config.code_embedder"
+    json_fields = {
+        **dict.fromkeys(["d_code", "n_layers", "n_heads", "d_head", "window", "epochs",
+                         "batch_size", "lr_period"], POSITIVE),
+        "lr0": number_in(0, ends="()"), "lr_min": number_in(0, ends="[)"),
+        "val_fraction": number_in(0, 1, "[)"), "prob_clip": number_in(0, 0.5, "()"),
+    }
 
     d_code: int = 128
     n_layers: int = 2
@@ -60,15 +67,9 @@ class CodeEmbedderConfig(JsonConfig):
         return 4 * self.d_code
 
     def validate(self) -> None:
-        for name in ("d_code", "n_layers", "n_heads", "d_head", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"code embedder: {name} must be positive")
-        if self.window < 1:
-            raise ValidationError(f"code embedder: window must be at least 1, got {self.window}")
-        if not 0.0 < self.prob_clip < 0.5:
-            raise ValidationError(f"code embedder: prob_clip outside (0, 0.5)")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValidationError("code embedder: val_fraction outside [0, 1)")
+        if self.lr_min >= self.lr0:
+            raise ValidationError(
+                f"{self.json_name}: lr_min must be < lr0 ({self.lr0}), got {self.lr_min}")
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -52,7 +53,8 @@ TASK_CODES = "code_prediction"
 TASKS = (TASK_READMISSION, TASK_MORTALITY, TASK_LOS, TASK_CODES)
 
 N_LOS_CLASSES = 9
-AGE_BUCKETS = ((18, 30), (30, 50), (50, 70), (70, None))
+# Age buckets: under 30 (and so any age under 18), 30-49, 50-69, and 70 on.
+AGE_EDGES = (30, 50, 70)
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,17 @@ def _parse_record(obj, where: str) -> PatientRecord:
 def ingest_cohort(path: str) -> Cohort:
     """Parse a JSONL cohort file; the first bad line raises, naming its number."""
     patients: dict[str, PatientRecord] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{where}: malformed JSON ({e.msg})")
+            except UnicodeDecodeError as e:
+                raise ValidationError(f"{where}: not UTF-8 ({e.reason} at byte {e.start})")
             record = _parse_record(obj, where)
             if record.patient_id in patients:
                 raise ValidationError(f"{where}: duplicate patient_id {record.patient_id!r}")
@@ -350,7 +354,7 @@ class DemographicsCodec:
 
     @property
     def dim(self) -> int:
-        return (len(self.genders) + 1) + (len(self.races) + 1) + len(AGE_BUCKETS)
+        return (len(self.genders) + 1) + (len(self.races) + 1) + len(AGE_EDGES) + 1
 
     def _one_hot(self, value: str, categories: list) -> np.ndarray:
         v = np.zeros(len(categories) + 1, dtype=np.float64)
@@ -368,13 +372,8 @@ class DemographicsCodec:
             )
         elapsed = record.visits[visit_index].admit_time - record.visits[0].admit_time
         age = record.age + elapsed // YEAR
-        bucket = np.zeros(len(AGE_BUCKETS), dtype=np.float64)
-        slot = 0
-        for i, (lo, hi) in enumerate(AGE_BUCKETS):
-            if age >= lo and (hi is None or age < hi):
-                slot = i
-                break
-        bucket[slot] = 1.0
+        bucket = np.zeros(len(AGE_EDGES) + 1, dtype=np.float64)
+        bucket[bisect_right(AGE_EDGES, age)] = 1.0
         return np.concatenate(
             [
                 self._one_hot(record.gender, self.genders),

@@ -16,6 +16,7 @@ from .code_embedder import CodeEmbedderConfig
 from .errors import ValidationError
 from .evaluation import EvalConfig
 from .jsonconfig import JsonConfig
+from .shape import POSITIVE, Scalar
 from .synth import SynthConfig
 from .tasks import TaskHeadConfig
 from .text_embedder import SummarizerConfig
@@ -30,6 +31,8 @@ TASK_ALIASES = {
 
 @dataclass(frozen=True)
 class Paths(JsonConfig):
+    json_name = "config.paths"
+
     cohort: str = ""
     group_map: str = ""
     out: str = "run"
@@ -37,18 +40,19 @@ class Paths(JsonConfig):
 
 @dataclass(frozen=True)
 class PreprocessConfig(JsonConfig):
+    json_name = "config.preprocess"
+    json_fields = {"min_code_freq": POSITIVE, "min_visits": POSITIVE}
+
     min_code_freq: int = 5
     min_age: int = 18
     min_visits: int = 1
 
-    def validate(self) -> None:
-        for name in ("min_code_freq", "min_visits"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"preprocess: {name} must be >= 1, got {getattr(self, name)}")
-
 
 @dataclass(frozen=True)
 class RunConfig(JsonConfig):
+    json_fields = {"task": Scalar({str}, f"one of {sorted(TASK_ALIASES)}",
+                                  TASK_ALIASES.__contains__)}
+
     seed: int = 0
     task: str = "mortality"
     paths: Paths = field(default_factory=Paths)
@@ -59,12 +63,6 @@ class RunConfig(JsonConfig):
     task_head: TaskHeadConfig = field(default_factory=TaskHeadConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
-    def validate(self) -> None:
-        if self.task not in TASK_ALIASES:
-            raise ValidationError(
-                f"config: unknown task {self.task!r}, expected one of {sorted(TASK_ALIASES)}"
-            )
-
     @property
     def internal_task(self) -> str:
         return TASK_ALIASES[self.task]
@@ -74,7 +72,7 @@ def load_run_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a file that is not UTF-8
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return RunConfig.from_json(obj)
 

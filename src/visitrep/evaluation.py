@@ -38,6 +38,7 @@ from .code_embedder import (
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import derive_seed
+from .shape import POSITIVE, at_least
 from .patient_rep import SEGMENTS, RepresentationPipeline, join_representations, zero_segments
 from .tasks import TaskHeadConfig, balance_for_los, predict, train_task
 from .text_embedder import SummarizerConfig, train_summarizer
@@ -184,17 +185,16 @@ def frequency_baseline(cohort: Cohort, vocab: CodeVocabulary) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalConfig(JsonConfig):
-    json_name = "eval config"
+    json_name = "config.eval"
+    json_fields = {"folds": at_least(2), "recall_ks": ["recall_ks", POSITIVE]}
 
     folds: int = 7
     recall_ks: tuple = (10, 20, 30)
     seed: int = 0
 
     def validate(self):
-        if self.folds < 2:
-            raise ValidationError(f"eval: folds must be >= 2, got {self.folds}")
-        if not self.recall_ks or any(k < 1 for k in self.recall_ks):
-            raise ValidationError(f"eval: recall_ks must be positive, got {self.recall_ks}")
+        if not self.recall_ks:
+            raise ValidationError(f"{self.json_name}: recall_ks must be a non-empty list, got []")
 
 
 def next_code_recall(model, cohort: Cohort, vocab: CodeVocabulary, ks, ranking=None):

@@ -1,11 +1,13 @@
-"""JSON round trip for the frozen config dataclasses, derived from their fields.
+"""JSON round trip and field checks for the frozen config dataclasses.
 
-A config serializes field by field (tuples as lists, nested configs as
-objects). Parsing fills absent keys from the defaults, rejects unknown ones
-and checks each value against the shape its default implies (a tuple's
-items that of its first item, or the class's `json_items`), so a bad config
-file or checkpoint header is a ValidationError. `__post_init__` runs the
-class's `validate()`: a config is checked once, when it is built.
+Each field has one shape (see `shape`): the class's `json_fields` entry, or
+else the one its default implies (a tuple's items that of its first item, a
+section its class). `__post_init__` checks every field's JSON form against
+its shape, then runs `validate()`, which keeps only the rules across fields:
+a config is checked once, when it is built (from JSON, by its constructor or
+by `dataclasses.replace`), and a bad value reads `config.<section>: <field>
+must be <desc>, got <value>`. `from_json` refuses a non-object and unknown
+keys, fills absent keys from the defaults and parses each section.
 """
 
 from __future__ import annotations
@@ -21,11 +23,8 @@ _SCALARS = {bool: Scalar({bool}, "a boolean"), int: INTEGER,
 
 
 def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, JsonConfig):
-        return value.to_json()
-    return value
+    """A field's JSON form, but a section stays a config."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _tupled(value):
@@ -34,39 +33,42 @@ def _tupled(value):
 
 @cache
 def _parts(cls) -> tuple:
-    """(each field's default, the check of the rest but the nested configs)."""
+    """(each field's default, the check of every field)."""
     defaults = {f.name: f.default if f.default is not MISSING else f.default_factory()
                 for f in fields(cls)}
-    shape = {f"{name}?": [name, cls.json_items.get(name) or _SCALARS[type(d[0])]]
-             if type(d) is tuple else _SCALARS[type(d)]
-             for name, d in defaults.items() if not isinstance(d, JsonConfig)}
-    return defaults, checker(shape, "config")
+    shape = {name: cls.json_fields[name] if name in cls.json_fields
+             else Scalar({type(d)}, f"a {type(d).__name__}") if isinstance(d, JsonConfig)
+             else [name, _SCALARS[type(d[0])]] if type(d) is tuple else _SCALARS[type(d)]
+             for name, d in defaults.items()}
+    return defaults, checker(shape, cls.json_name)
 
 
 class JsonConfig:
     """Mixin for frozen config dataclasses whose fields all have defaults."""
 
-    # Prefix of parse errors when the caller names no location.
+    # Where the config sits in a run config; the prefix of its errors.
     json_name = "config"
-    # The shape of an item of a tuple field whose default's items are not scalars.
-    json_items = {}
+    # The shape of each field whose default's type does not say enough.
+    json_fields = {}
 
     def __post_init__(self):
+        _parts(type(self))[1]({k: _plain(v) for k, v in vars(self).items()}, self.json_name)
         self.validate()
 
     def validate(self) -> None:
-        """Raise ValidationError unless the values meet the config's rules."""
+        """Raise ValidationError unless the fields meet the rules across them."""
 
     def to_json(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: v.to_json() if isinstance(v := getattr(self, f.name), JsonConfig)
+                else _plain(v) for f in fields(self)}
 
     @classmethod
-    def from_json(cls, obj, where: str = None):
-        where = where or cls.json_name
-        defaults, check = _parts(cls)
-        unknown = set(check(obj, where)) - set(defaults)
+    def from_json(cls, obj):
+        checker({}, cls.json_name)(obj)  # an object, whatever its keys
+        defaults = _parts(cls)[0]
+        unknown = set(obj) - set(defaults)
         if unknown:
-            raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
-        return cls(**{name: type(defaults[name]).from_json(value, f"{where}.{name}")
+            raise ValidationError(f"{cls.json_name}: unknown keys {sorted(unknown)}")
+        return cls(**{name: type(defaults[name]).from_json(value)
                       if isinstance(defaults[name], JsonConfig) else _tupled(value)
                       for name, value in obj.items()})

@@ -11,6 +11,8 @@ unless it fails, and then says `<where>[, <item> <i>...]: <name> must be
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import namedtuple
 
 from .errors import ValidationError
@@ -19,11 +21,25 @@ from .errors import ValidationError
 # and for which ok(value) holds, unless ok is None.
 Scalar = namedtuple("Scalar", "types desc ok", defaults=(None,))
 
+
+def at_least(low: int) -> Scalar:
+    """An integer >= low."""
+    return Scalar({int}, f"an integer >= {low}", low.__le__)
+
+
+def number_in(low, high=math.inf, ends: str = "[]") -> Scalar:
+    """An int or a float from low to high, `ends` their brackets ("[)" is [low, high)),
+    compared by operator: an int's dunder method returns NotImplemented for a float."""
+    above, below = (operator.le if end in "[]" else operator.lt for end in ends)
+    return Scalar({int, float}, f"a number in {ends[0]}{low}, {high}{ends[1]}",
+                  lambda v: above(low, v) and below(v, high))
+
+
 STRING = Scalar({str}, "a string")
 NAME = Scalar({str}, "a non-empty string", len)
 INTEGER = Scalar({int}, "an integer")
 COUNT = Scalar({int}, "a non-negative integer", (0).__le__)
-POSITIVE = Scalar({int}, "an integer >= 1", (1).__le__)
+POSITIVE = at_least(1)
 
 
 class _Bad(Exception):

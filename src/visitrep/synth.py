@@ -35,15 +35,23 @@ from .atomic import atomic_open
 from .cohort import DAY, HOUR, SYSTEMS, Cohort, Note, PatientRecord, Visit
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
-from .shape import Scalar
+from .shape import COUNT, POSITIVE, Scalar, at_least, number_in
 
 SYSTEM_PREFIX = {"dx": "D", "proc": "P", "med": "M"}
 
 
 @dataclass(frozen=True)
 class SynthConfig(JsonConfig):
-    json_items = {"vocab_sizes": Scalar({list}, f"a [system, size >= 1] pair, system in {SYSTEMS}",
-                  lambda p: len(p) == 2 and p[0] in SYSTEMS and type(p[1]) is int and p[1] >= 1)}
+    json_name = "config.synth"
+    json_fields = {
+        **dict.fromkeys(["n_patients", "codes_per_condition", "visits_min", "visits_max",
+                         "tokens_per_condition", "n_noise_tokens", "note_tokens"], POSITIVE),
+        "n_conditions": at_least(2), "shared_tokens": COUNT, "label_noise": number_in(0, 0.5, "[)"),
+        "chronic_fraction": number_in(0, 1), "noise_token_rate": number_in(0, 1),
+        "vocab_sizes": ["vocab_sizes", Scalar(
+            {list}, f"a [system, size >= 1] pair, system in {SYSTEMS}",
+            lambda p: len(p) == 2 and p[0] in SYSTEMS and type(p[1]) is int and p[1] >= 1)],
+    }
 
     n_patients: int = 200
     n_conditions: int = 8
@@ -61,29 +69,20 @@ class SynthConfig(JsonConfig):
     seed: int = 0
 
     def validate(self) -> None:
-        many = float("inf")
-        ranges = {  # field: (lowest, highest), both inclusive
-            "n_patients": (1, many), "n_conditions": (2, many), "codes_per_condition": (1, many),
-            "chronic_fraction": (0, 1), "visits_min": (1, self.visits_max),
-            "tokens_per_condition": (1, many), "shared_tokens": (0, self.tokens_per_condition),
-            "n_noise_tokens": (1, many), "noise_token_rate": (0, 1), "note_tokens": (1, many),
-        }
-        for name, (lo, hi) in ranges.items():
-            if not lo <= getattr(self, name) <= hi:
-                raise ValidationError(
-                    f"synth: {name} must be in [{lo}, {hi}], got {getattr(self, name)}"
-                )
-        if not 0.0 <= self.label_noise < 0.5:
-            raise ValidationError(f"synth: label_noise must be in [0, 0.5), got {self.label_noise}")
+        for low, high in (("visits_min", "visits_max"), ("shared_tokens", "tokens_per_condition")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValidationError(f"{self.json_name}: {low} must be <= {high} "
+                                      f"({getattr(self, high)}), got {getattr(self, low)}")
         systems = [s for s, _ in self.vocab_sizes]
         for s in systems:
             if systems.count(s) > 1:
-                raise ValidationError(f"synth: vocab_sizes names system {s!r} more than once")
+                raise ValidationError(
+                    f"{self.json_name}: vocab_sizes names system {s!r} more than once")
         pool = sum(n for _, n in self.vocab_sizes)
         need = self.n_conditions * self.codes_per_condition
         if need > pool:
             raise ValidationError(
-                f"synth: {need} condition codes requested but only {pool} ids available"
+                f"{self.json_name}: {need} condition codes requested but only {pool} ids available"
             )
 
 

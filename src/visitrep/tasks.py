@@ -20,7 +20,7 @@ from .cohort import N_LOS_CLASSES, TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_RE
 from .errors import CheckpointError, ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
-from .shape import POSITIVE, Scalar, checker
+from .shape import POSITIVE, Scalar, checker, number_in
 
 BINARY_TASKS = (TASK_READMISSION, TASK_MORTALITY)
 HEAD_TASKS = (*BINARY_TASKS, TASK_LOS)
@@ -29,7 +29,9 @@ PROB_CLIP = 1e-7
 
 @dataclass(frozen=True)
 class TaskHeadConfig(JsonConfig):
-    json_name = "task head config"
+    json_name = "config.task_head"
+    json_fields = {**dict.fromkeys(["epochs", "batch_size", "lr_every"], POSITIVE),
+                   "lr0": number_in(0, ends="()"), "lr_factor": number_in(0, 1, "(]")}
 
     epochs: int = 30
     batch_size: int = 32
@@ -37,13 +39,6 @@ class TaskHeadConfig(JsonConfig):
     lr_factor: float = 0.1
     lr_every: int = 10
     seed: int = 0
-
-    def validate(self):
-        for name in ("epochs", "batch_size", "lr_every"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"task head: {name} must be >= 1, got {getattr(self, name)}")
-        if self.lr0 <= 0:
-            raise ValidationError(f"task head: lr0 must be positive, got {self.lr0}")
 
 
 def task_output_width(task: str) -> int:

@@ -35,7 +35,7 @@ from .cohort import Cohort
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
-from .shape import STRING, checker
+from .shape import POSITIVE, STRING, checker, number_in
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -144,7 +144,13 @@ def sentence_matrix(text: str, encoder: BagEncoder, chunk_size: int):
 
 @dataclass(frozen=True)
 class SummarizerConfig(JsonConfig):
-    json_name = "summarizer config"
+    json_name = "config.summarizer"
+    json_fields = {
+        **dict.fromkeys(["d_text", "d_enc", "chunk_size", "epochs", "batch_size", "lr_every",
+                         "min_token_freq", "max_tokens"], POSITIVE),
+        "lr0": number_in(0, ends="()"), "lr_factor": number_in(0, 1, "(]"),
+        "teacher_forcing": number_in(0, 1), "val_fraction": number_in(0, 1, "[)"),
+    }
 
     d_text: int = 64
     d_enc: int = 128
@@ -160,25 +166,6 @@ class SummarizerConfig(JsonConfig):
     min_token_freq: int = 2
     max_tokens: int = 20000
     seed: int = 0
-
-    def validate(self):
-        for name in ("d_text", "d_enc", "chunk_size", "epochs", "batch_size", "lr_every", "max_tokens"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"summarizer: {name} must be >= 1, got {getattr(self, name)}")
-        if self.lr0 <= 0:
-            raise ValidationError(f"summarizer: lr0 must be positive, got {self.lr0}")
-        if not 0.0 <= self.teacher_forcing <= 1.0:
-            raise ValidationError(
-                f"summarizer: teacher_forcing must be in [0, 1], got {self.teacher_forcing}"
-            )
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValidationError(
-                f"summarizer: val_fraction must be in [0, 1), got {self.val_fraction}"
-            )
-        if self.min_token_freq < 1:
-            raise ValidationError(
-                f"summarizer: min_token_freq must be >= 1, got {self.min_token_freq}"
-            )
 
 
 class _GRUCell:

@@ -200,6 +200,63 @@ class TestPrerequisites:
         assert "unknown segments" in capsys.readouterr().err
 
 
+class TestBadUserPath:
+    """A path the user names that cannot be read or written as asked exits 1
+    naming it; a file that is not UTF-8 also names the line where it can."""
+
+    @pytest.mark.parametrize("case", ["out-is-a-file", "config-is-a-dir", "cohort-is-a-dir",
+                                      "group-map-is-a-dir"])
+    def test_unusable_path_exits_1_naming_it(self, run_dir, tmp_path, capsys, case):
+        out, _ = run_dir
+        bad = tmp_path / "bad"
+        if case == "out-is-a-file":
+            bad.write_text("x")
+        else:
+            bad.mkdir()
+        paths = {"out": str(tmp_path / "run")}
+        if case == "cohort-is-a-dir":
+            paths["cohort"] = str(bad)
+        elif case == "group-map-is-a-dir":
+            paths.update(cohort=str(out / "cohort.jsonl"), group_map=str(bad))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": paths}))
+        argv = {
+            "out-is-a-file": ["generate", "--out", str(bad)],
+            "config-is-a-dir": ["generate", "--config", str(bad)],
+        }.get(case, ["preprocess", "--config", str(config)])
+        assert main(argv) == 1
+        assert str(bad) in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        assert main(["generate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON ('utf-8' codec")
+
+    def test_own_cohort_not_utf8_names_the_line(self, run_dir, tmp_path, capsys):
+        out, _ = run_dir
+        cohort = tmp_path / "own.jsonl"
+        cohort.write_bytes((out / "cohort.jsonl").read_bytes().replace(b"\n", b"\n\xff\n", 1))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"cohort": str(cohort), "out": str(tmp_path)}}))
+        assert main(["preprocess", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cohort}: line 2: not UTF-8 (invalid start byte at byte 0)\n"
+        )
+
+    def test_preprocessed_not_utf8_names_the_line_and_stage(self, run_dir, tmp_path, capsys):
+        base = _copy_run(run_dir, tmp_path)
+        path = tmp_path / "preprocessed.jsonl"
+        lines = path.read_text().count("\n")
+        with open(path, "ab") as fh:
+            fh.write(b'{"patient_id": "\xc3"}\n')
+        assert main(["train-code", *base]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {lines + 1}: not UTF-8 (invalid continuation byte at byte 16)"
+            "; re-run preprocess\n"
+        )
+
+
 def _tamper_header(path, edit):
     """Rewrite a checkpoint's JSON header in place through edit(header)."""
     raw = path.read_bytes()

@@ -311,6 +311,13 @@ class TestDemographics:
             rec = make_record("p", [make_visit()], age=age)
             assert codec.encode(rec, 0)[-4:].argmax() == slot
 
+    def test_ages_under_18_share_the_first_bucket(self):
+        """preprocess.min_age below 18 admits them; no age falls outside a bucket."""
+        codec = DemographicsCodec(genders=["f"], races=["r0"])
+        for age in (0, 17):
+            vec = codec.encode(make_record("p", [make_visit()], age=age), 0)
+            np.testing.assert_array_equal(vec[-4:], [1, 0, 0, 0])
+
     def test_age_drifts_across_visits(self):
         codec = DemographicsCodec(genders=["f"], races=["r0"])
         rec = make_record("p", [make_visit(0), make_visit(3 * 366)], age=29)

@@ -1,6 +1,7 @@
 """Run-config parsing: strict keys, overrides, canonical serialization."""
 
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,8 @@ from visitrep.config import (
     write_run_config,
 )
 from visitrep.errors import ValidationError
+from visitrep.jsonconfig import JsonConfig
+from visitrep.shape import number_in
 
 
 class TestRunConfig:
@@ -44,7 +47,7 @@ class TestRunConfig:
             RunConfig.from_json({"synth": {"patients": 10}})
 
     def test_unknown_task_name(self):
-        with pytest.raises(ValidationError, match="unknown task 'triage'"):
+        with pytest.raises(ValidationError, match="^config: task must be one of .*, got 'triage'$"):
             RunConfig.from_json({"task": "triage"})
 
     def test_tuple_fields_survive_json(self):
@@ -129,5 +132,90 @@ def test_synth_out_of_range_exits_1_naming_the_field(tmp_path, capsys, values, f
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"synth": values, "paths": {"out": str(tmp_path)}}))
     assert main(["generate", "--config", str(path)]) == 1
-    assert f"error: synth: {field} " in capsys.readouterr().err
+    assert f"error: config.synth: {field} " in capsys.readouterr().err
     assert not (tmp_path / "cohort.jsonl").exists()
+
+
+# (section, field, value): a value out of each declared field's shape, then
+# values that break a rule across fields. None is the top level.
+OUT_OF_RANGE = [
+    (None, "task", "triage"),
+    ("preprocess", "min_code_freq", 0),
+    ("preprocess", "min_visits", 0),
+    *[("synth", name, 0) for name in (
+        "n_patients", "codes_per_condition", "visits_min", "visits_max",
+        "tokens_per_condition", "n_noise_tokens", "note_tokens",
+    )],
+    ("synth", "n_conditions", 1),
+    ("synth", "shared_tokens", -1),
+    ("synth", "chronic_fraction", 1.5),
+    ("synth", "noise_token_rate", -0.1),
+    ("synth", "label_noise", 0.5),
+    ("synth", "vocab_sizes", [["dx", 0]]),
+    *[("code_embedder", name, 0) for name in (
+        "d_code", "n_layers", "n_heads", "d_head", "window", "epochs", "batch_size",
+        "lr_period", "lr0", "prob_clip",
+    )],
+    ("code_embedder", "lr_min", -0.1),
+    ("code_embedder", "val_fraction", 1.0),
+    *[("summarizer", name, 0) for name in (
+        "d_text", "d_enc", "chunk_size", "epochs", "batch_size", "lr_every",
+        "min_token_freq", "max_tokens", "lr0", "lr_factor",
+    )],
+    ("summarizer", "lr_factor", 1.5),
+    ("summarizer", "teacher_forcing", 1.5),
+    ("summarizer", "val_fraction", 1.0),
+    *[("task_head", name, 0) for name in ("epochs", "batch_size", "lr_every", "lr_factor")],
+    ("task_head", "lr0", -0.01),
+    ("eval", "folds", 1),
+    ("eval", "recall_ks", [0]),
+    # rules across fields
+    ("synth", "visits_min", 6),
+    ("synth", "shared_tokens", 9),
+    ("synth", "vocab_sizes", [["dx", 40], ["dx", 40]]),
+    ("code_embedder", "lr_min", 1.0),
+    ("eval", "recall_ks", []),
+]
+
+
+def sections() -> dict:
+    """Section name (None for the top level) -> its config class."""
+    nested = {k: type(v) for k, v in vars(RunConfig()).items() if isinstance(v, JsonConfig)}
+    return {None: RunConfig, **nested}
+
+
+def test_out_of_range_table_covers_every_declared_field():
+    for cls in sections().values():
+        assert set(cls.json_fields) <= set(vars(cls()))
+    declared = {(s, name) for s, cls in sections().items() for name in cls.json_fields}
+    assert declared == {(s, name) for s, name, _ in OUT_OF_RANGE}
+
+
+@pytest.mark.parametrize(
+    "section, field, value", OUT_OF_RANGE,
+    ids=[f"{s or 'top'}.{f}={v}" for s, f, v in OUT_OF_RANGE],
+)
+def test_out_of_range_is_refused_at_construction_and_by_generate(
+    tmp_path, capsys, section, field, value
+):
+    """The constructor and a config file meet one check, with one message."""
+    where = f"config.{section}" if section else "config"
+    said = f"^{re.escape(where)}(, {field} \\d+)?: {field} "
+    with pytest.raises(ValidationError, match=said):
+        sections()[section](**{field: value})
+    doc = {section: {field: value}} if section else {field: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**doc, "paths": {"out": str(tmp_path)}}))
+    assert main(["generate", "--config", str(path)]) == 1
+    assert re.match(f"error: {said[1:]}", capsys.readouterr().err)
+    assert not (tmp_path / "cohort.jsonl").exists()
+
+
+@pytest.mark.parametrize("ends, admitted", [
+    ("[]", [True, True, True]), ("[)", [True, True, False]),
+    ("(]", [False, True, True]), ("()", [False, True, False]),
+])
+def test_number_in_admits_an_end_only_under_a_square_bracket(ends, admitted):
+    ok = number_in(0, 1, ends).ok
+    assert [ok(v) for v in (0, 0.5, 1)] == admitted
+    assert not ok(-0.5) and not ok(1.5) and not ok(float("nan"))
