@@ -35,7 +35,7 @@ from .cohort import Cohort, CodeVocabulary, visit_matrix
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
-from .shape import POSITIVE, number_in
+from .shape import COUNT, POSITIVE, number_in
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class CodeEmbedderConfig(JsonConfig):
                          "batch_size", "lr_period"], POSITIVE),
         "lr0": number_in(0, ends="()"), "lr_min": number_in(0, ends="[)"),
         "val_fraction": number_in(0, 1, "[)"), "prob_clip": number_in(0, 0.5, "()"),
+        "seed": COUNT,
     }
 
     d_code: int = 128

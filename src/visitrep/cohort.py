@@ -11,8 +11,10 @@ The on-disk form is JSON Lines, one patient per line:
                  "died_in_visit": false}]}
 
 In memory a code is a (system, id) pair, and a visit holds a frozenset of
-them. Grouping in `preprocess` replaces the id by its group id, so a
-written preprocessed cohort holds group ids.
+them. Equal code sets in a cohort are one shared frozenset: each function
+that builds a cohort keeps a pool of the sets it has made. Grouping in
+`preprocess` replaces the id by its group id, so a written preprocessed
+cohort holds group ids.
 
 Timestamps are integer seconds. Ingest checks each line against one
 declared shape (`_RECORD`, see `visitrep.shape`), then the rules across
@@ -57,14 +59,14 @@ N_LOS_CLASSES = 9
 AGE_EDGES = (30, 50, 70)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Note:
     time: int
     text: str
     kind: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Visit:
     admit_time: int
     discharge_time: int
@@ -76,7 +78,7 @@ class Visit:
         return (self.discharge_time - self.admit_time) / DAY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatientRecord:
     patient_id: str
     age: int
@@ -122,7 +124,7 @@ _RECORD = checker({
 }, "record")
 
 
-def _parse_record(obj, where: str) -> PatientRecord:
+def _parse_record(obj, where: str, pool: dict) -> PatientRecord:
     _RECORD(obj, where)
     visits = []
     for i, v in enumerate(obj["visits"]):
@@ -136,6 +138,7 @@ def _parse_record(obj, where: str) -> PatientRecord:
                 raise ValidationError(f"{where}, visit {i}, note {j}: note time {n.time} "
                                       "outside [admit - 1d, discharge + 1d]")
         codes = frozenset(map(itemgetter("system", "code"), v["codes"]))
+        codes = pool.setdefault(codes, codes)
         notes.sort(key=lambda n: n.time)
         visits.append(Visit(admit, discharge, codes, tuple(notes), v.get("died_in_visit", False)))
     if not visits:
@@ -150,6 +153,7 @@ def _parse_record(obj, where: str) -> PatientRecord:
 def ingest_cohort(path: str) -> Cohort:
     """Parse a JSONL cohort file; the first bad line raises, naming its number."""
     patients: dict[str, PatientRecord] = {}
+    pool: dict[frozenset, frozenset] = {}
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -161,7 +165,7 @@ def ingest_cohort(path: str) -> Cohort:
                 raise ValidationError(f"{where}: malformed JSON ({e.msg})")
             except UnicodeDecodeError as e:
                 raise ValidationError(f"{where}: not UTF-8 ({e.reason} at byte {e.start})")
-            record = _parse_record(obj, where)
+            record = _parse_record(obj, where, pool)
             if record.patient_id in patients:
                 raise ValidationError(f"{where}: duplicate patient_id {record.patient_id!r}")
             patients[record.patient_id] = record
@@ -197,17 +201,24 @@ def write_cohort_jsonl(cohort: Cohort, path: str) -> None:
 
 
 def load_group_map(path: str) -> dict:
-    """CSV with header 'raw_id,group_id' mapping codes onto coarser groups."""
+    """CSV with header 'raw_id,group_id' mapping codes onto coarser groups;
+    a line that is not UTF-8 raises, naming its row."""
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["raw_id", "group_id"]:
-            raise ValidationError(f"{path}: expected header 'raw_id,group_id', got {header}")
-        for i, row in enumerate(reader, start=2):
-            if len(row) < 2:
-                raise ValidationError(f"{path}: row {i} has fewer than two columns")
-            mapping[row[0]] = row[1]
+    with open(path, "rb") as fh:
+        lines = list(fh)
+    for row, line in enumerate(lines, start=1):
+        try:
+            lines[row - 1] = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path}: row {row}: not UTF-8 ({e.reason} at byte {e.start})")
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["raw_id", "group_id"]:
+        raise ValidationError(f"{path}: expected header 'raw_id,group_id', got {header}")
+    for i, row in enumerate(reader, start=2):
+        if len(row) < 2:
+            raise ValidationError(f"{path}: row {i} has fewer than two columns")
+        mapping[row[0]] = row[1]
     return mapping
 
 
@@ -245,9 +256,11 @@ def preprocess(
             grouped.append(p)
 
     kept = {k for k, n in code_counts(grouped).items() if n >= min_code_freq}
-    out: list[PatientRecord] = []
-    for p in grouped:
-        out.append(replace(p, visits=tuple(replace(v, codes=v.codes & kept) for v in p.visits)))
+    pool: dict[frozenset, frozenset] = {}  # trimmed once per distinct code set, shared
+    trimmed = {codes: pool.setdefault(k := codes & kept, k)
+               for codes in {v.codes for p in grouped for v in p.visits}}
+    out = [replace(p, visits=tuple(replace(v, codes=trimmed[v.codes]) for v in p.visits))
+           for p in grouped]
 
     if not out:
         raise ValidationError("preprocess: no patients survive the filters")

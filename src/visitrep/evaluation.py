@@ -38,7 +38,7 @@ from .code_embedder import (
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import derive_seed
-from .shape import POSITIVE, at_least
+from .shape import COUNT, POSITIVE, at_least
 from .patient_rep import SEGMENTS, RepresentationPipeline, join_representations, zero_segments
 from .tasks import TaskHeadConfig, balance_for_los, predict, train_task
 from .text_embedder import SummarizerConfig, train_summarizer
@@ -186,7 +186,7 @@ def frequency_baseline(cohort: Cohort, vocab: CodeVocabulary) -> np.ndarray:
 @dataclass(frozen=True)
 class EvalConfig(JsonConfig):
     json_name = "config.eval"
-    json_fields = {"folds": at_least(2), "recall_ks": ["recall_ks", POSITIVE]}
+    json_fields = {"folds": at_least(2), "recall_ks": ["recall_ks", POSITIVE], "seed": COUNT}
 
     folds: int = 7
     recall_ks: tuple = (10, 20, 30)

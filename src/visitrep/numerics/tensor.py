@@ -2,7 +2,8 @@
 
 Inside ``recording()`` an op keeps vector-Jacobian closures for the parents
 that need gradients and appends its node to the one open tape; ``backward()``
-walks that tape in reverse creation order into the leaves and empties it.
+walks that tape in reverse creation order into the leaves, dropping each
+node's closures as it passes, and empties it: a loss is back-propagated once.
 Outside the block an op records nothing. All arithmetic is float64;
 checkpointing elsewhere narrows to float32, never this module.
 
@@ -57,6 +58,8 @@ def _check_finite(data: np.ndarray, op: str, what: str, inputs=()) -> None:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -112,7 +115,9 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad, then
         empty the tape: an existing gradient array is added into in place, so
-        a parameter's gradient stays a view into its arena."""
+        a parameter's gradient stays a view into its arena. Each node's
+        closures are dropped as the walk passes it, so the step's
+        intermediates are freed during its own backward."""
         if self.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -123,9 +128,10 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(_tape):
             g, node.grad = node.grad, None  # needed once; freed eagerly
+            vjps, node._vjps = node._vjps, ()
             if g is None:
                 continue
-            for parent, vjp in node._vjps:
+            for parent, vjp in vjps:
                 contrib = vjp(g)
                 if parent.grad is None:
                     parent.grad = np.array(contrib, dtype=np.float64, copy=True)

@@ -47,7 +47,7 @@ class SynthConfig(JsonConfig):
         **dict.fromkeys(["n_patients", "codes_per_condition", "visits_min", "visits_max",
                          "tokens_per_condition", "n_noise_tokens", "note_tokens"], POSITIVE),
         "n_conditions": at_least(2), "shared_tokens": COUNT, "label_noise": number_in(0, 0.5, "[)"),
-        "chronic_fraction": number_in(0, 1), "noise_token_rate": number_in(0, 1),
+        "chronic_fraction": number_in(0, 1), "noise_token_rate": number_in(0, 1), "seed": COUNT,
         "vocab_sizes": ["vocab_sizes", Scalar(
             {list}, f"a [system, size >= 1] pair, system in {SYSTEMS}",
             lambda p: len(p) == 2 and p[0] in SYSTEMS and type(p[1]) is int and p[1] >= 1)],
@@ -240,7 +240,7 @@ def generate_cohort(config: SynthConfig) -> tuple:
     m_thr = float(np.median(list(m_sev.values())))
     r_thr = float(np.median(list(r_sev.values())))
 
-    patients = []
+    patients, pool = [], {}  # pool: one shared frozenset per distinct visit code set
     for pid, cids in patient_conditions.items():
         n_visits = int(rng.integers(config.visits_min, config.visits_max + 1))
         chronic_here = [c for c in cids if conditions[c].chronic]
@@ -259,6 +259,7 @@ def generate_cohort(config: SynthConfig) -> tuple:
 
             active = list(chronic_here) + [c for c in acute_here if acute_visit[c] == v]
             codes = frozenset(code for c in active for code in conditions[c].codes)
+            codes = pool.setdefault(codes, codes)
             admit_text, discharge_text = _note_texts(config, rng, conditions, active, cids)
             notes = (
                 Note(time=admit + 2 * HOUR, text=admit_text),

@@ -20,7 +20,7 @@ from .cohort import N_LOS_CLASSES, TASK_CODES, TASK_LOS, TASK_MORTALITY, TASK_RE
 from .errors import CheckpointError, ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
-from .shape import POSITIVE, Scalar, checker, number_in
+from .shape import COUNT, POSITIVE, Scalar, checker, number_in
 
 BINARY_TASKS = (TASK_READMISSION, TASK_MORTALITY)
 HEAD_TASKS = (*BINARY_TASKS, TASK_LOS)
@@ -31,7 +31,8 @@ PROB_CLIP = 1e-7
 class TaskHeadConfig(JsonConfig):
     json_name = "config.task_head"
     json_fields = {**dict.fromkeys(["epochs", "batch_size", "lr_every"], POSITIVE),
-                   "lr0": number_in(0, ends="()"), "lr_factor": number_in(0, 1, "(]")}
+                   "lr0": number_in(0, ends="()"), "lr_factor": number_in(0, 1, "(]"),
+                   "seed": COUNT}
 
     epochs: int = 30
     batch_size: int = 32

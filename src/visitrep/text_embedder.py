@@ -35,7 +35,7 @@ from .cohort import Cohort
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
 from .numerics import Parameter, Tensor
-from .shape import POSITIVE, STRING, checker, number_in
+from .shape import COUNT, POSITIVE, STRING, checker, number_in
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -150,6 +150,7 @@ class SummarizerConfig(JsonConfig):
                          "min_token_freq", "max_tokens"], POSITIVE),
         "lr0": number_in(0, ends="()"), "lr_factor": number_in(0, 1, "(]"),
         "teacher_forcing": number_in(0, 1), "val_fraction": number_in(0, 1, "[)"),
+        "seed": COUNT,
     }
 
     d_text: int = 64

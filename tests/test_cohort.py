@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from visitrep.cohort import (
     TASK_MORTALITY,
     TASK_READMISSION,
     DemographicsCodec,
+    Note,
+    PatientRecord,
+    Visit,
     build_vocabulary,
     encode_visit_codes,
     extract_labels,
@@ -27,6 +31,7 @@ from visitrep.cohort import (
     write_cohort_jsonl,
 )
 from visitrep.errors import ValidationError
+from visitrep.synth import SynthConfig, generate_cohort
 
 
 def _patient_obj(pid="p1", age=44, n_visits=1, **kw):
@@ -238,6 +243,42 @@ class TestPreprocess:
         f.write_text("bad,header\n1,2\n")
         with pytest.raises(ValidationError, match="header"):
             load_group_map(str(f))
+
+
+def shares_code_sets(cohort) -> bool:
+    """Equal visit code sets are one frozenset, and some set serves two visits."""
+    visits = [v for p in cohort for v in p.visits]
+    return len({id(v.codes) for v in visits}) == len({v.codes for v in visits}) < len(visits)
+
+
+class TestSharedCodeSets:
+    """Each function that builds a cohort holds one frozenset per distinct code set."""
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        config = SynthConfig(n_patients=60, n_conditions=4, codes_per_condition=4, seed=7)
+        return generate_cohort(config)[0]
+
+    def test_generate(self, generated):
+        assert shares_code_sets(generated)
+
+    def test_ingest(self, generated, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_cohort_jsonl(generated, str(path))
+        assert shares_code_sets(ingest_cohort(str(path)))
+
+    @pytest.mark.parametrize("group_map", [None, {"D000": "G", "D001": "G"}])
+    def test_preprocess(self, generated, group_map):
+        assert shares_code_sets(preprocess(generated, min_code_freq=20, group_map=group_map))
+
+    def test_records_have_no_dict_and_replace_still_works(self):
+        note = Note(1, "a")
+        visit = Visit(0, 1, frozenset(), (note,))
+        record = PatientRecord("p", 40, "f", "r0", (visit,))
+        assert not any(hasattr(obj, "__dict__") for obj in (note, visit, record))
+        assert replace(note, text="b") == Note(1, "b")
+        assert replace(visit, codes=frozenset({("dx", "x")})).codes == {("dx", "x")}
+        assert replace(record, age=41) == PatientRecord("p", 41, "f", "r0", (visit,))
 
 
 class TestVocabularyAndEncoding:

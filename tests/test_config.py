@@ -136,6 +136,10 @@ def test_synth_out_of_range_exits_1_naming_the_field(tmp_path, capsys, values, f
     assert not (tmp_path / "cohort.jsonl").exists()
 
 
+# The sections whose seed every CLI stage replaces with one derived from the
+# top-level seed.
+SEEDED = ("synth", "code_embedder", "summarizer", "task_head", "eval")
+
 # (section, field, value): a value out of each declared field's shape, then
 # values that break a rule across fields. None is the top level.
 OUT_OF_RANGE = [
@@ -169,6 +173,7 @@ OUT_OF_RANGE = [
     ("task_head", "lr0", -0.01),
     ("eval", "folds", 1),
     ("eval", "recall_ks", [0]),
+    *[(section, "seed", -1) for section in SEEDED],
     # rules across fields
     ("synth", "visits_min", 6),
     ("synth", "shared_tokens", 9),
@@ -209,6 +214,13 @@ def test_out_of_range_is_refused_at_construction_and_by_generate(
     assert main(["generate", "--config", str(path)]) == 1
     assert re.match(f"error: {said[1:]}", capsys.readouterr().err)
     assert not (tmp_path / "cohort.jsonl").exists()
+
+
+@pytest.mark.parametrize("section", SEEDED)
+def test_a_section_seed_must_be_a_count(section):
+    with pytest.raises(ValidationError) as refused:
+        sections()[section](seed=-1)
+    assert str(refused.value) == f"config.{section}: seed must be a non-negative integer, got -1"
 
 
 @pytest.mark.parametrize("ends, admitted", [

@@ -465,6 +465,23 @@ def manual_backward(loss):
             node.grad = None
 
 
+def walk_keeping_closures(loss):
+    """The tape's reverse walk with every node's closures left in place: the
+    bitwise oracle for the backward that drops them as it goes."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(tensor_module._tape):
+        g, node.grad = node.grad, None
+        if g is None:
+            continue
+        for parent, vjp in node._vjps:
+            contrib = vjp(g)
+            if parent.grad is None:
+                parent.grad = np.array(contrib, dtype=np.float64, copy=True)
+            else:
+                parent.grad += contrib
+    tensor_module._tape.clear()
+
+
 def summarizer_step():
     """One train_summarizer batch at c6's shape, encoder frozen as there."""
     cohort = generate_cohort(SynthConfig(n_patients=60, n_conditions=8, seed=202))[0]
@@ -595,6 +612,25 @@ class TestRecording:
         with recording(), pytest.raises(ValueError, match="not on the open tape"):
             loss.backward()
         np.testing.assert_array_equal(w.grad, 0.0)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [all_kernel_loss, summarizer_step, code_step],
+        ids=["c1-kernels", "c6-summarizer", "fit-code"],
+    )
+    def test_backward_drops_every_closure_and_keeps_the_gradients_bitwise(self, graph, made):
+        build, params = graph()
+        results = []
+        for walk in (walk_keeping_closures, Tensor.backward):
+            for p in params:
+                p.grad = np.zeros_like(p.data)
+            made.clear()
+            with recording():
+                loss = build()
+                walk(loss)
+            results.append([loss.data.tobytes(), *(p.grad.tobytes() for p in params)])
+        assert made and all(n._vjps == () for n in made)
+        assert results[1] == results[0]
 
     def test_backward_empties_the_tape(self):
         w = Parameter(np.ones(2), "w")
