@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import string
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -124,6 +125,17 @@ _RECORD = checker({
 }, "record")
 
 
+def _utf8_lines(path: str, lines):
+    """Yield (line number, text) for each byte line; one that is not UTF-8
+    raises, naming the file and the line."""
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            yield lineno, line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValidationError(
+                f"{path}: line {lineno}: not UTF-8 ({e.reason} at byte {e.start})")
+
+
 def _parse_record(obj, where: str, pool: dict) -> PatientRecord:
     _RECORD(obj, where)
     visits = []
@@ -155,16 +167,14 @@ def ingest_cohort(path: str) -> Cohort:
     patients: dict[str, PatientRecord] = {}
     pool: dict[frozenset, frozenset] = {}
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+        for lineno, line in _utf8_lines(path, fh):
+            if not line.strip(string.whitespace):
                 continue
             where = f"{path}: line {lineno}"
             try:
-                obj = json.loads(line.decode("utf-8"))
+                obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{where}: malformed JSON ({e.msg})")
-            except UnicodeDecodeError as e:
-                raise ValidationError(f"{where}: not UTF-8 ({e.reason} at byte {e.start})")
             record = _parse_record(obj, where, pool)
             if record.patient_id in patients:
                 raise ValidationError(f"{where}: duplicate patient_id {record.patient_id!r}")
@@ -202,16 +212,12 @@ def write_cohort_jsonl(cohort: Cohort, path: str) -> None:
 
 def load_group_map(path: str) -> dict:
     """CSV with header 'raw_id,group_id' mapping codes onto coarser groups;
-    a line that is not UTF-8 raises, naming its row."""
+    a line that is not UTF-8 raises, naming its number. Lines end at \\n,
+    \\r or \\r\\n."""
     mapping: dict[str, str] = {}
     with open(path, "rb") as fh:
-        lines = list(fh)
-    for row, line in enumerate(lines, start=1):
-        try:
-            lines[row - 1] = line.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ValidationError(f"{path}: row {row}: not UTF-8 ({e.reason} at byte {e.start})")
-    reader = csv.reader(lines)
+        lines = fh.read().splitlines(keepends=True)
+    reader = csv.reader(text for _, text in _utf8_lines(path, lines))
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["raw_id", "group_id"]:
         raise ValidationError(f"{path}: expected header 'raw_id,group_id', got {header}")

@@ -58,8 +58,6 @@ def _check_finite(data: np.ndarray, op: str, what: str, inputs=()) -> None:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
-    if grad.shape == shape:
-        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))

@@ -244,7 +244,7 @@ class TestBadUserPath:
             f"error: {cohort}: line 2: not UTF-8 (invalid start byte at byte 0)\n"
         )
 
-    def test_group_map_not_utf8_names_the_row(self, run_dir, tmp_path, capsys):
+    def test_group_map_not_utf8_names_the_line(self, run_dir, tmp_path, capsys):
         out, _ = run_dir
         group_map = tmp_path / "map.csv"
         group_map.write_bytes(b"raw_id,group_id\nD000,G\nD\xff01,G\n")
@@ -254,7 +254,7 @@ class TestBadUserPath:
         config.write_text(json.dumps({"paths": paths}))
         assert main(["preprocess", "--config", str(config)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {group_map}: row 3: not UTF-8 (invalid start byte at byte 1)\n"
+            f"error: {group_map}: line 3: not UTF-8 (invalid start byte at byte 1)\n"
         )
 
     def test_preprocessed_not_utf8_names_the_line_and_stage(self, run_dir, tmp_path, capsys):

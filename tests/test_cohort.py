@@ -244,6 +244,12 @@ class TestPreprocess:
         with pytest.raises(ValidationError, match="header"):
             load_group_map(str(f))
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
+    def test_group_map_lines_end_at_any_newline(self, tmp_path, end):
+        f = tmp_path / "map.csv"
+        f.write_bytes(end.join([b"raw_id,group_id", b'428,"H' + end + b'F"', b"4280,HF", b""]))
+        assert load_group_map(str(f)) == {"428": "H" + end.decode() + "F", "4280": "HF"}
+
 
 def shares_code_sets(cohort) -> bool:
     """Equal visit code sets are one frozenset, and some set serves two visits."""
