@@ -40,7 +40,7 @@ def main():
         mat = sentence_matrix(text, model.bag, cfg.chunk_size)
         if mat is None:
             continue
-        vecs.append(summarize(model, mat))
+        vecs.append(summarize(model, mat[None])[0])
         conds.append(frozenset(gt.patient_conditions[record.patient_id]))
     vecs = np.stack(vecs)
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)

@@ -46,7 +46,7 @@ from .patient_rep import (
     write_representations,
 )
 from .shape import STRING, checker
-from .synth import generate_cohort, write_ground_truth
+from .synth import generate_cohort
 from .tasks import balance_for_los, load_classifier, save_classifier, train_task
 from .text_embedder import TokenVocabulary, load_summarizer, save_summarizer, train_summarizer
 
@@ -93,8 +93,10 @@ def _read(cfg: RunConfig, name: str, parse):
 
 
 def _load_preprocessed(cfg: RunConfig):
+    """preprocessed.jsonl and its code vocabulary, built as preprocess built
+    vocab.json; only export reads that file back."""
     cohort = _read(cfg, "preprocessed.jsonl", ingest_cohort)
-    return cohort, _read(cfg, "vocab.json", CodeVocabulary.from_json)
+    return cohort, build_vocabulary(cohort)
 
 
 _SPLIT = checker({key: [f"{key} id", STRING] for key in ("train", "holdout")}, "split")
@@ -149,7 +151,7 @@ def cmd_generate(cfg: RunConfig, args) -> None:
     cohort, truth = generate_cohort(synth_cfg)
     path = _path(cfg, "cohort.jsonl")
     write_cohort_jsonl(cohort, path)
-    write_ground_truth(truth, _path(cfg, "ground_truth.json"))
+    write_json(_path(cfg, "ground_truth.json"), truth.to_json())
     print(f"wrote {path} ({len(cohort.patients)} patients)")
     print(f"wrote {_path(cfg, 'ground_truth.json')}")
 
@@ -190,7 +192,7 @@ def cmd_train_code(cfg: RunConfig, args) -> None:
 
 
 def cmd_train_text(cfg: RunConfig, args) -> None:
-    pre, _ = _load_preprocessed(cfg)
+    pre = _read(cfg, "preprocessed.jsonl", ingest_cohort)
     train_ids, _ = _read_split(cfg, pre)
     summ_cfg = replace(cfg.summarizer, seed=derive_seed(cfg.seed, "train-text"))
     model, history = train_summarizer(pre.subset(train_ids), summ_cfg)
@@ -300,7 +302,7 @@ def _evaluate_artifacts(cfg: RunConfig) -> dict:
 
 def cmd_evaluate(cfg: RunConfig, args) -> None:
     if args.crossval:
-        pre, _ = _load_preprocessed(cfg)
+        pre = _read(cfg, "preprocessed.jsonl", ingest_cohort)
         variant = _variant_from_ablate(args.ablate) if args.ablate else "full"
         eval_cfg = replace(cfg.eval, seed=derive_seed(cfg.seed, "evaluate"))
         reports = ev.crossval(

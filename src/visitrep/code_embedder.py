@@ -359,10 +359,7 @@ def forward_histories(model: CodeEmbedderModel, matrices) -> list:
 
 def encode_history(model: CodeEmbedderModel, matrices):
     """Layer-stack outputs for a list of visit matrices (see forward_histories):
-    a (T_i, d_code) array per (T_i, |C|) matrix. A single matrix gives its
-    (T, d_code) outputs."""
-    if isinstance(matrices, np.ndarray) and matrices.ndim == 2:
-        return encode_history(model, [matrices])[0]
+    a (T_i, d_code) array per (T_i, |C|) matrix."""
     return [outputs for outputs, _ in forward_histories(model, matrices)]
 
 

@@ -7,6 +7,10 @@ node's closures as it passes, and empties it: a loss is back-propagated once.
 Outside the block an op records nothing. All arithmetic is float64;
 checkpointing elsewhere narrows to float32, never this module.
 
+Operators work between tensors only: ``+``, ``-`` and ``@`` are ``add``,
+``add(a, scale(b, -1))`` and ``matmul``. Any other operand (a float, an
+array) is a ``TypeError``; scalars go through ``scale`` and ``shift``.
+
 Every value is checked for finiteness once, where it is made: as a leaf
 (``Tensor(...)``), as an op's output (``_make_node``) or as loaded state
 (``load_state``), so kernels trust their inputs. ``masked_fill`` is the one
@@ -71,6 +75,7 @@ class Tensor:
     """A float64 array plus the recorded closures needed for backward."""
 
     __slots__ = ("data", "grad", "requires_grad", "_vjps")
+    __array_ufunc__ = None  # numpy defers, so an array operand is a TypeError too
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -137,50 +142,16 @@ class Tensor:
                     parent.grad += contrib
         _tape.clear()
 
-    # -- operator sugar --------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Tensor):
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return float(other)
-        return Tensor(other)
+    # -- operators between tensors ----------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if isinstance(other, float):
-            return shift(self, other)
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if isinstance(other, float):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
+        return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if isinstance(other, float):
-            return shift(self, -other)
-        return add(self, scale(other, -1.0))
-
-    def __rsub__(self, other):
-        return shift(scale(self, -1.0), float(other))
+        return add(self, scale(other, -1.0)) if isinstance(other, Tensor) else NotImplemented
 
     def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- method forms ----------------------------------------------------------
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
+        return matmul(self, other) if isinstance(other, Tensor) else NotImplemented
 
 
 class Parameter(Tensor):
@@ -373,14 +344,7 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     return Tensor._make_node("layer_norm", out, [(a, vjp)])
 
 
-def mean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        out = np.asarray(a.data.mean())
-        size = a.data.size
-        shape = a.data.shape
-        return Tensor._make_node(
-            "mean", out, [(a, lambda g: np.broadcast_to(g / size, shape).copy())]
-        )
+def mean(a: Tensor, axis: int) -> Tensor:
     out = a.data.mean(axis=axis)
     count = a.data.shape[axis]
     shape = a.data.shape

@@ -165,10 +165,10 @@ _ROW = checker({"patient_id": NAME, "visit_index": COUNT, "task": STRING,
                 "z": ["z item", Scalar({float, int}, "a finite number", math.isfinite)]}, "row")
 
 
-def read_representations(path, task: str = None) -> Representations:
+def read_representations(path, task: str) -> Representations:
     """The table a JSONL export holds. Each row, of the `_ROW` shape, needs a
     visit key of its own and the first row's task and width; the file must
-    hold at least one row, and rows for `task` when it is given."""
+    hold at least one row, and rows for `task`."""
     rows, line_of = [], {}
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -195,7 +195,7 @@ def read_representations(path, task: str = None) -> Representations:
             rows.append(z)
     if not rows:
         raise ValidationError(f"{path}: no representation rows")
-    if task is not None and first[1] != task:
+    if first[1] != task:
         raise ValidationError(f"{path} holds representations for task {first[1]!r}, not {task!r}")
     return Representations(first[1], list(line_of), np.stack(rows))
 

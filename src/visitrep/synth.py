@@ -25,13 +25,11 @@ draws again) take the scalar calls of `_scalar_words` instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
 from .cohort import DAY, HOUR, SYSTEMS, Cohort, Note, PatientRecord, Visit
 from .errors import ValidationError
 from .jsonconfig import JsonConfig
@@ -116,11 +114,6 @@ class GroundTruth:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def write_ground_truth(gt: GroundTruth, path: str) -> None:
-    with atomic_open(path) as fh:
-        json.dump(gt.to_json(), fh, sort_keys=True, indent=1)
 
 
 def _build_conditions(config: SynthConfig, rng: np.random.Generator) -> list:

@@ -85,15 +85,10 @@ class ClassifierModel:
 
 
 def predict(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities: (n,) for binary heads, (n, 9) for length of stay."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    """Class probabilities of (n, d_in) rows: (n,) for binary heads, (n, 9)
+    for length of stay."""
     probs = model.forward(Tensor(x)).data
-    if model.n_out == 1:
-        probs = probs[:, 0]
-    return probs[0] if single else probs
+    return probs[:, 0] if model.n_out == 1 else probs
 
 
 def _los_one_hot(y: np.ndarray) -> np.ndarray:
@@ -191,13 +186,13 @@ _HEADER = checker({"task": Scalar({str}, f"one of {HEAD_TASKS}", HEAD_TASKS.__co
                    "d_in": POSITIVE}, "header")
 
 
-def load_classifier(path, vocab_hash: str, task: str = None, d_in: int = None):
-    """Rebuild (model, config); refuses other kinds and other vocabularies
-    and, where `task` and `d_in` are given, a head of another task or width."""
+def load_classifier(path, vocab_hash: str, task: str, d_in: int):
+    """Rebuild (model, config); refuses other kinds, other vocabularies and a
+    head of another task or input width."""
     config, meta, arrays = read_model(path, "classifier", vocab_hash, "task_head", TaskHeadConfig)
     _HEADER(meta, path)
     head_task, width = meta["task"], meta["d_in"]
-    if (task or head_task, d_in or width) != (head_task, width):
+    if (task, d_in) != (head_task, width):
         raise CheckpointError(
             f"{path}: holds a {head_task!r} head of input width {width}, "
             f"expected a {task!r} head of width {d_in}"

@@ -248,7 +248,7 @@ class SummarizerModel:
 
         forward, backward = run(fwd, range(m)), run(bwd, reversed(range(m)))
         rows = [nm.reshape(forward[t] + backward[t], (b, 1, d_e)) for t in range(m)]
-        return rows[0] if m == 1 else nm.concat(rows, axis=1)
+        return nm.concat(rows, axis=1)
 
     def encode(self, u: Tensor) -> Tensor:
         """Sentence matrices (B, m, d_text) to encoder states (B, m, d_enc)."""
@@ -289,7 +289,7 @@ class SummarizerModel:
             if t + 1 < m:
                 x = nm.reshape(nm.slice_axis(u, 1, t, t + 1), (b, d_t)) if coins[t] else y
         rows = [nm.reshape(y, (b, 1, d_t)) for y in outputs]
-        return rows[0] if m == 1 else nm.concat(rows, axis=1)
+        return nm.concat(rows, axis=1)
 
 
 def attention_weights(states: Tensor, d_enc: int) -> Tensor:
@@ -305,16 +305,10 @@ def attention_pool(states: Tensor, d_enc: int) -> Tensor:
 
 def summarize(model: SummarizerModel, u: np.ndarray) -> np.ndarray:
     """Summary vectors of a (B, m, d_text) stack of same-length sentence
-    matrices, as (B, d_enc). One visit's (m, d_text) matrix gives its d_enc
-    vector. Each row of the stack is encoded and pooled on its own."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 2:
-        return summarize(model, u[None])[0]
+    matrices, as (B, d_enc). Each row of the stack is encoded and pooled on
+    its own."""
     if u.ndim != 3 or 0 in u.shape[:2]:
-        raise ValidationError(
-            f"summarize expects a non-empty (m, d_text) matrix or (B, m, d_text) stack, "
-            f"got {u.shape}"
-        )
+        raise ValidationError(f"summarize expects a non-empty (B, m, d_text) stack, got {u.shape}")
     return model.pool(model.encode(Tensor(u))).data.copy()
 
 

@@ -59,16 +59,16 @@ def all_kernel_loss():
 
     def kernel_loss():
         prod = nm.matmul(a, b)
-        att = nm.softmax(nm.masked_fill(prod * 0.5, mask))
+        att = nm.softmax(nm.masked_fill(nm.scale(prod, 0.5), mask))
         att2 = nm.matmul(att, nm.transpose(b))
         normed = nm.layer_norm(att2)
         acts = nm.relu(normed) + nm.tanh(normed) + nm.sigmoid(normed)
         mixed = nm.mul(acts, nm.gather_rows(table, idx))
         squashed = nm.sigmoid(nm.shift(nm.scale(mixed, 1.7), 0.3))
         logged = nm.log(nm.clip(squashed, 0.01, 0.99))
-        t1 = nm.reshape(logged, (2, 6)).sum()
+        t1 = nm.tsum(nm.reshape(logged, (2, 6)))
         t2 = nm.tsum(nm.mean(nm.slice_axis(v, 1, 1, 3), axis=1))
-        t3 = nm.mean(nm.concat([prod, att], axis=0))
-        return t1 + t2 * 0.5 + t3
+        t3 = nm.mean(nm.mean(nm.concat([prod, att], axis=0), axis=1), axis=0)
+        return t1 + nm.scale(t2, 0.5) + t3
 
     return kernel_loss, [a, b, table, v]

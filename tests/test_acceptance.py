@@ -347,7 +347,7 @@ def test_c7_determinism_and_persistence(tmp_path_factory):
     matrix = np.zeros((2, len(vocab)))
     matrix[0, 0] = 1.0
     matrix[1, 1] = 1.0
-    assert encode_history(m1, matrix).tobytes() == encode_history(m2, matrix).tobytes()
+    assert encode_history(m1, [matrix])[0].tobytes() == encode_history(m2, [matrix])[0].tobytes()
 
     resaved = a / "code_resaved.ckpt"
     save_code_model(str(resaved), m1, vocab.content_hash())

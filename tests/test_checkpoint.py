@@ -139,7 +139,7 @@ def model_files():
         ),
         "classifier": (
             lambda path, model_config: save_classifier(path, *model_config, "h"),
-            lambda path: load_classifier(path, "h"),
+            lambda path: load_classifier(path, "h", TASK_MORTALITY, 5),
             (ClassifierModel(5, TASK_MORTALITY, rng), TaskHeadConfig(epochs=3)),
         ),
     }

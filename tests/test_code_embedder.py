@@ -105,14 +105,14 @@ def composed_forward(model, batch):
         q = nm.slice_axis(qkv, 3, 0, dh)
         k = nm.slice_axis(qkv, 3, dh, 2 * dh)
         v = nm.slice_axis(qkv, 3, 2 * dh, 3 * dh)
-        scores = nm.matmul(q, nm.transpose(k)) * (1.0 / np.sqrt(float(dh)))
+        scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / np.sqrt(float(dh)))
         mask = np.broadcast_to(blocked[:, None], scores.shape)
         weights = nm.softmax(nm.masked_fill(scores, mask))
         att = nm.tsum(nm.matmul(nm.matmul(weights, v), layer["wo"]), axis=1) + layer["bo"]
-        x = nm.layer_norm(x + att) * layer["ln1_g"] + layer["ln1_b"]
+        x = nm.mul(nm.layer_norm(x + att), layer["ln1_g"]) + layer["ln1_b"]
         inner = nm.relu(nm.matmul(x, layer["w1"]) + layer["b1"])
         ff = nm.matmul(inner, layer["w2"]) + layer["b2"]
-        x = nm.layer_norm(x + ff) * layer["ln2_g"] + layer["ln2_b"]
+        x = nm.mul(nm.layer_norm(x + ff), layer["ln2_g"]) + layer["ln2_b"]
     return x, nm.sigmoid(nm.matmul(x, model.out_w) + model.out_b)
 
 
@@ -121,8 +121,8 @@ def composed_skip_gram_loss(chat, targets, real, window, eps=1e-7):
     over the counts of skip_gram_counts."""
     hit, miss, n = skip_gram_counts(targets, real, window)
     log_p = nm.log(nm.clip(chat, eps, 1.0 - eps))
-    log_q = nm.log(nm.clip(1.0 - chat, eps, 1.0 - eps))
-    return nm.tsum(log_p * Tensor(hit) + log_q * Tensor(miss)) * (-1.0 / n)
+    log_q = nm.log(nm.clip(nm.shift(nm.scale(chat, -1.0), 1.0), eps, 1.0 - eps))
+    return nm.scale(nm.tsum(nm.mul(log_p, Tensor(hit)) + nm.mul(log_q, Tensor(miss))), -1.0 / n)
 
 
 def backward_graph_nodes(root):
@@ -576,6 +576,6 @@ class TestPrediction:
         model = tiny_model()
         rng = np.random.default_rng(8)
         mat = rng.integers(0, 2, size=(4, 6)).astype(float)
-        full = encode_history(model, mat)
-        prefix = encode_history(model, mat[:2])
+        [full] = encode_history(model, [mat])
+        [prefix] = encode_history(model, [mat[:2]])
         np.testing.assert_array_equal(full[:2], prefix)

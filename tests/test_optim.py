@@ -19,6 +19,7 @@ from visitrep.numerics import (
     lr_at,
     matmul,
     mul,
+    scale,
     tsum,
 )
 
@@ -212,7 +213,7 @@ class LeastSquares:
 
     def loss(self, rows):
         err = matmul(Tensor(self.X[rows]), self.w) - Tensor(self.y[rows])
-        return tsum(mul(err, err)) * (1.0 / len(rows))
+        return scale(tsum(mul(err, err)), 1.0 / len(rows))
 
     def train_batches(self, order):
         for start in range(0, len(order), 2):
@@ -237,7 +238,7 @@ class TwoParameterLine(LeastSquares):
 
     def loss(self, rows):
         err = matmul(Tensor(self.X[rows]), self.w) + self.b - Tensor(self.y[rows])
-        return tsum(mul(err, err)) * (1.0 / len(rows))
+        return scale(tsum(mul(err, err)), 1.0 / len(rows))
 
 
 class TestFit:

@@ -170,7 +170,7 @@ class TestRepresentVisit:
         text = select_task_text(cohort.patients[1].visits[0], TASK_MORTALITY)
         mat = sentence_matrix(text, pipe.summarizer.bag, pipe.summarizer.config.chunk_size)
         np.testing.assert_array_equal(
-            segment(pipe.space, z, "text"), summarize(pipe.summarizer, mat)
+            segment(pipe.space, z, "text"), summarize(pipe.summarizer, mat[None])[0]
         )
 
     def test_demographics_drift_with_visit_age(self):
@@ -249,7 +249,7 @@ class TestBatchedOracle:
         rows = iter(reps.vectors)
         for record in cohort.patients:
             matrix = np.stack([encode_visit_codes(v, pipe.vocab) for v in record.visits])
-            history = encode_history(pipe.code_model, matrix)
+            [history] = encode_history(pipe.code_model, [matrix])
             for vi, visit in enumerate(record.visits):
                 z = next(rows)
                 if task == TASK_CODES:
@@ -260,7 +260,10 @@ class TestBatchedOracle:
                     select_task_text(visit, task), pipe.summarizer.bag, self.CHUNK
                 )
                 counts.append(0 if mat is None else len(mat))
-                text = np.zeros(pipe.space.d_enc) if mat is None else summarize(pipe.summarizer, mat)
+                text = (
+                    np.zeros(pipe.space.d_enc) if mat is None
+                    else summarize(pipe.summarizer, mat[None])[0]
+                )
                 seg = lambda name: segment(pipe.space, z, name)
                 np.testing.assert_allclose(seg("code"), code, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(seg("text"), text, rtol=0, atol=1e-12)
@@ -295,7 +298,7 @@ class TestExport:
         reps = pipe.represent_cohort(cohort, TASK_LOS)
         path = tmp_path / "reps.jsonl"
         write_representations(path, reps)
-        back = read_representations(path)
+        back = read_representations(path, TASK_LOS)
         assert (back.task, back.keys) == (reps.task, reps.keys)
         np.testing.assert_array_equal(
             back.vectors, reps.vectors.astype(np.float32).astype(np.float64)
@@ -305,7 +308,7 @@ class TestExport:
         path = tmp_path / "reps.jsonl"
         path.write_text('{"patient_id": "p", "visit_index": 0}\n')
         with pytest.raises(ValidationError, match="1: bad representation row"):
-            read_representations(path)
+            read_representations(path, TASK_MORTALITY)
 
     @pytest.mark.parametrize(
         "lines, message",
@@ -366,7 +369,7 @@ class TestExport:
         path = tmp_path / "reps.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=re.escape(str(path)) + message):
-            read_representations(path)
+            read_representations(path, "t")
 
 
 class TestJoin:

@@ -2,8 +2,10 @@
 target and kernel it names must still resolve, so a rename fails here
 instead of in `perfbench/run.py --trace 1`. The hooks on those wrappers
 read arguments by position and by name, so one test also runs every CLI
-stage under them."""
+stage under them. The kernels it names that the package never calls are
+pinned, so the list of kernels kept only for the benchmark stays exact."""
 
+import ast
 import json
 import os
 import subprocess
@@ -17,6 +19,8 @@ from perfbench.tracing import resolve
 from perfbench.workloads import throughput_stages
 
 ROOT = Path(__file__).resolve().parents[1]
+# Kernels with no caller in src/visitrep, kept only because KERNELS names them.
+UNCALLED_KERNELS = {"relu", "layer_norm", "masked_fill", "shift"}
 
 # Runs in a fresh interpreter, so the rebinding cannot leak into other tests.
 TRACED_STAGES = """
@@ -52,6 +56,19 @@ def test_every_traced_name_resolves():
         if not callable(getattr(owner, attr, None)):
             missing.append(target)
     assert not missing, f"unresolved benchmark targets: {missing}"
+
+
+def test_the_kernels_the_package_never_calls_are_pinned():
+    """Calls are matched by name, as a method or a function, like
+    tests/test_checked_once.py does."""
+    called = set()
+    for path in (ROOT / "src" / "visitrep").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                called.add(name)
+    assert set(KERNELS) - called == UNCALLED_KERNELS
 
 
 def test_hooks_run_on_every_cli_stage(tmp_path):

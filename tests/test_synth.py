@@ -8,14 +8,10 @@ import numpy as np
 import pytest
 
 from visitrep import synth
+from visitrep.atomic import write_json
 from visitrep.cohort import ingest_cohort, preprocess, write_cohort_jsonl
 from visitrep.errors import ValidationError
-from visitrep.synth import (
-    GroundTruth,
-    SynthConfig,
-    generate_cohort,
-    write_ground_truth,
-)
+from visitrep.synth import GroundTruth, SynthConfig, generate_cohort
 
 
 def small_config(**kw):
@@ -52,7 +48,7 @@ class TestDeterminismAndValidity:
     def test_ground_truth_sidecar_round_trip(self, tmp_path):
         _, gt = generate_cohort(small_config())
         path = tmp_path / "gt.json"
-        write_ground_truth(gt, str(path))
+        write_json(str(path), gt.to_json())
         assert json.loads(path.read_text()) == json.loads(json.dumps(gt.to_json()))
 
     def test_config_validation(self):
@@ -264,7 +260,7 @@ class TestNoteWordBlock:
         def written(tag):
             cohort, truth = generate_cohort(SynthConfig(**fields))
             write_cohort_jsonl(cohort, str(tmp_path / f"{tag}.jsonl"))
-            write_ground_truth(truth, str(tmp_path / f"{tag}.json"))
+            write_json(str(tmp_path / f"{tag}.json"), truth.to_json())
             return [(tmp_path / f"{tag}{ext}").read_bytes() for ext in (".jsonl", ".json")]
 
         block = written("block")

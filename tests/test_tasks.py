@@ -74,8 +74,10 @@ class TestPredict:
     def test_single_vector_and_determinism(self):
         model = ClassifierModel(4, TASK_MORTALITY, np.random.default_rng(1))
         z = np.random.default_rng(3).normal(size=4)
-        assert predict(model, z).shape == ()
-        assert predict(model, z) == predict(model, z)
+        assert predict(model, z[None]).shape == (1,)
+        assert predict(model, z[None]) == predict(model, z[None])
+        with pytest.raises(ValidationError, match=r"width 4, got shape \(4,\)"):
+            predict(model, z)
 
     def test_width_mismatch(self):
         model = ClassifierModel(4, TASK_MORTALITY, np.random.default_rng(1))
@@ -108,7 +110,7 @@ class TestLossOracles:
 
         def composed_loss():
             p = nm.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
-            q = nm.clip(1.0 - probs, PROB_CLIP, 1.0 - PROB_CLIP)
+            q = nm.clip(nm.shift(nm.scale(probs, -1.0), 1.0), PROB_CLIP, 1.0 - PROB_CLIP)
             per = nm.mul(Tensor(target), nm.log(p)) + nm.mul(Tensor(1.0 - target), nm.log(q))
             return nm.scale(nm.tsum(per), -1.0 / 8)
 

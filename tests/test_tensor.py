@@ -38,6 +38,7 @@ from visitrep.numerics import (
     recording,
     relu,
     reshape,
+    scale,
     sigmoid,
     slice_axis,
     softmax,
@@ -253,6 +254,41 @@ class TestErrorContracts:
             log(Tensor([0.5, 0.0]))
 
 
+class TestOperatorsTakeTensorsOnly:
+    """`+`, `-` and `@` join two tensors; scalars go through scale and shift."""
+
+    def test_operators_are_their_kernels(self):
+        rng = np.random.default_rng(3)
+        a, b = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3)))
+        assert (a + b).data.tobytes() == add(a, b).data.tobytes()
+        assert (a - b).data.tobytes() == add(a, scale(b, -1.0)).data.tobytes()
+        assert (a @ b).data.tobytes() == matmul(a, b).data.tobytes()
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            lambda t: t + 1.0,
+            lambda t: 2.0 * t,
+            lambda t: t * t,
+            lambda t: 1.0 - t,
+            lambda t: -t,
+            lambda t: t + np.ones(t.shape),
+            lambda t: np.ones(t.shape) - t,
+            lambda t: t @ np.eye(2),
+            lambda t: mean(t),
+        ],
+        ids=["add-float", "float-mul", "mul", "float-sub", "neg", "add-array", "array-sub",
+             "matmul-array", "mean-without-axis"],
+    )
+    def test_any_other_form_is_a_type_error(self, expr):
+        with pytest.raises(TypeError):
+            expr(Tensor(np.ones((2, 2))))
+
+    def test_a_sum_is_tsum_only(self):
+        assert not hasattr(Tensor(np.ones(2)), "sum")
+        np.testing.assert_array_equal(tsum(Tensor(np.ones(2))).data, 2.0)
+
+
 class TestBackwardBasics:
     def test_unreached_parameter_keeps_zero_gradient(self):
         used = Parameter(np.ones((2, 2)), "used")
@@ -279,7 +315,7 @@ class TestBackwardBasics:
             w = Parameter(rng.normal(size=(4, 4)), "w")
             x = Tensor(rng.normal(size=(3, 4)))
             with recording():
-                loss = tsum(softmax(matmul(x, w)) * Tensor(rng.normal(size=(3, 4))))
+                loss = tsum(mul(softmax(matmul(x, w)), Tensor(rng.normal(size=(3, 4)))))
                 loss.backward()
             return loss.data.copy(), w.grad.copy()
 
@@ -318,7 +354,7 @@ class TestKernelGradients:
 
     def test_mul_broadcast(self):
         a, b = self._param(2, 3, 4), self._param(1, 4)
-        _fd_check(lambda: tsum(tanh(a * b)), [a, b])
+        _fd_check(lambda: tsum(tanh(mul(a, b))), [a, b])
 
     def test_sigmoid_tanh_relu(self):
         x = self._param(5, 3)
@@ -331,18 +367,18 @@ class TestKernelGradients:
     def test_softmax(self):
         x = self._param(4, 5)
         w = Tensor(self.rng.normal(size=(4, 5)))
-        _fd_check(lambda: tsum(softmax(x) * w), [x])
+        _fd_check(lambda: tsum(mul(softmax(x), w)), [x])
 
     def test_masked_softmax(self):
         x = self._param(1, 5, 5)
         mask = np.broadcast_to(np.triu(np.ones((5, 5), dtype=bool), k=1), (1, 5, 5))
         w = Tensor(self.rng.normal(size=(1, 5, 5)))
-        _fd_check(lambda: tsum(softmax(masked_fill(x, mask)) * w), [x])
+        _fd_check(lambda: tsum(mul(softmax(masked_fill(x, mask)), w)), [x])
 
     def test_layer_norm(self):
         x = self._param(3, 6)
         w = Tensor(self.rng.normal(size=(3, 6)))
-        _fd_check(lambda: tsum(layer_norm(x) * w), [x])
+        _fd_check(lambda: tsum(mul(layer_norm(x), w)), [x])
 
     def test_concat(self):
         a, b = self._param(2, 3), self._param(2, 2)
@@ -351,7 +387,7 @@ class TestKernelGradients:
     def test_mean_and_sum_axes(self):
         x = self._param(3, 4, 5)
         _fd_check(lambda: tsum(sigmoid(mean(x, axis=1))), [x])
-        _fd_check(lambda: mean(x), [x])
+        _fd_check(lambda: tsum(mean(x, axis=2)), [x])
         _fd_check(lambda: tsum(tanh(tsum(x, axis=2))), [x])
 
     def test_log_clip(self):
@@ -373,14 +409,14 @@ class TestKernelGradients:
         blocked = np.triu(np.ones((3, 3), dtype=bool), k=1)[None] | ~real[:, None, :]
         w = Tensor(self.rng.normal(size=(2, 3, 4)))
         _fd_check(
-            lambda: tsum(causal_attention(x, wqkv, wo, bo, blocked) * w), [x, wqkv, wo, bo]
+            lambda: tsum(mul(causal_attention(x, wqkv, wo, bo, blocked), w)), [x, wqkv, wo, bo]
         )
 
     def test_add_layer_norm(self):
         x, r = self._param(2, 3, 5), self._param(2, 3, 5)
         g, b = self._param(1, 5), self._param(1, 5)
         w = Tensor(self.rng.normal(size=(2, 3, 5)))
-        _fd_check(lambda: tsum(add_layer_norm(x, r, g, b) * w), [x, r, g, b])
+        _fd_check(lambda: tsum(mul(add_layer_norm(x, r, g, b), w)), [x, r, g, b])
 
     @pytest.mark.parametrize("use_relu", [False, True], ids=["affine", "relu"])
     def test_linear(self, use_relu):
@@ -388,7 +424,7 @@ class TestKernelGradients:
         # Finite differences straddling the relu kink would disagree.
         assert np.abs(x.data @ w.data + b.data).min() > 1e-3
         v = Tensor(self.rng.normal(size=(2, 3, 5)))
-        _fd_check(lambda: tsum(linear(x, w, b, relu=use_relu) * v), [x, w, b])
+        _fd_check(lambda: tsum(mul(linear(x, w, b, relu=use_relu), v)), [x, w, b])
 
     def test_binary_xent_with_clipped_ends(self):
         """Entries below eps and above 1 - eps pass no gradient."""
@@ -416,7 +452,7 @@ class TestKernelGradients:
             def build():
                 h = layer_norm(tanh(matmul(x, w1)))
                 p = softmax(matmul(h, w2))
-                return -mean(log(clip(p, 1e-7, 1 - 1e-7)) * t)
+                return scale(tsum(mul(log(clip(p, 1e-7, 1 - 1e-7)), t)), -1.0 / t.data.size)
 
             _fd_check(build, [w1, w2])
 
@@ -601,12 +637,12 @@ class TestRecording:
     def test_backward_outside_the_block_is_refused(self):
         w = Parameter(np.ones(2), "w")
         with pytest.raises(ValueError, match="not on the open tape"):
-            tsum(w * w).backward()
+            tsum(mul(w, w)).backward()
 
     def test_backward_on_a_loss_from_a_closed_block_is_refused(self):
         w = Parameter(np.ones(2), "w")
         with recording():
-            loss = tsum(w * w)
+            loss = tsum(mul(w, w))
         with pytest.raises(ValueError, match="not on the open tape"):
             loss.backward()
         with recording(), pytest.raises(ValueError, match="not on the open tape"):
@@ -635,7 +671,7 @@ class TestRecording:
     def test_backward_empties_the_tape(self):
         w = Parameter(np.ones(2), "w")
         with recording():
-            square = w * w
+            square = mul(w, w)
             loss = tsum(square)
             assert tensor_module._tape == [square, loss]
             loss.backward()
@@ -656,7 +692,7 @@ class TestRecording:
         w = Parameter(np.ones(2), "w")
 
         def nan_batches(order):
-            loss = tsum(w * w)
+            loss = tsum(mul(w, w))
             loss.data = np.array(np.nan)
             yield loss, 1
 
@@ -664,5 +700,5 @@ class TestRecording:
             fit([w], StepDecay(0.1, 1.0, 1), 1, np.random.default_rng(0), 2, nan_batches)
         assert tensor_module._tape is None
         with recording():
-            loss = tsum(w * w)
+            loss = tsum(mul(w, w))
             loss.backward()

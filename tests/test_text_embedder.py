@@ -263,7 +263,7 @@ class TestSummarize:
         for m in (1, 2, 4):
             u = rng.normal(size=(m, 4))
             np.testing.assert_allclose(
-                summarize(model, u), manual_summarize(model, u), atol=1e-12
+                summarize(model, u[None])[0], manual_summarize(model, u), atol=1e-12
             )
 
     def test_single_sentence_returns_its_encoder_state(self):
@@ -271,12 +271,12 @@ class TestSummarize:
         model = SummarizerModel(TINY_VOCAB, TINY_CFG, rng)
         u = rng.normal(size=(1, 4))
         states = model.encode(Tensor(u[None]))
-        np.testing.assert_array_equal(summarize(model, u), states.data[0, 0])
+        np.testing.assert_array_equal(summarize(model, u[None])[0], states.data[0, 0])
 
     def test_default_dimension_is_128(self):
         model = SummarizerModel(TINY_VOCAB, SummarizerConfig(), np.random.default_rng(0))
         u = np.random.default_rng(1).normal(size=(2, 64))
-        assert summarize(model, u).shape == (128,)
+        assert summarize(model, u[None]).shape == (1, 128)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
@@ -297,16 +297,21 @@ class TestSummarize:
         rng = np.random.default_rng(5)
         model = SummarizerModel(TINY_VOCAB, TINY_CFG, rng)
         u = rng.normal(size=(1, 4))
-        e1 = summarize(model, u)
-        e2 = summarize(model, np.vstack([u, u]))
+        e1 = summarize(model, u[None])[0]
+        e2 = summarize(model, np.vstack([u, u])[None])[0]
         assert not np.allclose(e1, e2)
 
     def test_empty_matrix_rejected(self):
         model = SummarizerModel(TINY_VOCAB, TINY_CFG, np.random.default_rng(0))
         with pytest.raises(ValidationError, match="non-empty"):
-            summarize(model, np.zeros((0, 4)))
+            summarize(model, np.zeros((1, 0, 4)))
         with pytest.raises(ValidationError, match="d_text"):
-            summarize(model, np.zeros((2, 5)))
+            summarize(model, np.zeros((1, 2, 5)))
+
+    def test_one_matrix_is_refused_for_a_one_row_stack(self):
+        model = SummarizerModel(TINY_VOCAB, TINY_CFG, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=r"\(B, m, d_text\) stack, got \(2, 4\)"):
+            summarize(model, np.zeros((2, 4)))
 
 
     def test_fused_initial_arrays_equal_per_gate_draws(self):
@@ -592,7 +597,7 @@ class TestTraining:
         u = sentence_matrix("c0t1 c0t2 noise3", model.bag, cfg.chunk_size)
         u2 = sentence_matrix("c0t1 c0t2 noise3", model2.bag, cfg.chunk_size)
         assert u.tobytes() == u2.tobytes()
-        assert summarize(model, u).tobytes() == summarize(model2, u2).tobytes()
+        assert summarize(model, u[None]).tobytes() == summarize(model2, u2[None]).tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="teacher_forcing"):
