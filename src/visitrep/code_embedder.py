@@ -9,7 +9,13 @@ the output head at visit t predicts, per code, the codes of the visits
 within a +-window around t, scored with binary cross-entropy. Those
 targets never change, so train_code_embedder counts each patient's hits
 and valid pairs once per fit, beside its codes (SkipGramRows), and each
-batch only gathers and pads those rows.
+batch only gathers those rows.
+
+A batch is packed: its patients' real visits as (N, |C|) rows, patient
+after patient, plus each patient's length (VisitSequenceBatch). Every
+position-wise layer runs on those N rows; padding exists only inside
+`causal_attention`, which scatters the rows into the (B, T) slots the
+lengths define, attends there and gathers the head outputs back to rows.
 
 A block is five fused numerics kernels, one graph node each:
 `causal_attention` (every head at once, summed through `wo`, plus `bo`),
@@ -24,7 +30,7 @@ exactly, so perturbing later visits leaves earlier outputs bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -86,40 +92,6 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return pe
 
 
-@dataclass
-class VisitSequenceBatch:
-    """Padded batch: codes (B, T, |C|), real (B, T) marks non-padding visits."""
-
-    codes: np.ndarray
-    real: np.ndarray
-
-    def __post_init__(self):
-        if self.codes.ndim != 3 or self.real.shape != self.codes.shape[:2]:
-            raise ValidationError(
-                f"batch: codes {self.codes.shape} and real {self.real.shape} disagree"
-            )
-        if not self.real.any(axis=1).all():
-            raise ValidationError("batch: a row has no real visits")
-
-
-def build_batch(matrices: list) -> VisitSequenceBatch:
-    """Pad per-patient (T_i, |C|) matrices to the longest T in the batch."""
-    if not matrices:
-        raise ValidationError("build_batch: empty batch")
-    t_max = max(m.shape[0] for m in matrices)
-    width = matrices[0].shape[1]
-    codes = np.zeros((len(matrices), t_max, width), dtype=np.float64)
-    real = np.zeros((len(matrices), t_max), dtype=bool)
-    for i, m in enumerate(matrices):
-        if m.shape[1] != width:
-            raise ValidationError(
-                f"build_batch: vocab width mismatch {m.shape[1]} != {width}"
-            )
-        codes[i, : m.shape[0]] = m
-        real[i, : m.shape[0]] = True
-    return VisitSequenceBatch(codes=codes, real=real)
-
-
 def attention_blocked_mask(real: np.ndarray) -> np.ndarray:
     """(B, T, T) where True means 'query may not attend to this key':
     strictly future positions plus padded keys."""
@@ -127,6 +99,48 @@ def attention_blocked_mask(real: np.ndarray) -> np.ndarray:
     causal = np.triu(np.ones((t, t), dtype=bool), k=1)
     pad_keys = ~real[:, None, :]
     return causal[None, :, :] | pad_keys
+
+
+@dataclass
+class VisitSequenceBatch:
+    """Packed batch, defined by its lengths: codes (N, |C|) holds every
+    patient's real visits, patient after patient, and lengths (B,) how many
+    rows each patient has (at least one). Both masks attention needs are
+    derived from the lengths, once: real (B, T) marks where the rows sit
+    when padded to the longest history, so a patient's rows are always a
+    prefix of its slots, and blocked (B, T, T) is attention_blocked_mask
+    of real."""
+
+    codes: np.ndarray
+    lengths: np.ndarray
+    real: np.ndarray = field(init=False, repr=False)
+    blocked: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lengths = self.lengths = np.asarray(self.lengths)
+        if (self.codes.ndim != 2 or lengths.ndim != 1 or lengths.dtype.kind not in "iu"
+                or not lengths.size or lengths.sum() != self.codes.shape[0]):
+            raise ValidationError(
+                f"batch: codes {self.codes.shape} and lengths {lengths.tolist()} disagree"
+            )
+        if lengths.min() < 1:
+            raise ValidationError("batch: a row has no real visits")
+        self.real = np.arange(lengths.max()) < lengths[:, None]
+        self.blocked = attention_blocked_mask(self.real)
+
+
+def build_batch(matrices: list) -> VisitSequenceBatch:
+    """Pack per-patient (T_i, |C|) matrices into one batch, in order."""
+    if not matrices:
+        raise ValidationError("build_batch: empty batch")
+    width = matrices[0].shape[1]
+    for m in matrices:
+        if m.shape[1] != width:
+            raise ValidationError(
+                f"build_batch: vocab width mismatch {m.shape[1]} != {width}"
+            )
+    lengths = np.array([m.shape[0] for m in matrices])
+    return VisitSequenceBatch(np.concatenate(matrices, dtype=np.float64), lengths)
 
 
 class CodeEmbedderModel:
@@ -181,54 +195,55 @@ class CodeEmbedderModel:
             self._pos_cache[t] = positional_encoding(t, self.config.d_code)
         return self._pos_cache[t]
 
-    def _block(self, x: Tensor, blocked: np.ndarray, layer: dict) -> Tensor:
-        att = nm.causal_attention(x, layer["wqkv"], layer["wo"], layer["bo"], blocked)
+    def _block(self, x: Tensor, real: np.ndarray, blocked: np.ndarray, layer: dict) -> Tensor:
+        att = nm.causal_attention(x, layer["wqkv"], layer["wo"], layer["bo"], real, blocked)
         x = nm.add_layer_norm(x, att, layer["ln1_g"], layer["ln1_b"])
         inner = nm.linear(x, layer["w1"], layer["b1"], relu=True)
         ff = nm.linear(inner, layer["w2"], layer["b2"])
         return nm.add_layer_norm(x, ff, layer["ln2_g"], layer["ln2_b"])
 
     def forward(self, batch: VisitSequenceBatch) -> tuple:
-        """Returns (outputs (B, T, d_code), code probabilities (B, T, |C|))."""
-        b, t, c = batch.codes.shape
+        """Returns (outputs (N, d_code), code probabilities (N, |C|)), one
+        row per row of the packed batch."""
+        n, c = batch.codes.shape
         if c != self.vocab_size:
             raise ValidationError(
                 f"forward: batch encodes {c} codes, model expects {self.vocab_size}"
             )
+        real = batch.real
         x = nm.matmul(Tensor(batch.codes), self.embed)
-        x = x + Tensor(self._positions(t))
-        assert x.shape == (b, t, self.config.d_code)
-        blocked = attention_blocked_mask(batch.real)
+        x = x + Tensor(self._positions(real.shape[1])[np.nonzero(real)[1]])
         for layer in self.layers:
-            x = self._block(x, blocked, layer)
-            assert x.shape == (b, t, self.config.d_code)
+            x = self._block(x, real, batch.blocked, layer)
+            assert x.shape == (n, self.config.d_code)
         chat = nm.sigmoid(nm.linear(x, self.out_w, self.out_b))
-        assert chat.shape == (b, t, self.vocab_size)
+        assert chat.shape == (n, self.vocab_size)
         return x, chat
 
 
-def skip_gram_counts(targets: np.ndarray, real: np.ndarray, window: int) -> tuple:
-    """Per (b, t, code) of a padded batch: how many valid target visits
-    t + j, 0 < |j| <= window, hold the code (hit) and how many lack it
-    (miss), plus the number of valid (t, j) pairs. Pairs where either
-    endpoint is padding are skipped. Returns (hit, miss, n_pairs)."""
-    if targets.ndim != 3 or real.shape != targets.shape[:2]:
+def skip_gram_counts(codes: np.ndarray, lengths, window: int) -> tuple:
+    """Per row of packed 0/1 codes (N, |C|), each patient's visits in order
+    with the given lengths: how many of the same patient's visits t + j,
+    0 < |j| <= window, hold the code (hit) and how many lack it (miss),
+    plus the number of (t, j) pairs. hit and miss are counts in the dtype
+    of `codes`, which must hold 2 * window. Returns (hit, miss, n_pairs)."""
+    lengths = np.asarray(lengths)
+    if codes.ndim != 2 or lengths.ndim != 1 or lengths.sum() != len(codes):
         raise ValidationError(
-            f"skip_gram_counts: shapes disagree, targets {targets.shape}, real {real.shape}"
+            f"skip_gram_counts: codes {codes.shape} and lengths {lengths.tolist()} disagree"
         )
-    b, t, c = targets.shape
-    hit = np.zeros((b, t, c))
-    miss = np.zeros((b, t, c))
+    # Each row's own patient spans rows [first, end).
+    end = np.repeat(np.cumsum(lengths), lengths)
+    first = end - np.repeat(lengths, lengths)
+    row = np.arange(len(codes))
+    hit, miss = np.zeros_like(codes), np.zeros_like(codes)
     n_pairs = 0
-    for j in range(-window, window + 1):
-        lo, hi = max(0, -j), min(t, t - j)
-        if j == 0 or lo >= hi:
-            continue
-        valid = (real[:, lo:hi] & real[:, lo + j : hi + j])[:, :, None]
-        tg = targets[:, lo + j : hi + j, :]
-        hit[:, lo:hi] += tg * valid
-        miss[:, lo:hi] += (1.0 - tg) * valid
-        n_pairs += int(valid.sum())
+    for j in [*range(-window, 0), *range(1, window + 1)]:
+        rows = np.flatnonzero((first <= row + j) & (row + j < end))
+        tg = codes[rows + j]
+        hit[rows] += tg
+        miss[rows] += 1 - tg
+        n_pairs += len(rows)
     return hit, miss, n_pairs
 
 
@@ -252,10 +267,10 @@ def skip_gram_loss(
 @dataclass
 class SkipGramRows:
     """Every training patient's visits as small-integer rows [codes | hit |
-    pairs], stacked patient by patient above one zero row that padding
-    reads: the multi-hot codes, skip_gram_counts' hit per code, and the
-    number of valid pairs per visit. Multi-hot targets make
-    miss = pairs - hit exact, so miss is not stored."""
+    pairs], stacked patient by patient: the multi-hot codes,
+    skip_gram_counts' hit per code, and the number of valid pairs per
+    visit. Multi-hot targets make miss = pairs - hit exact, so miss is not
+    stored."""
 
     rows: np.ndarray
     starts: np.ndarray
@@ -263,29 +278,25 @@ class SkipGramRows:
 
     @classmethod
     def build(cls, matrices: list, window: int) -> "SkipGramRows":
-        dtype = np.min_scalar_type(2 * window)
-        blocks = []
-        for m in matrices:
-            hit, miss, _ = skip_gram_counts(m[None], np.ones((1, len(m)), dtype=bool), window)
-            pairs = hit[0, :, :1] + miss[0, :, :1]
-            blocks.append(np.hstack([m, hit[0], pairs]).astype(dtype))
-        blocks.append(np.zeros((1, blocks[0].shape[1]), dtype=dtype))
         lengths = np.array([len(m) for m in matrices])
-        starts = np.cumsum(lengths) - lengths
-        return cls(np.concatenate(blocks), starts, lengths)
+        dtype = np.min_scalar_type(2 * window)
+        codes = np.concatenate(matrices, dtype=dtype, casting="unsafe")
+        hit, miss, _ = skip_gram_counts(codes, lengths, window)
+        rows = np.hstack([codes, hit, hit[:, :1] + miss[:, :1]])
+        return cls(rows, np.cumsum(lengths) - lengths, lengths)
 
     def batch(self, patients: np.ndarray) -> tuple:
         """(VisitSequenceBatch, (hit, miss, n_pairs)) for the patients at
-        these positions, padded to the longest: bit for bit build_batch of
-        their matrices and skip_gram_counts of that batch."""
+        these positions, one row per real visit: bit for bit build_batch of
+        their matrices, and skip_gram_counts of each patient on its rows."""
         lengths = self.lengths[patients]
-        real = np.arange(lengths.max()) < lengths[:, None]
-        index = np.where(real, self.starts[patients][:, None] + np.arange(real.shape[1]), -1)
+        offsets = np.cumsum(lengths) - lengths
+        index = np.arange(lengths.sum()) + np.repeat(self.starts[patients] - offsets, lengths)
         rows = self.rows[index]
-        c = (rows.shape[2] - 1) // 2
-        hit = rows[..., c : 2 * c].astype(np.float64)
-        pairs = rows[..., 2 * c :].astype(np.float64)
-        batch = VisitSequenceBatch(rows[..., :c].astype(np.float64), real)
+        c = (rows.shape[1] - 1) // 2
+        hit = rows[:, c : 2 * c].astype(np.float64)
+        pairs = rows[:, 2 * c :].astype(np.float64)
+        batch = VisitSequenceBatch(rows[:, :c].astype(np.float64), lengths)
         return batch, (hit, pairs - hit, int(pairs.sum()))
 
 
@@ -339,9 +350,10 @@ def train_code_embedder(
 
 
 def forward_histories(model: CodeEmbedderModel, matrices) -> list:
-    """Per unpadded (T_i, |C|) visit matrix, in the order given, its real rows
-    as (outputs (T_i, d_code), code probabilities (T_i, |C|)), from one padded
-    forward per `model.config.batch_size` matrices: the one inference batcher.
+    """Per (T_i, |C|) visit matrix, in the order given, its rows as
+    (outputs (T_i, d_code), code probabilities (T_i, |C|)), from one packed
+    forward per `model.config.batch_size` matrices, split by their lengths:
+    the one inference batcher.
 
     The causal mask makes row t depend on visits 0..t only, so row t of chat
     scores the next visit after the prefix ending at t."""
@@ -351,9 +363,10 @@ def forward_histories(model: CodeEmbedderModel, matrices) -> list:
             raise ValidationError(f"visit matrix: expected (T, |C|), got {m.shape}")
     out, step = [], model.config.batch_size
     for start in range(0, len(mats), step):
-        chunk = mats[start : start + step]
-        outputs, chat = model.forward(build_batch(chunk))
-        out += [(outputs.data[i, : len(m)], chat.data[i, : len(m)]) for i, m in enumerate(chunk)]
+        batch = build_batch(mats[start : start + step])
+        outputs, chat = model.forward(batch)
+        cuts = np.cumsum(batch.lengths)[:-1]
+        out += zip(np.split(outputs.data, cuts), np.split(chat.data, cuts))
     return out
 
 

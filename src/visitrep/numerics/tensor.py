@@ -21,9 +21,9 @@ op, the output shape and any ``Parameter`` among its direct inputs, e.g.
 
 Four fused kernels each record one node for a chain of the elementary ones,
 with a hand-written VJP: ``causal_attention``, ``add_layer_norm``,
-``linear`` and ``binary_xent``. ``causal_attention``'s ``-inf`` scores for
-blocked keys never leave the kernel, and its output is finite-checked like
-any other op's.
+``linear`` and ``binary_xent``. ``causal_attention`` takes packed rows and
+pads only inside; its ``-inf`` scores for blocked keys never leave the
+kernel, and its output is finite-checked like any other op's.
 """
 
 from __future__ import annotations
@@ -345,8 +345,8 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
 
 
 def mean(a: Tensor, axis: int) -> Tensor:
-    out = a.data.mean(axis=axis)
     count = a.data.shape[axis]
+    out = np.add.reduce(a.data, axis) / count  # a.data.mean(axis), bitwise
     shape = a.data.shape
 
     def vjp(g):
@@ -447,9 +447,10 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # -- fused kernels ---------------------------------------------------------------
 #
 # Each is one graph node whose forward runs, in order, the numpy expressions
-# of the composed kernels it replaces, so its outputs are bitwise theirs. The
-# VJPs are written by hand; work shared by several parents runs once per
-# incoming gradient.
+# of the composed kernels it replaces, so its outputs are bitwise theirs
+# (causal_attention's at the real slots of the padded layout). The VJPs are
+# written by hand; work shared by several parents runs once per incoming
+# gradient.
 
 
 def _once_per_grad(compute):
@@ -464,56 +465,81 @@ def _once_per_grad(compute):
     return shared
 
 
-def causal_attention(x: Tensor, wqkv: Tensor, wo: Tensor, bo: Tensor, blocked) -> Tensor:
-    """Multi-head self-attention over x (B, T, d) with every head at once:
-    head h's q|k|v are the column blocks of wqkv[h] (nh, d, 3·dh), its output
-    meets wo[h] (nh, dh, d), the heads are summed and bo (1, d) added.
+def causal_attention(
+    x: Tensor, wqkv: Tensor, wo: Tensor, bo: Tensor, real, blocked
+) -> Tensor:
+    """Multi-head self-attention over packed rows x (N, d) with every head at
+    once: head h's q|k|v are the column blocks of wqkv[h] (nh, d, 3·dh), its
+    output meets wo[h] (nh, dh, d), the heads are summed and bo (1, d) added.
+    Row i of x fills the i-th True slot of `real` (B, T) in row-major order,
+    so a patient's rows are consecutive. Only the scores use the (B, T)
+    layout: the q|k|v projections are scattered into zeroed slots and the
+    head outputs gathered back to rows, and the VJP does the reverse.
     `blocked` (B, T, T) marks the keys each query may not attend to; a query
     with every key blocked is an error. The -inf scores stay inside."""
-    if x.ndim != 3 or wqkv.ndim != 3 or wqkv.shape[1] != x.shape[2] or wqkv.shape[2] % 3:
+    if x.ndim != 2 or wqkv.ndim != 3 or wqkv.shape[1] != x.shape[1] or wqkv.shape[2] % 3:
         raise ValueError(f"causal_attention: x {x.shape} and wqkv {wqkv.shape} disagree")
-    b, t, d = x.shape
+    n, d = x.shape
     nh, dh = wqkv.shape[0], wqkv.shape[2] // 3
     if wo.shape != (nh, dh, d):
         raise ValueError(f"causal_attention: wo {wo.shape}, expected {(nh, dh, d)}")
-    blocked = np.asarray(blocked)
+    real, blocked = np.asarray(real), np.asarray(blocked)
+    if real.dtype != np.bool_ or real.ndim != 2 or real.sum() != n:
+        raise ValueError(
+            f"causal_attention: real must be a boolean (B, T) mask with {n} slots set, "
+            f"got {real.dtype} {real.shape}"
+        )
+    b, t = real.shape
     if blocked.dtype != np.bool_ or blocked.shape != (b, t, t):
         raise ValueError(
             f"causal_attention: blocked must be a boolean {(b, t, t)} mask, "
             f"got {blocked.dtype} {blocked.shape}"
         )
     xd, w3, wod = x.data, wqkv.data, wo.data
-    qkv = np.matmul(xd.reshape(b, 1, t, d), w3)
-    q = qkv[..., :dh].copy()
-    k = qkv[..., dh : 2 * dh].copy()
-    v = qkv[..., 2 * dh :].copy()
+    slots = np.flatnonzero(real)
+
+    def heads_view(rows):
+        """(B·T, k·nh·dh) slot rows as k head-major (nh, B, T, dh) views."""
+        return rows.reshape(b, t, -1, nh, dh).transpose(2, 3, 0, 1, 4)
+
+    # Every head's q, k and v in one GEMM over the rows, columns ordered
+    # (q|k|v, head, dh), scattered into zeroed (B·T) slot rows.
+    w_rows = w3.reshape(nh, d, 3, dh).transpose(1, 2, 0, 3).reshape(d, 3 * nh * dh)
+    qkv = np.zeros((b * t, 3 * nh * dh))
+    qkv[slots] = np.matmul(xd, w_rows)
+    q, k, v = heads_view(qkv)
     s = float(1.0 / np.sqrt(float(dh)))
-    scores = np.where(blocked[:, None], -np.inf, np.matmul(q, k.swapaxes(-1, -2).copy()) * s)
-    m = np.max(scores, axis=-1, keepdims=True)
+    scores = np.where(blocked, -np.inf, np.matmul(q, k.swapaxes(-1, -2).copy()) * s)
+    # The row max as a reduction over the outer axis of a contiguous copy
+    # with the keys first: a max does not round, so this is bitwise
+    # np.max(scores, axis=-1), at a fraction of its cost for short rows.
+    m = np.maximum.reduce(scores.transpose(3, 0, 1, 2).copy(), axis=0)[..., None]
     if np.isneginf(m).any():
         raise ValueError("causal_attention: a query is fully masked (every key blocked)")
     e = np.exp(scores - m)
     weights = e / e.sum(axis=-1, keepdims=True)
-    heads = np.matmul(weights, v)
-    out = np.matmul(heads, wod).sum(axis=1) + bo.data
+    heads = np.empty((b * t, nh, dh))
+    np.matmul(weights, v, out=heads_view(heads)[0])
+    heads = np.ascontiguousarray(heads[slots].transpose(1, 0, 2))
+    out = np.matmul(heads, wod).sum(axis=0) + bo.data
 
     @_once_per_grad
     def grads(g):
-        g_heads = np.matmul(g[:, None], wod.swapaxes(-1, -2))
-        g_w = np.matmul(g_heads, v.swapaxes(-1, -2))
-        g_v = np.matmul(weights.swapaxes(-1, -2), g_heads)
+        g_heads = np.zeros((b * t, nh * dh))
+        g_heads[slots] = np.matmul(g, wod.transpose(2, 0, 1).reshape(d, nh * dh))
+        [g_heads] = heads_view(g_heads)
+        g_w = np.matmul(g_heads, v.swapaxes(-1, -2).copy())
         g_s = (g_w - (g_w * weights).sum(axis=-1, keepdims=True)) * weights * s
-        g_qkv = np.concatenate([np.matmul(g_s, k), np.matmul(g_s.swapaxes(-1, -2), q), g_v], -1)
-        rows = b * t
-        g_x = np.matmul(
-            g_qkv.transpose(0, 2, 1, 3).reshape(rows, nh * 3 * dh),
-            w3.transpose(0, 2, 1).reshape(nh * 3 * dh, d),
-        ).reshape(b, t, d)
-        g_w3 = np.matmul(
-            xd.reshape(rows, d).T, g_qkv.transpose(1, 0, 2, 3).reshape(nh, rows, 3 * dh)
-        )
-        g_wo = np.matmul(heads.transpose(1, 3, 0, 2).reshape(nh, dh, rows), g.reshape(rows, d))
-        return g_x, g_w3, g_wo
+        g_qkv = np.empty((b * t, 3 * nh * dh))
+        g_q, g_k, g_v = heads_view(g_qkv)
+        np.matmul(g_s, k, out=g_q)
+        np.matmul(g_s.swapaxes(-1, -2), q, out=g_k)
+        np.matmul(weights.swapaxes(-1, -2), g_heads, out=g_v)
+        g_rows = g_qkv[slots]
+        g_x = np.matmul(g_rows, w_rows.T)
+        g_w3 = np.matmul(xd.T, g_rows).reshape(d, 3, nh, dh).transpose(2, 0, 1, 3)
+        g_wo = np.matmul(heads.swapaxes(-1, -2), g)
+        return g_x, g_w3.reshape(nh, d, 3 * dh), g_wo
 
     return Tensor._make_node(
         "causal_attention",
@@ -533,9 +559,12 @@ def add_layer_norm(x: Tensor, r: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5
         total = x.data + r.data
     except ValueError:
         raise ValueError(f"add_layer_norm: shapes {x.shape} and {r.shape} are not broadcastable")
-    centered = total - total.mean(axis=-1, keepdims=True)
-    # np.var's own expression, with the centered values reused.
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    width = total.shape[-1]
+    # np.mean's own arithmetic, a sum then a division by the count, without
+    # its Python wrapper; np.var's own expression, with the centered values
+    # reused.
+    centered = total - np.add.reduce(total, -1, keepdims=True) / width
+    var = np.add.reduce(centered * centered, -1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + eps)
     normed = centered * inv
     gd = g.data
@@ -544,8 +573,8 @@ def add_layer_norm(x: Tensor, r: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5
     @_once_per_grad
     def g_total(go):
         gn = go * gd
-        gm = gn.mean(axis=-1, keepdims=True)
-        gym = (gn * normed).mean(axis=-1, keepdims=True)
+        gm = np.add.reduce(gn, -1, keepdims=True) / width
+        gym = np.add.reduce(gn * normed, -1, keepdims=True) / width
         return inv * (gn - gm - normed * gym)
 
     return Tensor._make_node(

@@ -11,8 +11,8 @@ The demographics segment is the per-visit snapshot (age drifts with time).
 
 Inference is batched, one block per segment. The code pass is one
 `encode_history` call over every patient, which `forward_histories` runs
-in padded code-model batches; the causal and padding masks keep every row
-equal to its own unpadded forward.
+in packed code-model batches; attention's causal and padding masks keep
+every row equal to the patient's own forward.
 The text pass hands every visit's token-id windows to
 `text_embedder.sentence_batches`, the path summarizer training uses: each
 batch of visits with one sentence count is bag-encoded in one

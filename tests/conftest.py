@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import visitrep.numerics as nm
+from visitrep.code_embedder import skip_gram_counts
 from visitrep.cohort import Cohort, Note, PatientRecord, Visit, DAY, HOUR
 
 
@@ -72,3 +73,17 @@ def all_kernel_loss():
         return t1 + nm.scale(t2, 0.5) + t3
 
     return kernel_loss, [a, b, table, v]
+
+
+def padded(batch, rows: np.ndarray) -> np.ndarray:
+    """A packed batch's (N, ...) rows in the padded (B, T, ...) layout of
+    its `real` mask, zeros in the padded slots: the layout the composed
+    oracles run on."""
+    out = np.zeros(batch.real.shape + rows.shape[1:])
+    out[batch.real] = rows
+    return out
+
+
+def row_counts(targets: np.ndarray, real: np.ndarray, window: int) -> tuple:
+    """skip_gram_counts of the real rows of padded targets (B, T, |C|)."""
+    return skip_gram_counts(targets[real], real.sum(axis=1), window)

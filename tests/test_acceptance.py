@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import all_kernel_loss
+from conftest import all_kernel_loss, row_counts
 
 import visitrep.numerics as nm
 from visitrep.cli import main
@@ -75,7 +75,8 @@ def test_c1_gradient_suite():
 
     errs["kernels"] = nm.max_relative_error(*all_kernel_loss())
 
-    # Full code model: 6 codes, 3 visits, one padded slot in the batch.
+    # Full code model: 6 codes, 3 visits, one padded slot in the batch: two
+    # patients packed as five rows, so attention pads one slot.
     cfg = CodeEmbedderConfig(
         d_code=4, n_layers=1, n_heads=2, d_head=2, window=2,
         epochs=1, batch_size=2, seed=0,
@@ -84,13 +85,12 @@ def test_c1_gradient_suite():
     rng = np.random.default_rng(6)
     codes = (rng.random((2, 3, 6)) < 0.4).astype(np.float64)
     codes[:, :, 0] = 1.0
-    real = np.array([[True, True, True], [True, True, False]])
-    codes[1, 2] = 0.0
-    batch = VisitSequenceBatch(codes, real)
+    batch = VisitSequenceBatch(codes.reshape(6, 6)[:5], np.array([3, 2]))
+    assert batch.real.tolist() == [[True, True, True], [True, True, False]]
 
     def code_loss():
         _, chat = model.forward(batch)
-        loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, cfg.window))
+        loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.lengths, cfg.window))
         return loss
 
     errs["code model"] = nm.max_relative_error(code_loss, model.parameters())
@@ -135,9 +135,9 @@ def test_c2_causal_masking():
         t = int(rng.integers(2, 7))
         codes = (rng.random((1, t, 8)) < 0.35).astype(np.float64)
         codes[:, :, int(rng.integers(8))] = 1.0
-        real = np.ones((1, t), dtype=bool)
+        lengths = np.array([t])
         cut = int(rng.integers(0, t - 1))
-        out_a, chat_a = model.forward(VisitSequenceBatch(codes, real))
+        out_a, chat_a = model.forward(VisitSequenceBatch(codes[0], lengths))
 
         edited = codes.copy()
         for s in range(cut + 1, t):
@@ -145,11 +145,11 @@ def test_c2_causal_masking():
             if not edited[0, s].any():
                 edited[0, s, 0] = 1.0
         assert not np.array_equal(edited, codes)
-        out_b, chat_b = model.forward(VisitSequenceBatch(edited, real))
+        out_b, chat_b = model.forward(VisitSequenceBatch(edited[0], lengths))
 
         upto = cut + 1
-        assert out_a.data[:, :upto].tobytes() == out_b.data[:, :upto].tobytes()
-        assert chat_a.data[:, :upto].tobytes() == chat_b.data[:, :upto].tobytes()
+        assert out_a.data[:upto].tobytes() == out_b.data[:upto].tobytes()
+        assert chat_a.data[:upto].tobytes() == chat_b.data[:upto].tobytes()
     assert time.perf_counter() - start < 60.0
 
 
@@ -160,7 +160,7 @@ def test_c3_loss_oracles():
     probs = rng.uniform(0.1, 0.9, size=(2, 3, 4))
     targets = (rng.random((2, 3, 4)) < 0.5).astype(np.float64)
     real = np.array([[True, True, True], [True, True, False]])
-    loss, n_pairs = skip_gram_loss(Tensor(probs), *skip_gram_counts(targets, real, window))
+    loss, n_pairs = skip_gram_loss(Tensor(probs[real]), *row_counts(targets, real, window))
 
     total, count = 0.0, 0
     for i in range(2):

@@ -3,6 +3,7 @@ against a direct-summation oracle, gradients, training, and ranking."""
 
 import numpy as np
 import pytest
+from conftest import padded, row_counts
 
 import visitrep.numerics as nm
 from visitrep.cohort import build_vocabulary, preprocess, visit_matrix
@@ -92,14 +93,15 @@ def manual_forward(model, codes, real):
     return x, 1.0 / (1.0 + np.exp(-logits))
 
 
-def composed_forward(model, batch):
-    """The model's graph built from elementary kernels only: the reference
-    the fused attention, residual layer norm and linear kernels reproduce."""
+def composed_forward(model, codes, real):
+    """The model's graph built from elementary kernels only, on the padded
+    (B, T, |C|) codes: the reference the packed rows and the fused
+    attention, residual layer norm and linear kernels reproduce."""
     cfg = model.config
-    b, t, _ = batch.codes.shape
+    b, t, _ = codes.shape
     d, nh, dh = cfg.d_code, cfg.n_heads, cfg.d_head
-    blocked = attention_blocked_mask(batch.real)
-    x = nm.matmul(Tensor(batch.codes), model.embed) + Tensor(positional_encoding(t, d))
+    blocked = attention_blocked_mask(real)
+    x = nm.matmul(Tensor(codes), model.embed) + Tensor(positional_encoding(t, d))
     for layer in model.layers:
         qkv = nm.matmul(nm.reshape(x, (b, 1, t, d)), layer["wqkv"])
         q = nm.slice_axis(qkv, 3, 0, dh)
@@ -116,10 +118,9 @@ def composed_forward(model, batch):
     return x, nm.sigmoid(nm.matmul(x, model.out_w) + model.out_b)
 
 
-def composed_skip_gram_loss(chat, targets, real, window, eps=1e-7):
+def composed_skip_gram_loss(chat, hit, miss, n, eps=1e-7):
     """The unfused loss graph: clip, log and the weighted sum as kernels,
     over the counts of skip_gram_counts."""
-    hit, miss, n = skip_gram_counts(targets, real, window)
     log_p = nm.log(nm.clip(chat, eps, 1.0 - eps))
     log_q = nm.log(nm.clip(nm.shift(nm.scale(chat, -1.0), 1.0), eps, 1.0 - eps))
     return nm.scale(nm.tsum(nm.mul(log_p, Tensor(hit)) + nm.mul(log_q, Tensor(miss))), -1.0 / n)
@@ -153,13 +154,15 @@ class TestPositionalEncoding:
 
 
 class TestBatchAndMask:
-    def test_build_batch_pads_and_flags(self):
+    def test_build_batch_packs_and_flags(self):
         a = np.ones((3, 4))
-        b = np.ones((1, 4))
+        b = np.full((1, 4), 2.0)
         batch = build_batch([a, b])
-        assert batch.codes.shape == (2, 3, 4)
+        assert batch.codes.shape == (4, 4)
+        np.testing.assert_array_equal(batch.codes, np.vstack([a, b]))
+        assert batch.lengths.tolist() == [3, 1]
         np.testing.assert_array_equal(batch.real, [[True] * 3, [True, False, False]])
-        np.testing.assert_array_equal(batch.codes[1, 1:], 0.0)
+        assert batch.real.dtype == np.bool_
 
     def test_blocked_mask_is_causal_plus_padding(self):
         real = np.array([[True, True, False]])
@@ -171,9 +174,35 @@ class TestBatchAndMask:
 
     def test_batch_with_empty_row_rejected(self):
         with pytest.raises(ValidationError, match="no real visits"):
-            VisitSequenceBatch(
-                codes=np.zeros((1, 2, 3)), real=np.zeros((1, 2), dtype=bool)
-            )
+            VisitSequenceBatch(codes=np.zeros((2, 3)), lengths=np.array([2, 0]))
+        with pytest.raises(ValidationError, match="no real visits"):
+            build_batch([np.ones((2, 3)), np.ones((0, 3))])
+
+    def test_a_mask_with_a_hole_cannot_be_built(self):
+        """The lengths define the batch: real is derived, never given, so a
+        patient's rows are a prefix of its slots."""
+        with pytest.raises(TypeError):
+            VisitSequenceBatch(np.zeros((2, 3)), real=np.array([[True, False, True]]))
+        batch = VisitSequenceBatch(np.zeros((6, 3)), np.array([2, 1, 3]))
+        real = batch.real
+        assert (real[:, 1:] <= real[:, :-1]).all()
+        assert real.sum(axis=1).tolist() == [2, 1, 3]
+        assert batch.blocked.tobytes() == attention_blocked_mask(real).tobytes()
+
+    @pytest.mark.parametrize(
+        "codes, lengths",
+        [
+            (np.zeros((3, 2)), np.array([2, 2])),
+            (np.zeros((2, 2, 2)), np.array([2])),
+            (np.zeros((2, 2)), np.array([])),
+            (np.zeros((2, 2)), np.array([[2]])),
+            (np.zeros((2, 2)), np.array([2.0])),
+        ],
+        ids=["sum", "3-d codes", "empty", "2-d lengths", "float lengths"],
+    )
+    def test_codes_and_lengths_must_agree(self, codes, lengths):
+        with pytest.raises(ValidationError, match="disagree"):
+            VisitSequenceBatch(codes, lengths)
 
 
 class TestForward:
@@ -182,15 +211,15 @@ class TestForward:
         rng = np.random.default_rng(1)
         batch = build_batch([rng.integers(0, 2, size=(4, 6)).astype(float)])
         outputs, chat = model.forward(batch)
-        assert outputs.shape == (1, 4, 8)
-        assert chat.shape == (1, 4, 6)
+        assert outputs.shape == (4, 8)
+        assert chat.shape == (4, 6)
         assert ((chat.data > 0) & (chat.data < 1)).all()
 
     def test_single_visit_sequence_works(self):
         model = tiny_model()
         batch = build_batch([np.ones((1, 6))])
         outputs, _ = model.forward(batch)
-        assert outputs.shape == (1, 1, 8)
+        assert outputs.shape == (1, 8)
 
     def test_vocab_width_checked(self):
         model = tiny_model()
@@ -207,8 +236,8 @@ class TestForward:
             mutated = base.copy()
             mutated[cut:] = rng.integers(0, 2, size=(5 - cut, 6)).astype(float)
             out_mut, chat_mut = model.forward(build_batch([mutated]))
-            assert out_base.data[0, :cut].tobytes() == out_mut.data[0, :cut].tobytes()
-            assert chat_base.data[0, :cut].tobytes() == chat_mut.data[0, :cut].tobytes()
+            assert out_base.data[:cut].tobytes() == out_mut.data[:cut].tobytes()
+            assert chat_base.data[:cut].tobytes() == chat_mut.data[:cut].tobytes()
 
     def test_padding_does_not_change_real_outputs(self):
         """A patient's outputs are identical whether or not the batch pads."""
@@ -218,7 +247,29 @@ class TestForward:
         long = rng.integers(0, 2, size=(5, 6)).astype(float)
         alone, _ = model.forward(build_batch([short]))
         padded, _ = model.forward(build_batch([short, long]))
-        np.testing.assert_array_equal(alone.data[0], padded.data[0, :2])
+        assert alone.data.tobytes() == padded.data[:2].tobytes()
+
+    def test_a_patients_rows_do_not_depend_on_its_batch(self):
+        """Each patient's rows are bitwise the same in a batch, in that batch
+        reversed, and beside one other patient or alone. A batch of a single
+        row is left out: numpy multiplies a one-row matrix with a
+        matrix-vector routine, which rounds differently (as it did for a
+        padded (1, 1, |C|) batch)."""
+        model = tiny_model(vocab_size=7, d_code=6, n_layers=2, n_heads=3, d_head=4, seed=2)
+        rng = np.random.default_rng(11)
+        mats = [(rng.random((n, 7)) < 0.4).astype(float) for n in (5, 1, 3, 5, 2, 4)]
+
+        def rows(matrices):
+            outputs, chat = model.forward(build_batch(matrices))
+            cuts = np.cumsum([len(m) for m in matrices])[:-1]
+            return list(zip(np.split(outputs.data, cuts), np.split(chat.data, cuts)))
+
+        together, backwards = rows(mats), rows(mats[::-1])[::-1]
+        for i, m in enumerate(mats):
+            others = [rows([m, mats[i - 1]])[0]] + ([rows([m])[0]] if len(m) > 1 else [])
+            for got in [backwards[i]] + others:
+                for a, g in zip(together[i], got):
+                    assert a.tobytes() == g.tobytes()
 
 
     def test_fused_heads_match_per_head_oracle(self):
@@ -229,9 +280,9 @@ class TestForward:
             [rng.integers(0, 2, size=(n, 7)).astype(float) for n in (5, 2, 4)]
         )
         outputs, chat = model.forward(batch)
-        want_out, want_chat = manual_forward(model, batch.codes, batch.real)
-        np.testing.assert_allclose(outputs.data, want_out, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(chat.data, want_chat, rtol=0, atol=1e-12)
+        want_out, want_chat = manual_forward(model, padded(batch, batch.codes), batch.real)
+        np.testing.assert_allclose(outputs.data, want_out[batch.real], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chat.data, want_chat[batch.real], rtol=0, atol=1e-12)
 
     def test_fused_initial_arrays_equal_per_head_draws(self):
         """wqkv[h] is head h's wq|wk|wv and wo its (nh·dh, d) matrix, drawn
@@ -255,50 +306,67 @@ class TestForward:
         assert model.out_w.data.tobytes() == draw((d, vocab))
 
 
-def _padded_batch(rng, vocab_size, lengths):
+def _packed_batch(rng, vocab_size, lengths):
     return build_batch(
         [(rng.random((n, vocab_size)) < 0.3).astype(float) for n in lengths]
     )
 
 
 class TestFusedAgainstComposed:
-    """The fused kernels against the composed graph they replaced."""
+    """The packed rows and fused kernels against the composed graph on the
+    padded batch, the path they replaced."""
 
     SHAPES = [
         dict(vocab_size=7, d_code=6, n_layers=2, n_heads=3, d_head=4, lengths=(5, 2, 4)),
         dict(vocab_size=6, d_code=8, n_layers=1, n_heads=2, d_head=4, lengths=(3,)),
         dict(vocab_size=48, d_code=32, n_layers=1, n_heads=4, d_head=8, lengths=(5, 3, 4, 2)),
+        dict(vocab_size=9, d_code=8, n_layers=2, n_heads=2, d_head=3, lengths=(4, 4, 4)),
     ]
+    IDS = ["2-layer", "1-row", "fit-code", "equal-lengths"]
 
     @staticmethod
     def _fused_loss(model, batch):
         _, chat = model.forward(batch)
-        return skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, 2))[0]
+        return skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.lengths, 2))[0]
 
     @staticmethod
     def _composed_loss(model, batch):
-        _, chat = composed_forward(model, batch)
-        return composed_skip_gram_loss(chat, batch.codes, batch.real, 2)
+        _, chat = composed_forward(model, padded(batch, batch.codes), batch.real)
+        hit, miss, n = skip_gram_counts(batch.codes, batch.lengths, 2)
+        return composed_skip_gram_loss(chat, padded(batch, hit), padded(batch, miss), n)
 
-    @pytest.mark.parametrize("shape", SHAPES, ids=["2-layer", "1-row", "fit-code"])
+    @staticmethod
+    def _model_and_batch(shape, model_seed, batch_seed):
+        shape = dict(shape)
+        lengths = shape.pop("lengths")
+        model = tiny_model(seed=model_seed, **shape)
+        return model, _packed_batch(np.random.default_rng(batch_seed), shape["vocab_size"], lengths)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
     def test_forward_and_loss_are_bitwise(self, shape):
-        shape = dict(shape)
-        lengths = shape.pop("lengths")
-        model = tiny_model(seed=3, **shape)
-        batch = _padded_batch(np.random.default_rng(17), shape["vocab_size"], lengths)
+        """Outputs and chat are the padded graph's real rows, bitwise; the
+        loss is the composed loss graph over those rows, bitwise."""
+        model, batch = self._model_and_batch(shape, 3, 17)
         outputs, chat = model.forward(batch)
-        want_out, want_chat = composed_forward(model, batch)
-        assert outputs.data.tobytes() == want_out.data.tobytes()
-        assert chat.data.tobytes() == want_chat.data.tobytes()
-        fused, composed = self._fused_loss(model, batch), self._composed_loss(model, batch)
-        assert fused.data.tobytes() == composed.data.tobytes()
+        want_out, want_chat = composed_forward(model, padded(batch, batch.codes), batch.real)
+        assert outputs.data.tobytes() == want_out.data[batch.real].tobytes()
+        assert chat.data.tobytes() == want_chat.data[batch.real].tobytes()
+        composed = composed_skip_gram_loss(
+            Tensor(want_chat.data[batch.real]), *skip_gram_counts(batch.codes, batch.lengths, 2)
+        )
+        assert self._fused_loss(model, batch).data.tobytes() == composed.data.tobytes()
 
-    @pytest.mark.parametrize("shape", SHAPES, ids=["2-layer", "1-row", "fit-code"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
+    def test_loss_matches_the_padded_loss_within_1e_12(self, shape):
+        """Over padded slots the loss sums the same terms in another order."""
+        model, batch = self._model_and_batch(shape, 3, 17)
+        fused = float(self._fused_loss(model, batch).data)
+        composed = float(self._composed_loss(model, batch).data)
+        assert abs(fused - composed) <= 1e-12 * abs(composed)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
     def test_gradients_match_within_1e_12(self, shape):
-        shape = dict(shape)
-        lengths = shape.pop("lengths")
-        model = tiny_model(seed=4, **shape)
-        batch = _padded_batch(np.random.default_rng(18), shape["vocab_size"], lengths)
+        model, batch = self._model_and_batch(shape, 4, 18)
         grads = []
         for build in (self._fused_loss, self._composed_loss):
             for p in model.parameters():
@@ -318,21 +386,49 @@ class TestFusedAgainstComposed:
         cfg = CodeEmbedderConfig(d_code=32, n_layers=1, n_heads=4, d_head=8, batch_size=32)
         model = CodeEmbedderModel(48, cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        batch = _padded_batch(rng, 48, rng.integers(2, 6, size=32))
+        batch = _packed_batch(rng, 48, rng.integers(2, 6, size=32))
         with nm.recording():
             _, chat = model.forward(batch)
-            loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, cfg.window))
+            counts = skip_gram_counts(batch.codes, batch.lengths, cfg.window)
+            loss, _ = skip_gram_loss(chat, *counts)
         assert backward_graph_nodes(loss) == 25
 
 
 class TestSkipGramLoss:
+    @pytest.mark.parametrize("window", [1, 2, 6])
+    def test_counts_match_direct_counting(self, window):
+        """One (patient, t, j) pair at a time, in float64 and in uint8."""
+        rng = np.random.default_rng(window)
+        lengths = np.array([4, 1, 6, 2, 3])
+        codes = (rng.random((lengths.sum(), 5)) < 0.4).astype(float)
+        hit, miss, n = np.zeros_like(codes), np.zeros_like(codes), 0
+        start = 0
+        for length in lengths:
+            for t in range(length):
+                for j in range(-window, window + 1):
+                    if j and 0 <= t + j < length:
+                        hit[start + t] += codes[start + t + j]
+                        miss[start + t] += 1.0 - codes[start + t + j]
+                        n += 1
+            start += length
+        got = skip_gram_counts(codes, lengths, window)
+        assert got[0].tobytes() == hit.tobytes() and got[1].tobytes() == miss.tobytes()
+        assert got[2] == n
+        small = skip_gram_counts(codes.astype(np.uint8), lengths, window)
+        assert small[0].dtype == np.uint8
+        assert (small[0] == hit).all() and (small[1] == miss).all() and small[2] == n
+
+    def test_codes_and_lengths_must_agree(self):
+        with pytest.raises(ValidationError, match="disagree"):
+            skip_gram_counts(np.zeros((3, 2)), np.array([2, 2]), 2)
+
     def test_matches_direct_summation_oracle_exactly(self):
         """Hand-buildable case: T=2, three codes, window 2."""
         rng = np.random.default_rng(3)
         chat_np = rng.uniform(0.05, 0.95, size=(1, 2, 3))
         targets = rng.integers(0, 2, size=(1, 2, 3)).astype(float)
         real = np.ones((1, 2), dtype=bool)
-        loss, n = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=2))
+        loss, n = skip_gram_loss(Tensor(chat_np[real]), *row_counts(targets, real, 2))
         want, n_want = manual_skip_gram(chat_np, targets, real, window=2)
         assert n == n_want == 2
         np.testing.assert_allclose(float(loss.data.reshape(())), want, atol=1e-12)
@@ -346,7 +442,7 @@ class TestSkipGramLoss:
             lengths = rng.integers(1, t + 1, size=b)
             lengths[0] = t
             real = np.arange(t)[None, :] < lengths[:, None]
-            loss, n = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=2))
+            loss, n = skip_gram_loss(Tensor(chat_np[real]), *row_counts(targets, real, 2))
             want, n_want = manual_skip_gram(chat_np, targets, real, window=2)
             assert n == n_want
             np.testing.assert_allclose(float(loss.data.reshape(())), want, rtol=1e-12)
@@ -356,23 +452,23 @@ class TestSkipGramLoss:
         chat_np = np.full((1, 3, 2), 0.5)
         targets = np.zeros((1, 3, 2))
         real = np.ones((1, 3), dtype=bool)
-        _, n = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=2))
+        _, n = skip_gram_loss(Tensor(chat_np[real]), *row_counts(targets, real, 2))
         assert n == 6
-        _, n1 = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=1))
+        _, n1 = skip_gram_loss(Tensor(chat_np[real]), *row_counts(targets, real, 1))
         assert n1 == 4
 
     def test_single_visit_contributes_nothing(self):
         chat_np = np.full((2, 2, 3), 0.5)
         targets = np.zeros((2, 2, 3))
         real = np.array([[True, True], [True, False]])
-        _, n = skip_gram_loss(Tensor(chat_np), *skip_gram_counts(targets, real, window=2))
+        _, n = skip_gram_loss(Tensor(chat_np[real]), *row_counts(targets, real, 2))
         assert n == 2  # only the first patient's two ordered pairs
 
     def test_all_single_visit_batch_is_an_error(self):
         chat_np = np.full((2, 2, 3), 0.5)
         real = np.array([[True, False], [True, False]])
         with pytest.raises(ValidationError, match="no valid"):
-            skip_gram_loss(Tensor(chat_np), *skip_gram_counts(np.zeros((2, 2, 3)), real, window=2))
+            skip_gram_loss(Tensor(chat_np[real]), *row_counts(np.zeros((2, 2, 3)), real, 2))
 
     def test_perfect_prediction_loss_is_near_zero(self):
         """Identical neighbor visits predicted exactly: loss below |C| log(1/(1-eps))."""
@@ -380,7 +476,7 @@ class TestSkipGramLoss:
         targets = np.array([[[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]])
         real = np.ones((1, 2), dtype=bool)
         loss, _ = skip_gram_loss(
-            Tensor(targets.copy()), *skip_gram_counts(targets, real, window=1), prob_clip=eps
+            Tensor(targets[real]), *row_counts(targets, real, 1), prob_clip=eps
         )
         bound = 3 * (-np.log(1 - eps)) * 1.0001 + 1e-12
         assert 0.0 <= float(loss.data.reshape(())) <= bound
@@ -391,7 +487,7 @@ class TestSkipGramLoss:
         targets = np.array([[[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]])
         real = np.ones((1, 2), dtype=bool)
         loss, _ = skip_gram_loss(
-            Tensor(targets.copy()), *skip_gram_counts(targets, real, window=1), prob_clip=eps
+            Tensor(targets[real]), *row_counts(targets, real, 1), prob_clip=eps
         )
         np.testing.assert_allclose(
             float(loss.data.reshape(())), 3 * -np.log(eps), rtol=1e-6
@@ -399,7 +495,8 @@ class TestSkipGramLoss:
 
 
 class TestSkipGramRows:
-    """Counts built once per patient against skip_gram_counts on the padded batch."""
+    """Counts built once per fit, over every patient at once, against
+    skip_gram_counts on a batch's own rows."""
 
     @staticmethod
     def _check(matrices, window, patients):
@@ -407,8 +504,9 @@ class TestSkipGramRows:
         batch, (hit, miss, n_pairs) = rows.batch(np.asarray(patients))
         want = build_batch([matrices[i] for i in patients])
         assert batch.codes.tobytes() == want.codes.tobytes()
+        assert batch.lengths.tolist() == want.lengths.tolist()
         assert batch.real.tobytes() == want.real.tobytes()
-        want_hit, want_miss, want_pairs = skip_gram_counts(want.codes, want.real, window)
+        want_hit, want_miss, want_pairs = skip_gram_counts(want.codes, want.lengths, window)
         assert hit.tobytes() == want_hit.tobytes()
         assert miss.tobytes() == want_miss.tobytes()
         assert n_pairs == want_pairs
@@ -446,7 +544,7 @@ class TestGradient:
 
         def build():
             _, chat = model.forward(batch)
-            loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, window=2))
+            loss, _ = skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.lengths, 2))
             return loss
 
         err = max_relative_error(build, model.parameters(), h=1e-5)
@@ -522,7 +620,7 @@ class TestPrediction:
         assert sorted(ranked.tolist()) == list(range(6))
         # Equal scores must come back in index order.
         _, chat = model.forward(build_batch([history]))
-        scores = chat.data[0, -1]
+        scores = chat.data[-1]
         tied = np.full_like(scores, 0.3)
         order = np.lexsort((np.arange(6), -tied))
         assert order.tolist() == list(range(6))
@@ -539,12 +637,12 @@ class TestPrediction:
         model = tiny_model(batch_size=3)
         rng = np.random.default_rng(5)
         mats = [rng.integers(0, 2, size=(t, 6)).astype(float) for t in (2, 4, 1, 3, 5, 2, 3)]
-        expect = [
-            (x.data[i, : len(m)], c.data[i, : len(m)])
-            for start in range(0, len(mats), 3)
-            for x, c in [model.forward(build_batch(mats[start : start + 3]))]
-            for i, m in enumerate(mats[start : start + 3])
-        ]
+        expect = []
+        for start in range(0, len(mats), 3):
+            chunk = mats[start : start + 3]
+            x, c = model.forward(build_batch(chunk))
+            ends = np.cumsum([len(m) for m in chunk])
+            expect += [(x.data[i - len(m) : i], c.data[i - len(m) : i]) for m, i in zip(chunk, ends)]
         forward, chunks = model.forward, []
 
         def counted(batch):
@@ -557,8 +655,7 @@ class TestPrediction:
         for i, batch in enumerate(chunks):
             chunk = mats[3 * i : 3 * i + 3]
             assert batch.real.sum(axis=1).tolist() == [len(m) for m in chunk]
-            for row, m in zip(batch.codes, chunk):
-                np.testing.assert_array_equal(row[: len(m)], m)
+            np.testing.assert_array_equal(batch.codes, np.vstack(chunk))
         assert len(out) == len(expect)
         for (outputs, chat), (x, c) in zip(out, expect):
             assert outputs.tobytes() == x.tobytes() and chat.tobytes() == c.tobytes()

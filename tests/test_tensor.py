@@ -152,6 +152,16 @@ def old_add_layer_norm(x, r, g, b, eps=1e-5):
     return (total - mu) * inv * g + b
 
 
+def old_add_layer_norm_vjp(x, r, g, go, eps=1e-5):
+    """add_layer_norm's gradient into x with np.mean, as before: the oracle."""
+    centered = x + r - (x + r).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered * inv
+    gn = go * g
+    gm = gn.mean(axis=-1, keepdims=True)
+    return inv * (gn - gm - normed * (gn * normed).mean(axis=-1, keepdims=True))
+
+
 class TestBitwiseAgainstOldExpressions:
     def test_sigmoid(self):
         rng = np.random.default_rng(8)
@@ -169,6 +179,26 @@ class TestBitwiseAgainstOldExpressions:
                 g, b = rng.normal(size=(1, shape[-1])), rng.normal(size=(1, shape[-1]))
                 got = add_layer_norm(Tensor(x), Tensor(r), Tensor(g), Tensor(b)).data
                 assert got.tobytes() == old_add_layer_norm(x, r, g, b).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 31, 32, 33, 128], ids=lambda w: f"w{w}")
+    def test_reduce_then_divide_is_mean(self, width):
+        """np.add.reduce then / n, as the mean kernel and add_layer_norm's
+        forward and VJP take their means, is .mean bitwise."""
+        rng = np.random.default_rng(width)
+        for shape in [(width,), (115, width), (3, 5, width)]:
+            x = rng.normal(size=shape) * rng.uniform(0.01, 100.0) + rng.normal() * 10
+            for axis in range(len(shape)):
+                got = mean(Tensor(x), axis).data
+                assert np.asarray(got).tobytes() == np.asarray(x.mean(axis=axis)).tobytes()
+        x = Tensor(rng.normal(size=(115, width)) * 3.0, requires_grad=True)
+        r = Tensor(rng.normal(size=(115, width)))
+        g, b = Tensor(rng.normal(size=(1, width))), Tensor(rng.normal(size=(1, width)))
+        go = rng.normal(size=(115, width))
+        with recording():
+            out = add_layer_norm(x, r, g, b)
+            tsum(mul(out, Tensor(go))).backward()
+        assert out.data.tobytes() == old_add_layer_norm(x.data, r.data, g.data, b.data).tobytes()
+        assert x.grad.tobytes() == old_add_layer_norm_vjp(x.data, r.data, g.data, go).tobytes()
 
 
 class TestErrorContracts:
@@ -199,12 +229,29 @@ class TestErrorContracts:
             kernel(x, x)
 
     def test_causal_attention_refuses_a_fully_masked_query(self):
-        x = Tensor(np.ones((1, 2, 4)))
+        x = Tensor(np.ones((2, 4)))
         wqkv, wo = Tensor(np.ones((1, 4, 6))), Tensor(np.ones((1, 2, 4)))
         bo = Tensor(np.zeros((1, 4)))
+        real = np.array([[True, True]])
         blocked = np.array([[[True, True], [False, False]]])
         with pytest.raises(ValueError, match="fully masked"):
-            causal_attention(x, wqkv, wo, bo, blocked)
+            causal_attention(x, wqkv, wo, bo, real, blocked)
+
+    @pytest.mark.parametrize(
+        "real, blocked, match",
+        [
+            (np.array([[True, False]]), np.zeros((1, 2, 2), bool), "with 2 slots set"),
+            (np.array([[1, 1]]), np.zeros((1, 2, 2), bool), "boolean"),
+            (np.array([True, True]), np.zeros((1, 2, 2), bool), "boolean"),
+            (np.array([[True, True]]), np.zeros((1, 2, 3), bool), r"\(1, 2, 2\) mask"),
+        ],
+        ids=["slots", "int-real", "1-d-real", "blocked-shape"],
+    )
+    def test_causal_attention_checks_its_masks(self, real, blocked, match):
+        x, bo = Tensor(np.ones((2, 4))), Tensor(np.zeros((1, 4)))
+        wqkv, wo = Tensor(np.ones((1, 4, 6))), Tensor(np.ones((1, 2, 4)))
+        with pytest.raises(ValueError, match=match):
+            causal_attention(x, wqkv, wo, bo, real, blocked)
 
     def test_binary_xent_checks_eps_and_shapes(self):
         p = Tensor(np.full((2, 3), 0.5))
@@ -402,14 +449,16 @@ class TestKernelGradients:
         _fd_check(lambda: tsum(tanh(gather_rows(x, [0, 2, 2, 3]))), [x])
 
     def test_causal_attention(self):
-        """Padded batch, two heads; the second row's last key is padding."""
-        x = self._param(2, 3, 4)
+        """Five packed rows, two heads; the second patient's last slot is
+        padding."""
+        x = self._param(5, 4)
         wqkv, wo, bo = self._param(2, 4, 6), self._param(2, 2, 4), self._param(1, 4)
         real = np.array([[True, True, True], [True, True, False]])
         blocked = np.triu(np.ones((3, 3), dtype=bool), k=1)[None] | ~real[:, None, :]
-        w = Tensor(self.rng.normal(size=(2, 3, 4)))
+        w = Tensor(self.rng.normal(size=(5, 4)))
         _fd_check(
-            lambda: tsum(mul(causal_attention(x, wqkv, wo, bo, blocked), w)), [x, wqkv, wo, bo]
+            lambda: tsum(mul(causal_attention(x, wqkv, wo, bo, real, blocked), w)),
+            [x, wqkv, wo, bo],
         )
 
     def test_add_layer_norm(self):
@@ -549,7 +598,7 @@ def code_step():
 
     def build():
         _, chat = model.forward(batch)
-        return skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.real, config.window))[0]
+        return skip_gram_loss(chat, *skip_gram_counts(batch.codes, batch.lengths, config.window))[0]
 
     return build, model.parameters()
 
