@@ -19,9 +19,12 @@ other entries were checked where they were made. An op's error names the
 op, the output shape and any ``Parameter`` among its direct inputs, e.g.
 ``matmul: NaN in output (32, 7, 32); inputs include parameter 'layer0.wqkv'``.
 
-Four fused kernels each record one node for a chain of the elementary ones,
+Six fused kernels each record one node for a chain of the elementary ones,
 with a hand-written VJP: ``causal_attention``, ``add_layer_norm``,
-``linear`` and ``binary_xent``. ``causal_attention`` takes packed rows and
+``linear`` and ``binary_xent``, and the two recurrent kernels ``gru_sweep``
+(every state of one GRU direction) and ``gru_decode`` (a GRU decoder with
+its output projection and teacher forcing), whose VJPs run
+backpropagation through time. ``causal_attention`` takes packed rows and
 pads only inside; its ``-inf`` scores for blocked keys never leave the
 kernel, and its output is finite-checked like any other op's.
 """
@@ -278,13 +281,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._make_node("concat", out, pairs)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each branch
     # runs the stable expression of its sign and never overflows.
-    x = a.data
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    out = np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
     return Tensor._make_node("sigmoid", out, [(a, lambda g: g * out * (1.0 - out))])
 
 
@@ -638,3 +644,157 @@ def binary_xent(p: Tensor, hit: np.ndarray, miss: np.ndarray, eps: float) -> Ten
         return g * (dq - dp)
 
     return Tensor._make_node("binary_xent", total, [(p, vjp)])
+
+
+# -- recurrent kernels -------------------------------------------------------------
+#
+# A gated recurrent cell keeps its reset, update and candidate gates as the
+# column blocks of its input part gx = x w + b (B, 3h) and of its recurrent
+# weight u (h, 3h). From the state h one step makes
+#     r|z = sigmoid(gx[:, :2h] + (h u)[:, :2h])
+#     n   = tanh(gx[:, 2h:] + r * (h u)[:, 2h:])
+#     h'  = n + z * (h - n)
+# Each kernel records one node for a whole sequence: its forward loops over
+# the steps in numpy, keeping what the VJP reads, and the VJP runs
+# backpropagation through time. Both reach the gate arithmetic through the
+# one pair _gru_step and _gru_step_vjp, whose forward is the numpy
+# arithmetic of the elementary kernels, so the states are theirs bitwise.
+
+
+def _gru_step(gx: np.ndarray, h: np.ndarray, u: np.ndarray):
+    """The state after h (B, h) reads the input part gx (B, 3h), and the
+    (h, rz, gh_n, n) its VJP reads."""
+    d = h.shape[1]
+    gh = np.matmul(h, u)
+    rz = _sigmoid(gx[:, : 2 * d] + gh[:, : 2 * d])
+    gh_n = gh[:, 2 * d :]
+    n = np.tanh(gx[:, 2 * d :] + rz[:, :d] * gh_n)
+    return n + rz[:, d:] * (h - n), (h, rz, gh_n, n)
+
+
+def _gru_step_vjp(g: np.ndarray, saved, u: np.ndarray):
+    """From the gradient g (B, h) of a step's new state, the gradients of
+    its input part gx (B, 3h), of its h u (B, 3h) and of its old state h."""
+    h, rz, gh_n, n = saved
+    d = h.shape[1]
+    g_n = g * (1.0 - rz[:, d:]) * (1.0 - n * n)
+    g_gx = np.empty((g.shape[0], 3 * d))
+    g_gx[:, :d] = g_n * gh_n
+    g_gx[:, d : 2 * d] = g * (h - n)
+    g_gx[:, : 2 * d] *= rz * (1.0 - rz)
+    g_gx[:, 2 * d :] = g_n
+    g_gh = g_gx.copy()
+    g_gh[:, 2 * d :] *= rz[:, :d]
+    return g_gx, g_gh, g * rz[:, d:] + np.matmul(g_gh, u.T)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Every leading index as one row axis: (..., k) to (n, k)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def gru_sweep(gx: Tensor, u: Tensor, reverse: bool = False) -> Tensor:
+    """Every state (B, m, h) of one gated recurrent direction over the input
+    parts gx (B, m, 3h), with recurrent weight u (h, 3h), from a zero state:
+    row t is the state after reading sentence t, read first to last, or
+    last to first when `reverse`."""
+    if gx.ndim != 3 or u.ndim != 2 or u.shape[1] != 3 * u.shape[0] or gx.shape[2] != u.shape[1]:
+        raise ValueError(f"gru_sweep: gx {gx.shape} and u {u.shape} disagree")
+    b, m, _ = gx.shape
+    d = u.shape[0]
+    gxd, ud = gx.data, u.data
+    order = range(m - 1, -1, -1) if reverse else range(m)
+    out = np.empty((b, m, d))
+    saved = [None] * m
+    h = np.zeros((b, d))
+    for t in order:
+        h, saved[t] = _gru_step(gxd[:, t], h, ud)
+        out[:, t] = h
+
+    @_once_per_grad
+    def grads(g):
+        g_gx = np.empty(gxd.shape)
+        g_gh = np.empty((m, b, 3 * d))
+        g_h = np.zeros((b, d))
+        for t in reversed(order):
+            g_gx[:, t], g_gh[t], g_h = _gru_step_vjp(g_h + g[:, t], saved[t], ud)
+        old = np.stack([s[0] for s in saved])
+        return g_gx, np.matmul(_rows(old).T, _rows(g_gh))
+
+    return Tensor._make_node(
+        "gru_sweep", out, [(gx, lambda g: grads(g)[0]), (u, lambda g: grads(g)[1])]
+    )
+
+
+def gru_decode(
+    states: Tensor, targets: Tensor, coins, w: Tensor, u: Tensor, b: Tensor,
+    out_w: Tensor, out_b: Tensor,
+) -> Tensor:
+    """Rows (B, m, k) rebuilt by a gated recurrent decoder (input weight w
+    (k, 3h), recurrent weight u (h, 3h), bias b (3h,)) whose state starts at
+    the last row of `states` (B, m, h). Step t reads x_t, steps the state on
+    x_t w + b and outputs y_t = h out_w + out_b. x_0 is zero; x_{t+1} is the
+    true row targets[:, t] where coins[t] is set (teacher forcing) and y_t
+    where it is not, so the output projection is part of the recurrence."""
+    if states.ndim != 3 or targets.ndim != 3 or states.shape[:2] != targets.shape[:2]:
+        raise ValueError(f"gru_decode: states {states.shape} and targets {targets.shape} disagree")
+    bsz, m, k = targets.shape
+    d = states.shape[2]
+    weights = (w, u, b, out_w, out_b)
+    if [p.shape for p in weights] != [(k, 3 * d), (d, 3 * d), (3 * d,), (d, k), (k,)]:
+        raise ValueError(
+            f"gru_decode: weights {[p.shape for p in weights]} do not fit "
+            f"states {states.shape} and targets {targets.shape}"
+        )
+    coins = np.asarray(coins)
+    if coins.dtype != np.bool_ or coins.shape != (m - 1,):
+        raise ValueError(
+            f"gru_decode: coins must be {m - 1} booleans, got {coins.dtype} {coins.shape}"
+        )
+    td, wd, ud, bd, owd, obd = (p.data for p in (targets, *weights))
+    out = np.empty((bsz, m, k))
+    xs, hs, saved = [], [], []
+    x, h = np.zeros((bsz, k)), states.data[:, -1].copy()
+    for t in range(m):
+        xs.append(x)
+        h, step = _gru_step(np.matmul(x, wd) + bd, h, ud)
+        saved.append(step)
+        hs.append(h)
+        y = np.matmul(h, owd) + obd
+        out[:, t] = y
+        if t + 1 < m:
+            x = td[:, t].copy() if coins[t] else y
+
+    @_once_per_grad
+    def grads(g):
+        g_gx = np.empty((m, bsz, 3 * d))
+        g_gh = np.empty((m, bsz, 3 * d))
+        g_y = np.empty((m, bsz, k))
+        g_targets = np.zeros(td.shape)
+        g_h, fed = np.zeros((bsz, d)), 0.0
+        for t in reversed(range(m)):
+            g_y[t] = g[:, t] + fed
+            g_gx[t], g_gh[t], g_h = _gru_step_vjp(g_h + np.matmul(g_y[t], owd.T), saved[t], ud)
+            if t:
+                g_x = np.matmul(g_gx[t], wd.T)
+                if coins[t - 1]:
+                    g_targets[:, t - 1], fed = g_x, 0.0
+                else:
+                    fed = g_x
+        g_states = np.zeros(states.data.shape)
+        g_states[:, -1] = g_h
+        old = np.stack([s[0] for s in saved])
+        return (
+            g_states,
+            g_targets,
+            np.matmul(_rows(np.stack(xs)).T, _rows(g_gx)),
+            np.matmul(_rows(old).T, _rows(g_gh)),
+            _rows(g_gx).sum(axis=0),
+            np.matmul(_rows(np.stack(hs)).T, _rows(g_y)),
+            _rows(g_y).sum(axis=0),
+        )
+
+    parents = (states, targets, *weights)
+    return Tensor._make_node(
+        "gru_decode", out, [(p, lambda g, i=i: grads(g)[i]) for i, p in enumerate(parents)]
+    )

@@ -13,7 +13,10 @@ same array whichever stage builds it. A two-layer bidirectional gated
 recurrent encoder reads the sentence matrix, an attention head pools the
 states into the visit's text representation, and a gated recurrent decoder
 is trained to reconstruct the sentence matrix with scheduled teacher
-forcing.
+forcing. Each encoder direction is one `numerics.gru_sweep` over the
+sentences' input projections (one `linear` over every row), and the
+decoder is one `numerics.gru_decode`, so a training step records the same
+graph whatever the sentence count.
 
 The summarizer owns its token table: `SummarizerModel.bag` is the sentence
 encoder, drawn before the recurrent cells, and `parameters()` starts with
@@ -170,32 +173,16 @@ class SummarizerConfig(JsonConfig):
 
 
 class _GRUCell:
-    """Standard gated recurrent cell. w (d_in, 3h), u (h, 3h) and b (3h,)
-    hold the reset, update and candidate gates as column blocks."""
+    """The parameters of a standard gated recurrent cell, which
+    `numerics.gru_sweep` and `gru_decode` run: w (d_in, 3h), u (h, 3h) and
+    b (3h,) hold the reset, update and candidate gates as column blocks."""
 
     def __init__(self, d_in: int, d_h: int, prefix: str, rng):
         # Gate by gate, the input then the recurrent weights are drawn.
         draws = [nm.uniform_init(rng, s, fan_in=s[0]) for s in [(d_in, d_h), (d_h, d_h)] * 3]
-        self.d_h = d_h
         self.w = Parameter(np.hstack(draws[0::2]), name=f"{prefix}.w")
         self.u = Parameter(np.hstack(draws[1::2]), name=f"{prefix}.u")
         self.b = Parameter(np.zeros(3 * d_h), name=f"{prefix}.b")
-
-    def input_part(self, x: Tensor) -> Tensor:
-        """x W + b: the gate pre-activations that do not depend on h."""
-        return x @ self.w + self.b
-
-    def step(self, gx: Tensor, h: Tensor) -> Tensor:
-        """Next state from the input part gx (B, 3h) and the state h (B, h)."""
-        d = self.d_h
-        gh = h @ self.u
-        rz = nm.sigmoid(nm.slice_axis(gx + gh, 1, 0, 2 * d))
-        r = nm.slice_axis(rz, 1, 0, d)
-        z = nm.slice_axis(rz, 1, d, 2 * d)
-        gh_n = nm.slice_axis(gh, 1, 2 * d, 3 * d)
-        n = nm.tanh(nm.slice_axis(gx, 1, 2 * d, 3 * d) + nm.mul(r, gh_n))
-        # h' = (1 - z) * n + z * h
-        return n + nm.mul(z, h - n)
 
     def parameters(self):
         return [self.w, self.u, self.b]
@@ -234,21 +221,9 @@ class SummarizerModel:
 
     def _sweep(self, fwd: _GRUCell, bwd: _GRUCell, u: Tensor) -> Tensor:
         """One bidirectional layer over (B, m, d_in); directions summed."""
-        b, m, _ = u.shape
-        d_e = self.config.d_enc
-
-        def run(cell, order):
-            gx = cell.input_part(u)
-            h = Tensor(np.zeros((b, d_e)))
-            states = [None] * m
-            for t in order:
-                h = cell.step(nm.reshape(nm.slice_axis(gx, 1, t, t + 1), (b, 3 * d_e)), h)
-                states[t] = h
-            return states
-
-        forward, backward = run(fwd, range(m)), run(bwd, reversed(range(m)))
-        rows = [nm.reshape(forward[t] + backward[t], (b, 1, d_e)) for t in range(m)]
-        return nm.concat(rows, axis=1)
+        forward = nm.gru_sweep(nm.linear(u, fwd.w, fwd.b), fwd.u)
+        backward = nm.gru_sweep(nm.linear(u, bwd.w, bwd.b), bwd.u, reverse=True)
+        return forward + backward
 
     def encode(self, u: Tensor) -> Tensor:
         """Sentence matrices (B, m, d_text) to encoder states (B, m, d_enc)."""
@@ -276,20 +251,13 @@ class SummarizerModel:
             raise ValidationError(f"teacher_forcing must be in [0, 1], got {teacher_forcing}")
         if rng is None and 0.0 < teacher_forcing < 1.0:
             raise ValidationError("fractional teacher forcing requires a random generator")
-        b, m, d_t = u.shape
-        h = nm.reshape(nm.slice_axis(states, 1, m - 1, m), (b, self.config.d_enc))
-        fixed = [teacher_forcing == 1.0] * (m - 1)
-        coins = fixed if rng is None else rng.random(m - 1) < teacher_forcing
-        x = Tensor(np.zeros((b, d_t)))
-        outputs = []
-        for t in range(m):
-            h = self.dec.step(self.dec.input_part(x), h)
-            y = h @ self.out_w + self.out_b
-            outputs.append(y)
-            if t + 1 < m:
-                x = nm.reshape(nm.slice_axis(u, 1, t, t + 1), (b, d_t)) if coins[t] else y
-        rows = [nm.reshape(y, (b, 1, d_t)) for y in outputs]
-        return nm.concat(rows, axis=1)
+        m = u.shape[1]
+        if rng is None:
+            coins = np.full(m - 1, teacher_forcing == 1.0)
+        else:
+            coins = rng.random(m - 1) < teacher_forcing
+        dec = self.dec
+        return nm.gru_decode(states, u, coins, dec.w, dec.u, dec.b, self.out_w, self.out_b)
 
 
 def attention_weights(states: Tensor, d_enc: int) -> Tensor:

@@ -75,6 +75,17 @@ def all_kernel_loss():
     return kernel_loss, [a, b, table, v]
 
 
+def backward_graph_nodes(root):
+    """Tensors a backward walk from root visits, leaves included."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent, _ in stack.pop()._vjps:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
 def padded(batch, rows: np.ndarray) -> np.ndarray:
     """A packed batch's (N, ...) rows in the padded (B, T, ...) layout of
     its `real` mask, zeros in the padded slots: the layout the composed

@@ -3,7 +3,7 @@ against a direct-summation oracle, gradients, training, and ranking."""
 
 import numpy as np
 import pytest
-from conftest import padded, row_counts
+from conftest import backward_graph_nodes, padded, row_counts
 
 import visitrep.numerics as nm
 from visitrep.cohort import build_vocabulary, preprocess, visit_matrix
@@ -124,17 +124,6 @@ def composed_skip_gram_loss(chat, hit, miss, n, eps=1e-7):
     log_p = nm.log(nm.clip(chat, eps, 1.0 - eps))
     log_q = nm.log(nm.clip(nm.shift(nm.scale(chat, -1.0), 1.0), eps, 1.0 - eps))
     return nm.scale(nm.tsum(nm.mul(log_p, Tensor(hit)) + nm.mul(log_q, Tensor(miss))), -1.0 / n)
-
-
-def backward_graph_nodes(root):
-    """Tensors a backward walk from root visits, leaves included."""
-    seen, stack = {id(root)}, [root]
-    while stack:
-        for parent, _ in stack.pop()._vjps:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
 
 
 class TestPositionalEncoding:

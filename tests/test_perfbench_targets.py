@@ -20,7 +20,7 @@ from perfbench.workloads import throughput_stages
 
 ROOT = Path(__file__).resolve().parents[1]
 # Kernels with no caller in src/visitrep, kept only because KERNELS names them.
-UNCALLED_KERNELS = {"relu", "layer_norm", "masked_fill", "shift"}
+UNCALLED_KERNELS = {"relu", "layer_norm", "masked_fill", "shift", "concat", "slice_axis"}
 
 # Runs in a fresh interpreter, so the rebinding cannot leak into other tests.
 TRACED_STAGES = """

@@ -27,6 +27,8 @@ from visitrep.numerics import (
     concat,
     fit,
     gather_rows,
+    gru_decode,
+    gru_sweep,
     layer_norm,
     linear,
     log,
@@ -253,6 +255,34 @@ class TestErrorContracts:
         with pytest.raises(ValueError, match=match):
             causal_attention(x, wqkv, wo, bo, real, blocked)
 
+    @pytest.mark.parametrize(
+        "gx, u",
+        [((2, 4, 9), (3, 6)), ((2, 4, 6), (3, 9)), ((4, 9), (3, 9)), ((2, 4, 9), (9, 3))],
+        ids=["u-not-3h-wide", "gx-width", "gx-2-d", "u-transposed"],
+    )
+    def test_gru_sweep_checks_its_shapes(self, gx, u):
+        with pytest.raises(ValueError, match=r"^gru_sweep: gx .* and u .* disagree$"):
+            gru_sweep(Tensor(np.ones(gx)), Tensor(np.ones(u)))
+
+    @pytest.mark.parametrize(
+        "states, targets, coins, match",
+        [
+            ((3, 4, 2), (2, 4, 5), 3, "states .* and targets .* disagree"),
+            ((2, 3, 2), (2, 4, 5), 3, "states .* and targets .* disagree"),
+            ((4, 2), (2, 4, 5), 3, "states .* and targets .* disagree"),
+            ((2, 4, 3), (2, 4, 5), 3, r"weights .* do not fit states \(2, 4, 3\)"),
+            ((2, 4, 2), (2, 4, 5), 4, r"coins must be 3 booleans"),
+            ((2, 4, 2), (2, 4, 5), [1, 0, 1], r"coins must be 3 booleans"),
+        ],
+        ids=["batch", "sentences", "2-d-states", "state-width", "coin-count", "int-coins"],
+    )
+    def test_gru_decode_checks_its_shapes(self, states, targets, coins, match):
+        """The weights fit h = 2 and k = 5."""
+        weights = [Tensor(np.ones(s)) for s in [(5, 6), (2, 6), (6,), (2, 5), (5,)]]
+        coins = np.zeros(coins, bool) if isinstance(coins, int) else np.array(coins)
+        with pytest.raises(ValueError, match=rf"^gru_decode: {match}"):
+            gru_decode(Tensor(np.ones(states)), Tensor(np.ones(targets)), coins, *weights)
+
     def test_binary_xent_checks_eps_and_shapes(self):
         p = Tensor(np.full((2, 3), 0.5))
         with pytest.raises(ValueError, match="eps"):
@@ -474,6 +504,23 @@ class TestKernelGradients:
         assert np.abs(x.data @ w.data + b.data).min() > 1e-3
         v = Tensor(self.rng.normal(size=(2, 3, 5)))
         _fd_check(lambda: tsum(mul(linear(x, w, b, relu=use_relu), v)), [x, w, b])
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_gru_sweep(self, reverse):
+        gx, u = self._param(2, 4, 9), self._param(3, 9)
+        w = Tensor(self.rng.normal(size=(2, 4, 3)))
+        _fd_check(lambda: tsum(mul(gru_sweep(gx, u, reverse), w)), [gx, u])
+
+    def test_gru_decode(self):
+        """Mixed coins: the second input is the true row, the other two the
+        decoder's own outputs."""
+        states, targets = self._param(2, 4, 3), self._param(2, 4, 5)
+        w, u, b = self._param(5, 9), self._param(3, 9), self._param(9)
+        out_w, out_b = self._param(3, 5), self._param(5)
+        coins = np.array([False, True, False])
+        v = Tensor(self.rng.normal(size=(2, 4, 5)))
+        params = [states, targets, w, u, b, out_w, out_b]
+        _fd_check(lambda: tsum(mul(gru_decode(states, targets, coins, *params[2:]), v)), params)
 
     def test_binary_xent_with_clipped_ends(self):
         """Entries below eps and above 1 - eps pass no gradient."""

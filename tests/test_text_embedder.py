@@ -1,15 +1,25 @@
 """Text pipeline: tokenization, vocab, bag encoding, and the recurrent
 autoencoder checked against hand-rolled numpy oracles (the per-sentence
-token mean, the per-note example loop and a one-step-at-a-time GRU)."""
+token mean, the per-note example loop and a one-step-at-a-time GRU) and
+against the per-step cell path built from the elementary kernels, which
+the fused recurrent kernels replaced."""
 
 import re
 
 import numpy as np
 import pytest
-from conftest import make_cohort, make_record, make_visit
+from conftest import backward_graph_nodes, make_cohort, make_record, make_visit
 
+import visitrep.numerics as nm
 from visitrep.errors import ValidationError
-from visitrep.numerics import Tensor, load_state, max_relative_error, tsum, uniform_init
+from visitrep.numerics import (
+    Tensor,
+    load_state,
+    max_relative_error,
+    recording,
+    tsum,
+    uniform_init,
+)
 from visitrep.synth import SynthConfig, generate_cohort
 from visitrep.text_embedder import (
     BagEncoder,
@@ -119,6 +129,68 @@ def manual_summarize(model, u):
     exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = exp / exp.sum(axis=-1, keepdims=True)
     return (weights @ states).mean(axis=0)
+
+
+# The per-step cell path, one graph node per elementary kernel: the oracle
+# the fused kernels gru_sweep and gru_decode must match, bitwise forward.
+def cell_step(cell, gx, h):
+    """Next state from the input part gx (B, 3h) and the state h (B, h)."""
+    d = cell.u.shape[0]
+    gh = h @ cell.u
+    rz = nm.sigmoid(nm.slice_axis(gx + gh, 1, 0, 2 * d))
+    r = nm.slice_axis(rz, 1, 0, d)
+    z = nm.slice_axis(rz, 1, d, 2 * d)
+    gh_n = nm.slice_axis(gh, 1, 2 * d, 3 * d)
+    n = nm.tanh(nm.slice_axis(gx, 1, 2 * d, 3 * d) + nm.mul(r, gh_n))
+    return n + nm.mul(z, h - n)
+
+
+def cell_direction(cell, u, reverse):
+    """Every state of one direction over (B, m, d_in), as m (B, h) tensors."""
+    b, m, _ = u.shape
+    d = cell.u.shape[0]
+    gx = u @ cell.w + cell.b
+    h = Tensor(np.zeros((b, d)))
+    states = [None] * m
+    for t in reversed(range(m)) if reverse else range(m):
+        h = cell_step(cell, nm.reshape(nm.slice_axis(gx, 1, t, t + 1), (b, 3 * d)), h)
+        states[t] = h
+    return states
+
+
+def cell_sweep(fwd, bwd, u):
+    b, m, _ = u.shape
+    d = fwd.u.shape[0]
+    forward, backward = cell_direction(fwd, u, False), cell_direction(bwd, u, True)
+    return nm.concat([nm.reshape(forward[t] + backward[t], (b, 1, d)) for t in range(m)], axis=1)
+
+
+def cell_encode(model, u):
+    return cell_sweep(model.enc2f, model.enc2b, cell_sweep(model.enc1f, model.enc1b, u))
+
+
+def cell_decode(model, states, u, coins):
+    b, m, d_t = u.shape
+    h = nm.reshape(nm.slice_axis(states, 1, m - 1, m), (b, model.config.d_enc))
+    x = Tensor(np.zeros((b, d_t)))
+    outputs = []
+    for t in range(m):
+        h = cell_step(model.dec, x @ model.dec.w + model.dec.b, h)
+        y = h @ model.out_w + model.out_b
+        outputs.append(y)
+        if t + 1 < m:
+            x = nm.reshape(nm.slice_axis(u, 1, t, t + 1), (b, d_t)) if coins[t] else y
+    return nm.concat([nm.reshape(y, (b, 1, d_t)) for y in outputs], axis=1)
+
+
+def cell_decode_method(model, states, u, teacher_forcing, rng):
+    """SummarizerModel.decode on the cell path, coins drawn as decode draws them."""
+    m = u.shape[1]
+    if rng is None:
+        coins = np.full(m - 1, teacher_forcing == 1.0)
+    else:
+        coins = rng.random(m - 1) < teacher_forcing
+    return cell_decode(model, states, u, coins)
 
 
 class TestTokenize:
@@ -446,6 +518,113 @@ class TestGradients:
 
         err = max_relative_error(build, model.parameters(), h=1e-5)
         assert err < 1e-4, f"max relative error {err:.3e}"
+
+
+def gradients(build, leaves):
+    """d(loss)/d(leaf) for every leaf, from one recorded backward."""
+    for leaf in leaves:
+        leaf.grad = np.zeros_like(leaf.data)
+    with recording():
+        build().backward()
+    return [leaf.grad.copy() for leaf in leaves]
+
+
+class TestFusedRecurrence:
+    """gru_sweep and gru_decode against the per-step cell path: forwards
+    bitwise, gradients within 1e-12 relative."""
+
+    def model(self, d_text=4, d_enc=3, seed=31):
+        cfg = SummarizerConfig(d_text=d_text, d_enc=d_enc, chunk_size=3)
+        return SummarizerModel(TINY_VOCAB, cfg, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("b, m", [(1, 1), (1, 4), (3, 1), (3, 4)])
+    def test_every_direction_of_both_layers_is_bitwise_the_cell_path(self, b, m):
+        model = self.model()
+        u = Tensor(np.random.default_rng(m).normal(size=(b, m, 4)))
+        h1 = model._sweep(model.enc1f, model.enc1b, u)
+        for (fwd, bwd), x in [((model.enc1f, model.enc1b), u), ((model.enc2f, model.enc2b), h1)]:
+            for cell, reverse in ((fwd, False), (bwd, True)):
+                got = nm.gru_sweep(nm.linear(x, cell.w, cell.b), cell.u, reverse)
+                want = np.stack([h.data for h in cell_direction(cell, x, reverse)], axis=1)
+                assert got.data.tobytes() == want.tobytes()
+        states = cell_encode(model, u)
+        assert model.encode(u).data.tobytes() == states.data.tobytes()
+        assert summarize(model, u.data).tobytes() == model.pool(states).data.tobytes()
+
+    @pytest.mark.parametrize("teacher_forcing", [0.0, 1.0, 0.5])
+    @pytest.mark.parametrize("b, m", [(1, 1), (3, 1), (1, 5), (3, 5)])
+    def test_decoder_is_bitwise_the_cell_path(self, b, m, teacher_forcing):
+        """Seed 4 draws the mixed coins [F, F, F, T] for m = 5."""
+        model = self.model()
+        u = Tensor(np.random.default_rng(m).normal(size=(b, m, 4)))
+        states = model.encode(u)
+        coins = np.random.default_rng(4).random(m - 1) < teacher_forcing
+        assert m == 1 or teacher_forcing != 0.5 or 0 < coins.sum() < m - 1
+        got = model.decode(states, u, teacher_forcing, np.random.default_rng(4))
+        assert got.data.tobytes() == cell_decode(model, states, u, coins).data.tobytes()
+
+    @pytest.mark.parametrize("trainable", [False, True], ids=["frozen-bag", "trainable-bag"])
+    @pytest.mark.parametrize("teacher_forcing", [0.0, 1.0, 0.5])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_gradients_match_the_cell_path_within_1e_12(self, m, teacher_forcing, trainable):
+        """With a trainable bag table the sentence rows u take a gradient too,
+        through the encoder's input projection and the teacher-forced rows."""
+        model = self.model(d_text=6, d_enc=5)
+        u = Tensor(np.random.default_rng(m).normal(size=(3, m, 6)), requires_grad=trainable)
+        leaves = model.parameters()[1:] + ([u] if trainable else [])
+
+        def loss(encode, decode):
+            coins = np.random.default_rng(4)
+            return lambda: reconstruction_loss(
+                decode(model, encode(model, u), u, teacher_forcing, coins), u
+            )
+
+        fused = gradients(loss(SummarizerModel.encode, SummarizerModel.decode), leaves)
+        cell = gradients(loss(cell_encode, cell_decode_method), leaves)
+        for leaf, got, want in zip(leaves, fused, cell):
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(got - want).max() <= 1e-12 * scale, getattr(leaf, "name", "u")
+
+    def test_training_gives_the_cell_paths_validation_losses(self, monkeypatch):
+        """A c6-shape train_summarizer, fused and on the cell path."""
+        cohort = generate_cohort(SynthConfig(n_patients=60, n_conditions=8, seed=202))[0]
+        config = SummarizerConfig(
+            d_text=16, d_enc=16, chunk_size=32, epochs=6, batch_size=16, train_encoder=False
+        )
+        _, fused = train_summarizer(cohort, config)
+        monkeypatch.setattr(SummarizerModel, "encode", cell_encode)
+        monkeypatch.setattr(SummarizerModel, "decode", cell_decode_method)
+        _, cell = train_summarizer(cohort, config)
+        assert len(fused.val_loss) == 6
+        np.testing.assert_array_almost_equal(fused.val_loss, cell.val_loss, decimal=10)
+
+    def test_a_training_step_records_as_many_nodes_for_any_sentence_count(self):
+        """One recorded step with a trainable bag table, as fit records it:
+        a graph that grows with the sentence count m fails here."""
+        model = self.model(d_text=16, d_enc=16)
+        rng = np.random.default_rng(2)
+        counts = []
+        for m in (2, 9):
+            ids = rng.integers(1, len(TINY_VOCAB), size=(4, m, 3))
+            with recording():
+                u = model.bag.encode_batch(ids, np.ones(ids.shape))
+                u_hat = model.decode(model.encode(u), u, 0.5, rng)
+                loss = reconstruction_loss(u_hat, u)
+            counts.append(backward_graph_nodes(loss))
+        assert counts == [39, 39]
+
+    def test_a_visits_summary_row_does_not_depend_on_its_bucket(self):
+        """Bitwise in any stack of two or more rows. One row alone is left
+        out: numpy multiplies a single state row through a matrix-vector
+        routine that rounds differently."""
+        model = self.model(d_text=16, d_enc=16)
+        rng = np.random.default_rng(9)
+        for m in (1, 4):
+            u = rng.normal(size=(9, m, 16))
+            full = summarize(model, u)
+            for size in (2, 3, 5, 8):
+                rows = rng.choice(9, size=size, replace=False)
+                assert summarize(model, u[rows]).tobytes() == full[rows].tobytes()
 
 
 def tiny_text_cohort(seed=3):
