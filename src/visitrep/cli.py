@@ -9,11 +9,15 @@ represent writes per-visit vectors, and evaluate writes a metric report
 Files are replaced atomically and carry no timestamps, so re-running a
 stage with the same config reproduces them byte for byte. Every read goes
 through `_read`, whose errors name the file and the stage to run or re-run.
+manifest.json records the sha256 of each RECORDED file a stage wrote or
+read and checked; a reader given that digest (`_recorded`) skips only its
+shape walk, on bytes that match it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +25,7 @@ from collections import Counter
 from dataclasses import asdict, replace
 
 from . import evaluation as ev
-from .atomic import atomic_open, write_json
+from .atomic import atomic_open, file_sha256, write_json
 from .cohort import (
     TASK_CODES,
     TASK_LOS,
@@ -63,7 +67,10 @@ ARTIFACTS = {
     **dict.fromkeys(["report_{task}.json", "report_{task}.csv"], "evaluate"),
     **dict.fromkeys(["crossval_{task}.json", "crossval_{task}.csv"], "evaluate"),
     "code_embeddings.csv": "export",
+    "manifest.json": "preprocess, represent",
 }
+# The files whose sha256 manifest.json records, "{task}" for every task.
+RECORDED = ("preprocessed.jsonl", "reps_{task}.jsonl")
 
 
 def _path(cfg: RunConfig, name: str) -> str:
@@ -92,10 +99,51 @@ def _read(cfg: RunConfig, name: str, parse):
         raise ValidationError(f"{path + ': ' if document else ''}{exc}; re-run {stage}") from exc
 
 
+def _manifest(cfg: RunConfig) -> dict:
+    """manifest.json as {file name: sha256 hex}. The manifest only spares a
+    check, so an absent or unreadable file, one that is not a JSON object,
+    and an entry that is not {"sha256": "<string>"} for a file RECORDED
+    names all read as no entry, never as an error, and are not written back."""
+    try:
+        with open(_path(cfg, "manifest.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):
+        return {}
+    names = {name.format(task=task) for name in RECORDED for task in TASK_ALIASES}
+    entries = doc.items() if isinstance(doc, dict) else ()
+    return {
+        name: entry["sha256"] for name, entry in entries
+        if name in names and isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
+    }
+
+
+def _recorded(cfg: RunConfig, name: str, reader):
+    """`reader` given the sha256 manifest.json records for artifact `name`, or
+    None: the one place a reader is offered the digest that lets it skip its
+    shape walk, which it does only on bytes that match."""
+    return functools.partial(reader, recorded=_manifest(cfg).get(name.format(task=cfg.task)))
+
+
+def _record(cfg: RunConfig, *names) -> None:
+    """Record in manifest.json the sha256 of each named artifact, bytes this
+    stage wrote or read and checked, keeping the manifest's other entries."""
+    manifest = _manifest(cfg)
+    for name in names:
+        path = _path(cfg, name)
+        with open(path, "rb") as fh:
+            manifest[os.path.basename(path)] = file_sha256(fh)
+    write_json(_path(cfg, "manifest.json"), {n: {"sha256": d} for n, d in manifest.items()})
+
+
+def _read_preprocessed(cfg: RunConfig) -> Cohort:
+    """preprocessed.jsonl, through its recorded digest."""
+    return _read(cfg, "preprocessed.jsonl", _recorded(cfg, "preprocessed.jsonl", ingest_cohort))
+
+
 def _load_preprocessed(cfg: RunConfig):
     """preprocessed.jsonl and its code vocabulary, built as preprocess built
     vocab.json; only export reads that file back."""
-    cohort = _read(cfg, "preprocessed.jsonl", ingest_cohort)
+    cohort = _read_preprocessed(cfg)
     return cohort, build_vocabulary(cohort)
 
 
@@ -128,9 +176,10 @@ def _read_reps(cfg: RunConfig, cohort: Cohort):
     visits of `cohort` (represent writes one row per visit)."""
     task = cfg.internal_task
     visits = {(p.patient_id, vi) for p in cohort.patients for vi in range(len(p.visits))}
+    read = _recorded(cfg, "reps_{task}.jsonl", read_representations)
 
     def parse(path):
-        reps = read_representations(path, task)
+        reps = read(path, task)
         keys = set(reps.keys)
         for bad, what in (
             (keys - visits, "holds {} visit(s) absent from preprocessed.jsonl"),
@@ -169,6 +218,7 @@ def cmd_preprocess(cfg: RunConfig, args) -> None:
         group_map=group_map,
     )
     write_cohort_jsonl(pre, _path(cfg, "preprocessed.jsonl"))
+    _record(cfg, "preprocessed.jsonl")
     vocab = build_vocabulary(pre)
     write_json(_path(cfg, "vocab.json"), vocab.to_json())
     folds = patient_kfold_split(pre, cfg.eval.folds, derive_seed(cfg.seed, "split"))
@@ -192,7 +242,7 @@ def cmd_train_code(cfg: RunConfig, args) -> None:
 
 
 def cmd_train_text(cfg: RunConfig, args) -> None:
-    pre = _read(cfg, "preprocessed.jsonl", ingest_cohort)
+    pre = _read_preprocessed(cfg)
     train_ids, _ = _read_split(cfg, pre)
     summ_cfg = replace(cfg.summarizer, seed=derive_seed(cfg.seed, "train-text"))
     model, history = train_summarizer(pre.subset(train_ids), summ_cfg)
@@ -238,6 +288,7 @@ def cmd_represent(cfg: RunConfig, args) -> None:
     reps = pipeline.represent_cohort(pre, cfg.internal_task)
     path = _path(cfg, "reps_{task}.jsonl")
     write_representations(path, reps)
+    _record(cfg, "preprocessed.jsonl", "reps_{task}.jsonl")
     print(f"wrote {path} ({len(reps.keys)} visits, width {pipeline.space.total_dim})")
 
 
@@ -302,7 +353,7 @@ def _evaluate_artifacts(cfg: RunConfig) -> dict:
 
 def cmd_evaluate(cfg: RunConfig, args) -> None:
     if args.crossval:
-        pre = _read(cfg, "preprocessed.jsonl", ingest_cohort)
+        pre = _read_preprocessed(cfg)
         variant = _variant_from_ablate(args.ablate) if args.ablate else "full"
         eval_cfg = replace(cfg.eval, seed=derive_seed(cfg.seed, "evaluate"))
         reports = ev.crossval(

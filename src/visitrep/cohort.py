@@ -20,7 +20,10 @@ Timestamps are integer seconds. Ingest checks each line against one
 declared shape (`_RECORD`, see `visitrep.shape`), then the rules across
 fields: a stay ends no earlier than it starts, note times stay inside
 [admit - 1 day, discharge + 1 day], and no two visits share an admission
-time (visits are kept in admission order).
+time (visits are kept in admission order). Bytes are checked once: given
+the sha256 a run directory's manifest records for the file, ingest skips
+the shape walk when the file's bytes match it, since preprocess writes
+only records of that shape; the rules across fields still run.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, file_sha256
 from .errors import ValidationError
 from .shape import COUNT, INTEGER, NAME, POSITIVE, STRING, Scalar, checker
 
@@ -136,8 +139,9 @@ def _utf8_lines(path: str, lines):
                 f"{path}: line {lineno}: not UTF-8 ({e.reason} at byte {e.start})")
 
 
-def _parse_record(obj, where: str, pool: dict) -> PatientRecord:
-    _RECORD(obj, where)
+def _parse_record(obj, where: str, pool: dict, walk: bool) -> PatientRecord:
+    if walk:
+        _RECORD(obj, where)
     visits = []
     for i, v in enumerate(obj["visits"]):
         admit, discharge = v["admit_time"], v["discharge_time"]
@@ -162,11 +166,16 @@ def _parse_record(obj, where: str, pool: dict) -> PatientRecord:
     return PatientRecord(obj["patient_id"], d["age"], d["gender"], d["race"], tuple(visits))
 
 
-def ingest_cohort(path: str) -> Cohort:
-    """Parse a JSONL cohort file; the first bad line raises, naming its number."""
+def ingest_cohort(path: str, *, recorded: Optional[str] = None) -> Cohort:
+    """Parse a JSONL cohort file; the first bad line raises, naming its number.
+
+    `recorded` is the sha256 the run directory's manifest holds for the
+    file: when the bytes read match it, the `_RECORD` shape walk is skipped.
+    """
     patients: dict[str, PatientRecord] = {}
     pool: dict[frozenset, frozenset] = {}
     with open(path, "rb") as fh:
+        walk = recorded is None or file_sha256(fh) != recorded
         for lineno, line in _utf8_lines(path, fh):
             if not line.strip(string.whitespace):
                 continue
@@ -175,7 +184,7 @@ def ingest_cohort(path: str) -> Cohort:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{where}: malformed JSON ({e.msg})")
-            record = _parse_record(obj, where, pool)
+            record = _parse_record(obj, where, pool, walk)
             if record.patient_id in patients:
                 raise ValidationError(f"{where}: duplicate patient_id {record.patient_id!r}")
             patients[record.patient_id] = record
@@ -212,8 +221,9 @@ def write_cohort_jsonl(cohort: Cohort, path: str) -> None:
 
 def load_group_map(path: str) -> dict:
     """CSV with header 'raw_id,group_id' mapping codes onto coarser groups;
-    a line that is not UTF-8 raises, naming its number. Lines end at \\n,
-    \\r or \\r\\n."""
+    a line that is not UTF-8, or a row with an empty raw or group id, raises,
+    naming its number, so every code preprocess writes is a non-empty
+    string. Lines end at \\n, \\r or \\r\\n."""
     mapping: dict[str, str] = {}
     with open(path, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
@@ -224,6 +234,9 @@ def load_group_map(path: str) -> dict:
     for i, row in enumerate(reader, start=2):
         if len(row) < 2:
             raise ValidationError(f"{path}: row {i} has fewer than two columns")
+        for column, value in zip(("raw_id", "group_id"), row):
+            if not value:
+                raise ValidationError(f"{path}: row {i} has an empty {column}")
         mapping[row[0]] = row[1]
     return mapping
 

@@ -516,14 +516,19 @@ def causal_attention(
     q, k, v = heads_view(qkv)
     s = float(1.0 / np.sqrt(float(dh)))
     scores = np.where(blocked, -np.inf, np.matmul(q, k.swapaxes(-1, -2).copy()) * s)
-    # The row max as a reduction over the outer axis of a contiguous copy
-    # with the keys first: a max does not round, so this is bitwise
-    # np.max(scores, axis=-1), at a fraction of its cost for short rows.
-    m = np.maximum.reduce(scores.transpose(3, 0, 1, 2).copy(), axis=0)[..., None]
+    # The softmax runs in one contiguous copy with the keys first, reduced
+    # over its outer axis. The max does not round, so it is bitwise
+    # np.max(scores, axis=-1), at a fraction of its cost for short rows. The
+    # sum adds the keys in order, so a padded key's zero comes last and
+    # changes nothing: numpy's last-axis sum goes pairwise from eight keys
+    # on, which would make a row depend on its batch's longest history.
+    e = scores.transpose(3, 0, 1, 2).copy()
+    m = np.maximum.reduce(e, axis=0)
     if np.isneginf(m).any():
         raise ValueError("causal_attention: a query is fully masked (every key blocked)")
-    e = np.exp(scores - m)
-    weights = e / e.sum(axis=-1, keepdims=True)
+    np.exp(np.subtract(e, m, out=e), out=e)
+    weights = np.empty_like(scores)
+    np.divide(e.transpose(1, 2, 3, 0), np.add.reduce(e, axis=0)[..., None], out=weights)
     heads = np.empty((b * t, nh, dh))
     np.matmul(weights, v, out=heads_view(heads)[0])
     heads = np.ascontiguousarray(heads[slots].transpose(1, 0, 2))

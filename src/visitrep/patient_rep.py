@@ -17,7 +17,14 @@ The text pass hands every visit's token-id windows to
 `text_embedder.sentence_batches`, the path summarizer training uses: each
 batch of visits with one sentence count is bag-encoded in one
 `encode_batch` and summarized in one `summarize`, so no visit is padded
-with extra sentences. A JSONL export holds one task and one width.
+with extra sentences.
+
+A JSONL export holds one task and one width. Each value is written as
+`%.9g` of its float32 value, the fewest digits that read back to the same
+float32 (a negative zero as `-0.0`), and is read back through float32, so
+a file written with more digits reads to the same table. Given the sha256
+a run directory's manifest records for the file, the reader skips the
+`_ROW` shape walk on bytes that match it; every other check still runs.
 
 Extraction never mutates the upstream models, so segments can be zeroed
 after the fact to produce every ablation variant from one pass.
@@ -27,11 +34,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, file_sha256
 from .cohort import (
     TASK_CODES,
     TASKS,
@@ -148,35 +156,42 @@ class RepresentationPipeline:
         return Representations(task, keys, np.hstack(blocks))
 
 
+_NEGATIVE_ZERO = re.compile(r"-0(?=[,\]])")  # %.9g writes -0.0 as -0, which JSON reads as 0
+
+
 def write_representations(path, reps: Representations) -> None:
-    """JSONL export, one visit per line, values rounded to float32."""
+    """JSONL export, one visit per line, written one row at a time: each value
+    is the `%.9g` of its float32 value, a negative zero `-0.0`."""
+    task = json.dumps(reps.task)
+    z_format = "[" + ", ".join(["%.9g"] * reps.vectors.shape[1]) + "]"
     with atomic_open(path) as fh:
-        for (patient_id, visit_index), z in zip(reps.keys, reps.vectors.astype(np.float32)):
-            row = {
-                "patient_id": patient_id,
-                "visit_index": visit_index,
-                "task": reps.task,
-                "z": z.tolist(),
-            }
-            fh.write(json.dumps(row) + "\n")
+        for (patient_id, visit_index), row in zip(reps.keys, reps.vectors):
+            z = _NEGATIVE_ZERO.sub("-0.0", z_format % tuple(row.astype(np.float32).tolist()))
+            fh.write(f'{{"patient_id": {json.dumps(patient_id)}, "visit_index": '
+                     f'{json.dumps(visit_index)}, "task": {task}, "z": {z}}}\n')
 
 
 _ROW = checker({"patient_id": NAME, "visit_index": COUNT, "task": STRING,
                 "z": ["z item", Scalar({float, int}, "a finite number", math.isfinite)]}, "row")
 
 
-def read_representations(path, task: str) -> Representations:
+def read_representations(path, task: str, *, recorded=None) -> Representations:
     """The table a JSONL export holds. Each row, of the `_ROW` shape, needs a
-    visit key of its own and the first row's task and width; the file must
-    hold at least one row, and rows for `task`."""
+    visit key of its own and the first row's task and width, and each value
+    must be a finite float32; the file must hold at least one row, and rows
+    for `task`. `recorded` is the sha256 the run directory's manifest holds
+    for the file: when the bytes read match it, the `_ROW` walk is skipped."""
     rows, line_of = [], {}
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, np.errstate(over="ignore"):
+        walk = recorded is None or file_sha256(fh) != recorded
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = _ROW(json.loads(line))
-                z = np.asarray(obj["z"], dtype=np.float64)
+                obj = json.loads(line)
+                if walk:
+                    _ROW(obj)
+                z = np.array(obj["z"], dtype=np.float32)
             except (ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad representation row ({exc})") from exc
             key, row_task = (obj["patient_id"], obj["visit_index"]), obj["task"]
@@ -197,7 +212,15 @@ def read_representations(path, task: str) -> Representations:
         raise ValidationError(f"{path}: no representation rows")
     if first[1] != task:
         raise ValidationError(f"{path} holds representations for task {first[1]!r}, not {task!r}")
-    return Representations(first[1], list(line_of), np.stack(rows))
+    table = np.stack(rows)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, item = np.argwhere(~finite)[0]
+        raise ValidationError(
+            f"{path}:{list(line_of.values())[row]}: bad representation row (z item {item} "
+            "is outside the float32 range)"
+        )
+    return Representations(first[1], list(line_of), table.astype(np.float64))
 
 
 def join_representations(reps: Representations, cohort: Cohort):

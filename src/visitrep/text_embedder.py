@@ -4,7 +4,9 @@ autoencoder that turns a visit's sentences into a single summary vector.
 Text flows visit by visit. Raw note text is lowercased and split into
 maximal runs of alphanumeric characters; tokens are mapped through a
 frequency-capped vocabulary and chunked greedily into fixed-size windows
-that play the role of sentences (`text_chunks`). A sentence encoder turns
+that play the role of sentences (`chunk_tokens`, or `text_chunks` from
+text). Training tokenizes each note once (`visit_tokens`) and builds both
+its vocabulary and its examples from those tokens. A sentence encoder turns
 each window into a d_text vector (a trainable mean-pooled token embedding).
 Training and inference reach it the same way: `sentence_batches` groups
 visits by sentence count, pads each group and runs one
@@ -89,18 +91,30 @@ class TokenVocabulary:
 _TOKENS = checker({"tokens": ["token", STRING]}, "token vocabulary")
 
 
-def build_token_vocabulary(cohort: Cohort, min_freq: int = 2, max_tokens: int = 20000):
-    """Count tokens over every note in the cohort, keep frequent ones.
+def visit_tokens(cohort: Cohort) -> tuple:
+    """(tokens, ids): the distinct note tokens in the order first met, and
+    each visit's note tokens, notes in order, as an int64 array of indices
+    into `tokens`, in cohort visit order. `tokenize` runs once per note, and
+    a visit's tokens are those of its notes joined by spaces, since a space
+    cannot merge two tokens."""
+    index: dict = {}
+    ids = [
+        np.array([index.setdefault(tok, len(index)) for note in visit.notes
+                  for tok in tokenize(note.text)], dtype=np.int64)
+        for patient in cohort.patients
+        for visit in patient.visits
+    ]
+    return list(index), ids
+
+
+def build_token_vocabulary(tokens, ids, min_freq: int = 2, max_tokens: int = 20000):
+    """Count the tokens over `visit_tokens`' id arrays, keep frequent ones.
 
     Ordered by descending frequency with alphabetical tie-break, capped at
     max_tokens entries plus the UNK slot.
     """
-    counts: dict = {}
-    for patient in cohort.patients:
-        for visit in patient.visits:
-            for note in visit.notes:
-                for tok in tokenize(note.text):
-                    counts[tok] = counts.get(tok, 0) + 1
+    flat = np.concatenate([np.zeros(0, np.int64), *ids])
+    counts = dict(zip(tokens, np.bincount(flat, minlength=len(tokens)).tolist()))
     kept = sorted(
         (t for t, c in counts.items() if c >= min_freq),
         key=lambda t: (-counts[t], t),
@@ -344,14 +358,17 @@ def train_summarizer(cohort: Cohort, config: SummarizerConfig):
     the autoencoder has to model real structure.
     """
     rng = np.random.default_rng(config.seed)
-    vocab = build_token_vocabulary(
-        cohort, min_freq=config.min_token_freq, max_tokens=config.max_tokens
-    )
-    model = SummarizerModel(vocab, config, rng)
     # Every note of a visit counts here; task text windows apply at
-    # representation time. A joining space cannot merge two tokens.
-    texts = (" ".join(n.text for n in v.notes) for p in cohort.patients for v in p.visits)
-    examples = [c for c in (text_chunks(t, vocab, config.chunk_size) for t in texts) if c]
+    # representation time. Each note is tokenized once, for both passes,
+    # and the per-visit ids are dropped before training.
+    tokens, ids = visit_tokens(cohort)
+    vocab = build_token_vocabulary(
+        tokens, ids, min_freq=config.min_token_freq, max_tokens=config.max_tokens
+    )
+    lookup = vocab.encode(tokens)
+    examples = [c for c in (chunk_tokens(lookup[i], config.chunk_size) for i in ids) if c]
+    del ids
+    model = SummarizerModel(vocab, config, rng)
     if len(examples) < 2:
         raise ValidationError("train_summarizer needs at least 2 visits with note text")
 

@@ -2,8 +2,12 @@
 in half, cut at a line or given one of four single-bit flips, leaves that
 stage exiting 0 or 1, never 2. The mutations that exit 1 today keep exiting
 1 and name the file. The mutations are hand-rolled and seeded from the file
-name's crc32, so every run of the test makes the same ones."""
+name's crc32, so every run of the test makes the same ones.
 
+manifest.json only spares the shape walk of the files it records: the same
+mutations of it, or its absence, change no reader's exit code or outputs."""
+
+import hashlib
 import json
 import shutil
 import zlib
@@ -11,6 +15,7 @@ import zlib
 import numpy as np
 import pytest
 
+from visitrep import cohort, patient_rep
 from visitrep.cli import main
 
 from test_cli import TINY_CONFIG
@@ -40,7 +45,7 @@ EXIT_0 = {
     ("preprocessed.jsonl", "flip2"): set(READERS["preprocessed.jsonl"]),
     **{(name, f"flip{i}"): set(READERS[name]) for name, flips in [
         ("code.ckpt", (0, 2, 3)), ("text.ckpt", (0, 1, 3)),
-        ("reps_mortality.jsonl", (0, 1)), ("head_mortality.ckpt", (0, 1, 2, 3)),
+        ("reps_mortality.jsonl", (1, 3)), ("head_mortality.ckpt", (0, 1, 2, 3)),
     ] for i in flips},
 }
 
@@ -120,4 +125,92 @@ def test_every_mutation_exits_0_or_1_and_exit_1_names_the_file(
             allowed = (0, 1) if stage in EXIT_0.get((name, mutation), ()) else (1,)
             if code not in allowed or (code == 1 and not named):
                 faults.append((mutation, stage, code, err))
+    assert faults == []
+
+
+# The stages that read a file manifest.json records, and the one of them that
+# rewrites the manifest.
+RECORDED_READERS = READERS["preprocessed.jsonl"]
+WRITES_MANIFEST = {"represent"}
+
+
+def outcome(run, stage, code, out: str) -> tuple:
+    """A stage's exit code, stdout and run-directory files, the manifest
+    only when the stage writes it."""
+    files = {
+        path.name: path.read_bytes() for path in sorted(run.iterdir())
+        if path.name != "manifest.json" or stage in WRITES_MANIFEST
+    }
+    return code, out.replace(str(run), "<run>"), files
+
+
+def test_walked_and_unwalked_parses_agree(built):
+    """The oracle for the digest skip: the files the pipeline wrote parse to
+    the same Cohort and the same table with the shape walk and without."""
+    run, _ = built
+    digests = json.loads((run / "manifest.json").read_text())
+    pre, reps = run / "preprocessed.jsonl", run / "reps_mortality.jsonl"
+    for path in (pre, reps):
+        assert digests[path.name]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    unwalked = cohort.ingest_cohort(str(pre), recorded=digests[pre.name]["sha256"])
+    assert unwalked == cohort.ingest_cohort(str(pre))
+    a = patient_rep.read_representations(reps, "mortality")
+    b = patient_rep.read_representations(reps, "mortality", recorded=digests[reps.name]["sha256"])
+    assert (a.task, a.keys, a.vectors.tobytes()) == (b.task, b.keys, b.vectors.tobytes())
+
+
+def test_an_intact_manifest_skips_every_shape_walk(built, tmp_path, monkeypatch, capsys):
+    """With the manifest as the pipeline left it, no reader walks `_RECORD`
+    or `_ROW`; without it, each walks the lines it reads."""
+    walks = []
+
+    def counted(name, check):
+        def walk(obj, *where):
+            walks.append(name)
+            return check(obj, *where)
+
+        return walk
+
+    for module, name in ((cohort, "_RECORD"), (patient_rep, "_ROW")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    run, intact = tmp_path / "run", (built[0] / "manifest.json").read_bytes()
+    for stage in RECORDED_READERS:
+        assert run_stage(built, run, "manifest.json", intact, stage) == 0, stage
+        assert walks == [], stage
+        assert run_stage(built, run, "manifest.json", None, stage) == 0, stage
+        reads_reps = stage in READERS["reps_mortality.jsonl"]
+        assert set(walks) == {"_RECORD", *["_ROW"] * reads_reps}, stage
+        walks.clear()
+
+
+def manifest_variants(intact: bytes):
+    """The contract's mutations of manifest.json, then well-formed entries
+    holding each other's digest, an entry under a misspelt name, a document
+    that is not an object, and no file at all."""
+    yield from mutations("manifest.json", intact)
+    doc = json.loads(intact)
+    names = sorted(doc)
+    swapped = {name: doc[other] for name, other in zip(names, names[::-1])}
+    yield "other-digests", json.dumps(swapped).encode()
+    yield "misnamed", json.dumps({name.replace(".jsonl", ".jsonm"): entry
+                                  for name, entry in doc.items()}).encode()
+    yield "list", b"[]\n"
+    yield "absent", None
+
+
+def test_a_mutated_or_absent_manifest_changes_no_reader_outcome(built, tmp_path, capsys):
+    """Every mutation of manifest.json, and its absence, leaves each reader's
+    exit code, stdout and outputs as they are with the intact manifest; the
+    stage that rewrites the manifest writes the intact run's bytes."""
+    run = tmp_path / "run"
+    intact = (built[0] / "manifest.json").read_bytes()
+    faults = []
+    for stage in RECORDED_READERS:
+        code = run_stage(built, run, "manifest.json", intact, stage)
+        want = outcome(run, stage, code, capsys.readouterr().out)
+        assert code == 0, stage
+        for mutation, data in manifest_variants(intact):
+            code = run_stage(built, run, "manifest.json", data, stage)
+            if outcome(run, stage, code, capsys.readouterr().out) != want:
+                faults.append((mutation, stage, code))
     assert faults == []

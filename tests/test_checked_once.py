@@ -17,10 +17,17 @@ this walks each module's syntax tree.
   fits the demographics codec on its training patients, and
   `patient_rep.join_representations` labels the rows, for the CLI stages
   and for every cross-validation fold alike.
+- `recorded=`: a reader skips its shape walk only on bytes that match the
+  digest manifest.json records, so `cli._recorded`, which reads it there, is
+  the one caller that passes one.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+from visitrep.cohort import ingest_cohort
+from visitrep.patient_rep import read_representations
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "visitrep"
 THE_CALLER = "JsonConfig.__post_init__"
@@ -35,9 +42,9 @@ ONE_HOME = {
 }
 
 
-def refused_calls(source: str, names) -> list:
-    """(line, enclosing class and function names) of each call to one of
-    `names`, as a method (`x.name()`) or as a function (`name()`)."""
+def matching_calls(source: str, match) -> list:
+    """(line, enclosing class and function names) of each call for which
+    match(the ast.Call node) holds."""
     found = []
 
     def walk(node, scope):
@@ -45,23 +52,38 @@ def refused_calls(source: str, names) -> list:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in names:
-                    found.append((child.lineno, ".".join(scope)))
+            if isinstance(child, ast.Call) and match(child):
+                found.append((child.lineno, ".".join(scope)))
             walk(child, scope)
 
     walk(ast.parse(source), ())
     return found
 
 
-def package_calls(names) -> list:
-    """(module path under src/visitrep, line, scope) of each call to `names`."""
+def refused_calls(source: str, names) -> list:
+    """(line, scope) of each call to one of `names`, as a method (`x.name()`)
+    or as a function (`name()`)."""
+
+    def called(call):
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in names
+
+    return matching_calls(source, called)
+
+
+def keyword_calls(source: str, keyword: str) -> list:
+    """(line, scope) of each call that passes `keyword=`."""
+    return matching_calls(source, lambda call: any(k.arg == keyword for k in call.keywords))
+
+
+def package_calls(names, find=refused_calls) -> list:
+    """(module path under src/visitrep, line, scope) of each call find()
+    reports for `names`."""
     return [
         (path.relative_to(PACKAGE).as_posix(), line, scope)
         for path in sorted(PACKAGE.rglob("*.py"))
-        for line, scope in refused_calls(path.read_text(encoding="utf-8"), names)
+        for line, scope in find(path.read_text(encoding="utf-8"), names)
     ]
 
 
@@ -144,6 +166,21 @@ def test_oracle_finds_every_raw_draw_and_its_scope():
     ]
 
 
+def test_oracle_finds_every_digest_offer_and_its_scope():
+    source = (
+        "def _recorded(cfg, name, reader):\n"
+        "    return functools.partial(reader, recorded=manifest(cfg).get(name))\n"
+        "def cmd_train_code(cfg):\n"
+        "    cohort = ingest_cohort(path, recorded=digest)\n"
+        "    reps = read_representations(path, task, recorded=None)\n"
+        "recorded = ingest_cohort(path)\n"
+        "ingest_cohort(path, walk=False)\n"
+    )
+    assert keyword_calls(source, "recorded") == [
+        (2, "_recorded"), (4, "cmd_train_code"), (5, "cmd_train_code"),
+    ]
+
+
 def test_only_the_config_mixin_calls_validate():
     calls = package_calls({"validate"})
     assert [scope for _, _, scope in calls] == [THE_CALLER], calls
@@ -160,3 +197,13 @@ def test_visit_encoding_and_batch_building_have_one_home():
     for name, home in ONE_HOME.items():
         calls = package_calls({name})
         assert {(path, scope) for path, _, scope in calls} == {home}, (name, calls)
+
+
+def test_only_the_cli_digest_helper_requests_the_unwalked_parse():
+    """The readers take the digest by keyword only, so the keyword finds
+    every offer of one."""
+    for reader in (ingest_cohort, read_representations):
+        kind = inspect.signature(reader).parameters["recorded"].kind
+        assert kind is inspect.Parameter.KEYWORD_ONLY, reader
+    calls = package_calls("recorded", keyword_calls)
+    assert [(path, scope) for path, _, scope in calls] == [("cli.py", "_recorded")], calls

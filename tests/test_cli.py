@@ -5,6 +5,7 @@ then check the persisted artifacts, the prerequisite errors, and that
 re-running a stage reproduces its files byte for byte.
 """
 
+import hashlib
 import json
 import re
 import shutil
@@ -112,6 +113,17 @@ class TestStageSequence:
         before = (out / "reps_mortality.jsonl").read_bytes()
         assert main(["represent", *base]) == 0
         assert (out / "reps_mortality.jsonl").read_bytes() == before
+
+    def test_manifest_records_the_checked_files_and_is_reproducible(self, run_dir):
+        out, base = run_dir
+        before = (out / "manifest.json").read_bytes()
+        assert json.loads(before) == {
+            name: {"sha256": hashlib.sha256((out / name).read_bytes()).hexdigest()}
+            for name in ("preprocessed.jsonl", "reps_mortality.jsonl")
+        }
+        for stage in ("preprocess", "represent"):
+            assert main([stage, *base]) == 0
+            assert (out / "manifest.json").read_bytes() == before
 
     def test_train_code_is_reproducible(self, run_dir):
         out, base = run_dir
@@ -456,10 +468,14 @@ class TestMalformedRepresentations:
                 ":{line}: bad representation row (patient_id must be a non-empty string",
             ),
             (_repeat_previous_key, ":{line}: line {previous} already holds visit"),
+            (
+                lambda rows, k: rows[k]["z"].__setitem__(2, 1e39),
+                ":{line}: bad representation row (z item 2 is outside the float32 range)",
+            ),
         ],
         ids=[
             "other-task", "one-row-other-task", "short-row", "empty", "float-index",
-            "bool-index", "int-patient", "repeated-key",
+            "bool-index", "int-patient", "repeated-key", "beyond-float32",
         ],
     )
     def test_exits_1_naming_file_and_represent(
@@ -567,6 +583,22 @@ class TestGroupMap:
         assert {name: r["folds"] for name, r in report.items()} == {
             name: [v] for name, v in values.items()
         }
+
+
+    def test_empty_group_id_exits_1_naming_the_row(self, run_dir, tmp_path, capsys):
+        """A map row `<code>,` would make preprocess write an empty code,
+        which every later stage refuses; preprocess refuses the map instead."""
+        base = _copy_run(run_dir, tmp_path)
+        raw = ingest_cohort(str(tmp_path / "cohort.jsonl"))
+        code = min(c for p in raw for v in p.visits for _, c in v.codes)
+        group_map = tmp_path / "groups.csv"
+        group_map.write_text(f"raw_id,group_id\n{code},\n")
+        config = dict(TINY_CONFIG, paths={"out": str(tmp_path), "group_map": str(group_map)})
+        (tmp_path / "tiny_config.json").write_text(json.dumps(config))
+        before = (tmp_path / "preprocessed.jsonl").read_bytes()
+        assert main(["preprocess", *base]) == 1
+        assert capsys.readouterr().err == f"error: {group_map}: row 2 has an empty group_id\n"
+        assert (tmp_path / "preprocessed.jsonl").read_bytes() == before
 
 
 class TestCrossvalCommand:

@@ -240,13 +240,14 @@ class TestForward:
 
     def test_a_patients_rows_do_not_depend_on_its_batch(self):
         """Each patient's rows are bitwise the same in a batch, in that batch
-        reversed, and beside one other patient or alone. A batch of a single
-        row is left out: numpy multiplies a one-row matrix with a
-        matrix-vector routine, which rounds differently (as it did for a
-        padded (1, 1, |C|) batch)."""
+        reversed, and beside one other patient or alone. The 8-, 9- and
+        12-visit neighbours pad the short histories past the length at which
+        numpy sums a last axis pairwise. A batch of a single row is left out:
+        numpy multiplies a one-row matrix with a matrix-vector routine, which
+        rounds differently (as it did for a padded (1, 1, |C|) batch)."""
         model = tiny_model(vocab_size=7, d_code=6, n_layers=2, n_heads=3, d_head=4, seed=2)
         rng = np.random.default_rng(11)
-        mats = [(rng.random((n, 7)) < 0.4).astype(float) for n in (5, 1, 3, 5, 2, 4)]
+        mats = [(rng.random((n, 7)) < 0.4).astype(float) for n in (5, 1, 3, 5, 2, 4, 8, 9, 12)]
 
         def rows(matrices):
             outputs, chat = model.forward(build_batch(matrices))

@@ -244,6 +244,16 @@ class TestPreprocess:
         with pytest.raises(ValidationError, match="header"):
             load_group_map(str(f))
 
+    @pytest.mark.parametrize(
+        "row, column", [("4280,", "group_id"), (",HF", "raw_id"), ('"",""', "raw_id")],
+        ids=["empty-group", "empty-raw", "both-empty"],
+    )
+    def test_group_map_refuses_an_empty_id_naming_file_and_row(self, tmp_path, row, column):
+        f = tmp_path / "map.csv"
+        f.write_text(f"raw_id,group_id\n428,HF\n{row}\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{f}: row 3 has an empty {column}")):
+            load_group_map(str(f))
+
     @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
     def test_group_map_lines_end_at_any_newline(self, tmp_path, end):
         f = tmp_path / "map.csv"

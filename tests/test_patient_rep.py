@@ -1,7 +1,9 @@
 """Representation assembly: segment layout, history windows per task,
 missing-modality zeros, ablation zeroing, and the JSONL round trip."""
 
+import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +41,7 @@ from visitrep.text_embedder import (
     build_token_vocabulary,
     sentence_matrix,
     summarize,
+    visit_tokens,
 )
 
 SPACE = RepresentationSpace(d_code=4, d_enc=3, d_demo=2)
@@ -232,7 +235,7 @@ class TestBatchedOracle:
             rng,
         )
         summarizer = SummarizerModel(
-            build_token_vocabulary(cohort, min_freq=1),
+            build_token_vocabulary(*visit_tokens(cohort), min_freq=1),
             SummarizerConfig(d_text=4, d_enc=3, chunk_size=self.CHUNK, batch_size=4),
             rng,
         )
@@ -303,6 +306,45 @@ class TestExport:
         np.testing.assert_array_equal(
             back.vectors, reps.vectors.astype(np.float32).astype(np.float64)
         )
+
+    def test_float32_width_round_trips_bit_for_bit(self, tmp_path):
+        """Each value is written as %.9g of its float32 value and reads back to
+        that float32, a negative zero, subnormals and the float32 extremes
+        included; a file written with 17 digits reads to the same table."""
+        f32 = np.finfo(np.float32)
+        edge = [-0.0, 0.0, float(f32.smallest_subnormal), -1.17e-39, float(f32.max),
+                -float(f32.max), float(f32.tiny), -1e-50, 1.0, -2.5]
+        rng = np.random.default_rng(5)
+        vectors = np.vstack([edge, rng.standard_normal((40, len(edge))) * 10.0 ** rng.integers(
+            -30, 30, size=(40, len(edge)))])
+        keys = [("p", i) for i in range(len(vectors))]
+        reps = Representations(TASK_MORTALITY, keys, vectors)
+        want = vectors.astype(np.float32).astype(np.float64)
+        path = tmp_path / "reps.jsonl"
+        write_representations(path, reps)
+        assert '"z": [-0.0, 0, 1.40129846e-45, ' in path.read_text().splitlines()[0]
+        back = read_representations(path, TASK_MORTALITY)
+        assert back.keys == keys and back.vectors.tobytes() == want.tobytes()
+
+        wide = tmp_path / "wide.jsonl"
+        wide.write_text("".join(
+            json.dumps({"patient_id": p, "visit_index": i, "task": TASK_MORTALITY,
+                        "z": z.tolist()}) + "\n"
+            for (p, i), z in zip(keys, vectors.astype(np.float32))
+        ))
+        assert len(wide.read_bytes()) > len(path.read_bytes())
+        assert read_representations(wide, TASK_MORTALITY).vectors.tobytes() == want.tobytes()
+
+    def test_value_outside_float32_range_names_the_line(self, tmp_path):
+        path = tmp_path / "reps.jsonl"
+        row = '{"patient_id": "p", "visit_index": %d, "task": "t", "z": [1.0, %s]}\n'
+        path.write_text(row % (0, "3.4028235e38") + row % (1, "-1e39"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(
+                f"{path}:2: bad representation row (z item 1 is outside the float32 range)"
+            )):
+                read_representations(path, "t")
 
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "reps.jsonl"

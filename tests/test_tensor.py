@@ -61,6 +61,7 @@ from visitrep.text_embedder import (
     sentence_batches,
     summarize,
     text_chunks,
+    visit_tokens,
 )
 
 
@@ -620,7 +621,7 @@ def summarizer_step():
     config = SummarizerConfig(
         d_text=16, d_enc=16, chunk_size=32, epochs=6, batch_size=16, train_encoder=False
     )
-    vocab = build_token_vocabulary(cohort, config.min_token_freq, config.max_tokens)
+    vocab = build_token_vocabulary(*visit_tokens(cohort), config.min_token_freq, config.max_tokens)
     model = SummarizerModel(vocab, config, np.random.default_rng(config.seed))
     model.bag.table.requires_grad = False
     texts = (" ".join(n.text for n in v.notes) for p in cohort.patients for v in p.visits)

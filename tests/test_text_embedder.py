@@ -37,6 +37,7 @@ from visitrep.text_embedder import (
     text_chunks,
     tokenize,
     train_summarizer,
+    visit_tokens,
 )
 import visitrep.text_embedder as te
 
@@ -232,20 +233,20 @@ class TestTokenize:
 
 class TestTokenVocabulary:
     def test_build_orders_by_frequency_then_alphabet(self):
-        vocab = build_token_vocabulary(noted_cohort(), min_freq=2)
+        vocab = build_token_vocabulary(*visit_tokens(noted_cohort()), min_freq=2)
         assert vocab.tokens == ("<unk>", "alpha", "beta")
 
     def test_min_freq_one_keeps_rare_tokens(self):
-        vocab = build_token_vocabulary(noted_cohort(), min_freq=1)
+        vocab = build_token_vocabulary(*visit_tokens(noted_cohort()), min_freq=1)
         assert set(vocab.tokens) == {"<unk>", "alpha", "beta", "gamma", "delta"}
 
     def test_cap_keeps_most_frequent(self):
         # alpha and beta tie at freq 3; the cap keeps the alphabetically first
-        vocab = build_token_vocabulary(noted_cohort(), min_freq=1, max_tokens=1)
+        vocab = build_token_vocabulary(*visit_tokens(noted_cohort()), min_freq=1, max_tokens=1)
         assert vocab.tokens == ("<unk>", "alpha")
 
     def test_unknown_tokens_map_to_zero(self):
-        vocab = build_token_vocabulary(noted_cohort(), min_freq=2)
+        vocab = build_token_vocabulary(*visit_tokens(noted_cohort()), min_freq=2)
         np.testing.assert_array_equal(vocab.encode(["beta", "gamma", "alpha"]), [2, 0, 1])
 
     def test_requires_unk_first_and_no_duplicates(self):
@@ -255,11 +256,11 @@ class TestTokenVocabulary:
             TokenVocabulary(("<unk>", "a", "a"))
 
     def test_json_round_trip_and_hash(self):
-        vocab = build_token_vocabulary(noted_cohort(), min_freq=1)
+        vocab = build_token_vocabulary(*visit_tokens(noted_cohort()), min_freq=1)
         again = TokenVocabulary.from_json(vocab.to_json())
         assert again.tokens == vocab.tokens
         assert again.content_hash() == vocab.content_hash()
-        other = build_token_vocabulary(noted_cohort(), min_freq=2)
+        other = build_token_vocabulary(*visit_tokens(noted_cohort()), min_freq=2)
         assert other.content_hash() != vocab.content_hash()
 
 
@@ -654,7 +655,7 @@ class TestTraining:
         # Replay the construction order to price the untrained model on the
         # same validation visits.
         rng = np.random.default_rng(cfg.seed)
-        vocab = build_token_vocabulary(cohort, cfg.min_token_freq, cfg.max_tokens)
+        vocab = build_token_vocabulary(*visit_tokens(cohort), cfg.min_token_freq, cfg.max_tokens)
         model0 = SummarizerModel(vocab, cfg, rng)
         enc0 = model0.bag
         texts = [" ".join(n.text for n in v.notes) for p in cohort.patients for v in p.visits]
@@ -670,9 +671,8 @@ class TestTraining:
         assert mean_val_loss(enc, model) < mean_val_loss(enc0, model0)
 
     def test_examples_match_per_note_loop(self, monkeypatch):
-        """The visit's notes joined by spaces give the examples the per-note
-        loop gave, in cohort order: several notes, a symbol-only note and a
-        visit without notes included."""
+        """The examples are the per-note loop's, in cohort order: several
+        notes, a symbol-only note and a visit without notes included."""
         cohort = make_cohort(
             make_record(
                 "p1",
@@ -705,6 +705,25 @@ class TestTraining:
         assert val == [want[i] for i in order[:1]]
         assert sorted(train + val) == sorted(want)
 
+    def test_each_note_is_tokenized_once(self, monkeypatch):
+        """The vocabulary and the examples come from one `tokenize` call per
+        note, and a visit's tokens are those of its notes joined by spaces."""
+        cohort = tiny_text_cohort()
+        notes = [n.text for p in cohort.patients for v in p.visits for n in v.notes]
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(te, "tokenize", counted)
+        train_summarizer(cohort, SummarizerConfig(d_text=4, d_enc=3, chunk_size=4, epochs=1))
+        assert sorted(calls) == sorted(notes)
+        monkeypatch.undo()
+        joined = [" ".join(n.text for n in v.notes) for p in cohort.patients for v in p.visits]
+        tokens, ids = visit_tokens(cohort)
+        assert [[tokens[j] for j in row] for row in ids] == [tokenize(text) for text in joined]
+
     def test_frozen_encoder_keeps_token_table(self):
         """train_encoder=False leaves tok.w at its draw and out of the
         backward pass; the autoencoder still improves against those fixed
@@ -718,7 +737,7 @@ class TestTraining:
         enc = model.bag
 
         rng = np.random.default_rng(cfg.seed)
-        vocab = build_token_vocabulary(cohort, cfg.min_token_freq, cfg.max_tokens)
+        vocab = build_token_vocabulary(*visit_tokens(cohort), cfg.min_token_freq, cfg.max_tokens)
         enc0 = BagEncoder(vocab, cfg.d_text, rng)
         assert enc.table.data.tobytes() == enc0.table.data.tobytes()
         np.testing.assert_array_equal(enc.table.grad, 0.0)
@@ -732,7 +751,7 @@ class TestTraining:
         model, _ = train_summarizer(cohort, cfg)
         enc = model.bag
         rng = np.random.default_rng(cfg.seed)
-        vocab = build_token_vocabulary(cohort, cfg.min_token_freq, cfg.max_tokens)
+        vocab = build_token_vocabulary(*visit_tokens(cohort), cfg.min_token_freq, cfg.max_tokens)
         enc0 = BagEncoder(vocab, cfg.d_text, rng)
         assert enc.table.data.tobytes() != enc0.table.data.tobytes()
 
@@ -760,8 +779,9 @@ class TestTraining:
             make_record("p1", [make_visit(0, 1, codes=[("dx", "a")])]),
             make_record("p2", [make_visit(0, 1, codes=[("dx", "a")])]),
         )
-        with pytest.raises(ValidationError, match="note text"):
-            train_summarizer(silent, SummarizerConfig(d_text=4, d_enc=3, epochs=1))
+        for cohort in (silent, make_cohort()):
+            with pytest.raises(ValidationError, match="note text"):
+                train_summarizer(cohort, SummarizerConfig(d_text=4, d_enc=3, epochs=1))
 
     def test_state_round_trip(self):
         cohort = tiny_text_cohort()
