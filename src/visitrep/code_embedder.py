@@ -14,8 +14,9 @@ batch only gathers those rows.
 A batch is packed: its patients' real visits as (N, |C|) rows, patient
 after patient, plus each patient's length (VisitSequenceBatch). Every
 position-wise layer runs on those N rows; padding exists only inside
-`causal_attention`, which scatters the rows into the (B, T) slots the
-lengths define, attends there and gathers the head outputs back to rows.
+`causal_attention`, which takes the lengths, scatters the rows into the
+(B, T) slots they define, attends there under the causal and padding
+masks it derives from them, and gathers the head outputs back to rows.
 
 A block is five fused numerics kernels, one graph node each:
 `causal_attention` (every head at once, summed through `wo`, plus `bo`),
@@ -92,29 +93,17 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return pe
 
 
-def attention_blocked_mask(real: np.ndarray) -> np.ndarray:
-    """(B, T, T) where True means 'query may not attend to this key':
-    strictly future positions plus padded keys."""
-    b, t = real.shape
-    causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-    pad_keys = ~real[:, None, :]
-    return causal[None, :, :] | pad_keys
-
-
 @dataclass
 class VisitSequenceBatch:
     """Packed batch, defined by its lengths: codes (N, |C|) holds every
     patient's real visits, patient after patient, and lengths (B,) how many
-    rows each patient has (at least one). Both masks attention needs are
-    derived from the lengths, once: real (B, T) marks where the rows sit
-    when padded to the longest history, so a patient's rows are always a
-    prefix of its slots, and blocked (B, T, T) is attention_blocked_mask
-    of real."""
+    rows each patient has (at least one). real (B, T) is derived from the
+    lengths, once: where the rows sit when padded to the longest history,
+    so a patient's rows are always a prefix of its slots."""
 
     codes: np.ndarray
     lengths: np.ndarray
     real: np.ndarray = field(init=False, repr=False)
-    blocked: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lengths = self.lengths = np.asarray(self.lengths)
@@ -125,8 +114,7 @@ class VisitSequenceBatch:
             )
         if lengths.min() < 1:
             raise ValidationError("batch: a row has no real visits")
-        self.real = np.arange(lengths.max()) < lengths[:, None]
-        self.blocked = attention_blocked_mask(self.real)
+        self.real = nm.padded_slots(lengths)
 
 
 def build_batch(matrices: list) -> VisitSequenceBatch:
@@ -195,8 +183,8 @@ class CodeEmbedderModel:
             self._pos_cache[t] = positional_encoding(t, self.config.d_code)
         return self._pos_cache[t]
 
-    def _block(self, x: Tensor, real: np.ndarray, blocked: np.ndarray, layer: dict) -> Tensor:
-        att = nm.causal_attention(x, layer["wqkv"], layer["wo"], layer["bo"], real, blocked)
+    def _block(self, x: Tensor, lengths: np.ndarray, layer: dict) -> Tensor:
+        att = nm.causal_attention(x, layer["wqkv"], layer["wo"], layer["bo"], lengths)
         x = nm.add_layer_norm(x, att, layer["ln1_g"], layer["ln1_b"])
         inner = nm.linear(x, layer["w1"], layer["b1"], relu=True)
         ff = nm.linear(inner, layer["w2"], layer["b2"])
@@ -214,7 +202,7 @@ class CodeEmbedderModel:
         x = nm.matmul(Tensor(batch.codes), self.embed)
         x = x + Tensor(self._positions(real.shape[1])[np.nonzero(real)[1]])
         for layer in self.layers:
-            x = self._block(x, real, batch.blocked, layer)
+            x = self._block(x, batch.lengths, layer)
             assert x.shape == (n, self.config.d_code)
         chat = nm.sigmoid(nm.linear(x, self.out_w, self.out_b))
         assert chat.shape == (n, self.vocab_size)

@@ -23,7 +23,10 @@ fields: a stay ends no earlier than it starts, note times stay inside
 time (visits are kept in admission order). Bytes are checked once: given
 the sha256 a run directory's manifest records for the file, ingest skips
 the shape walk when the file's bytes match it, since preprocess writes
-only records of that shape; the rules across fields still run.
+only records of that shape; the rules across fields still run. A record
+that fails its unwalked parse with anything but a ValidationError is
+walked then, so bytes edited under a re-recorded digest still name the
+line.
 """
 
 from __future__ import annotations
@@ -184,7 +187,12 @@ def ingest_cohort(path: str, *, recorded: Optional[str] = None) -> Cohort:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{where}: malformed JSON ({e.msg})")
-            record = _parse_record(obj, where, pool, walk)
+            try:
+                record = _parse_record(obj, where, pool, walk)
+            except Exception as exc:
+                if not (walk or isinstance(exc, ValidationError)):
+                    _RECORD(obj, where)
+                raise
             if record.patient_id in patients:
                 raise ValidationError(f"{where}: duplicate patient_id {record.patient_id!r}")
             patients[record.patient_id] = record

@@ -58,17 +58,6 @@ SHUFFLED = "shuffled"
 # -- metrics -----------------------------------------------------------------------
 
 
-def recall_at_k(ranked, truth, k: int) -> float:
-    """|top-k of the ranking ∩ truth| / |truth|; k clamps to the ranking."""
-    if k < 1:
-        raise ValidationError(f"recall_at_k: k must be >= 1, got {k}")
-    truth = set(truth)
-    if not truth:
-        raise ValidationError("recall_at_k: empty truth set")
-    top = set(list(ranked)[:k])
-    return len(top & truth) / len(truth)
-
-
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged."""
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)

@@ -7,9 +7,9 @@ node's closures as it passes, and empties it: a loss is back-propagated once.
 Outside the block an op records nothing. All arithmetic is float64;
 checkpointing elsewhere narrows to float32, never this module.
 
-Operators work between tensors only: ``+``, ``-`` and ``@`` are ``add``,
-``add(a, scale(b, -1))`` and ``matmul``. Any other operand (a float, an
-array) is a ``TypeError``; scalars go through ``scale`` and ``shift``.
+The one operator is ``+``, which is ``add`` between two tensors. Any other
+operand (a float, an array) or operator is a ``TypeError``; products go
+through ``matmul`` and ``mul``, scalars through ``scale`` and ``shift``.
 
 Every value is checked for finiteness once, where it is made: as a leaf
 (``Tensor(...)``), as an op's output (``_make_node``) or as loaded state
@@ -25,8 +25,10 @@ with a hand-written VJP: ``causal_attention``, ``add_layer_norm``,
 (every state of one GRU direction) and ``gru_decode`` (a GRU decoder with
 its output projection and teacher forcing), whose VJPs run
 backpropagation through time. ``causal_attention`` takes packed rows and
-pads only inside; its ``-inf`` scores for blocked keys never leave the
-kernel, and its output is finite-checked like any other op's.
+each patient's row count, and pads only inside: the slot, causal and
+padding masks are derived from the counts there, its ``-inf`` scores for
+blocked keys never leave the kernel, and its output is finite-checked like
+any other op's.
 """
 
 from __future__ import annotations
@@ -145,16 +147,8 @@ class Tensor:
                     parent.grad += contrib
         _tape.clear()
 
-    # -- operators between tensors ----------------------------------------------
-
     def __add__(self, other):
         return add(self, other) if isinstance(other, Tensor) else NotImplemented
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0)) if isinstance(other, Tensor) else NotImplemented
-
-    def __matmul__(self, other):
-        return matmul(self, other) if isinstance(other, Tensor) else NotImplemented
 
 
 class Parameter(Tensor):
@@ -471,36 +465,39 @@ def _once_per_grad(compute):
     return shared
 
 
-def causal_attention(
-    x: Tensor, wqkv: Tensor, wo: Tensor, bo: Tensor, real, blocked
-) -> Tensor:
+def padded_slots(lengths: np.ndarray) -> np.ndarray:
+    """(B, T) mask of the slots packed rows fill when padded to the longest of
+    `lengths` (B,): row b's first lengths[b] slots."""
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
+def causal_attention(x: Tensor, wqkv: Tensor, wo: Tensor, bo: Tensor, lengths) -> Tensor:
     """Multi-head self-attention over packed rows x (N, d) with every head at
     once: head h's q|k|v are the column blocks of wqkv[h] (nh, d, 3·dh), its
     output meets wo[h] (nh, dh, d), the heads are summed and bo (1, d) added.
-    Row i of x fills the i-th True slot of `real` (B, T) in row-major order,
-    so a patient's rows are consecutive. Only the scores use the (B, T)
-    layout: the q|k|v projections are scattered into zeroed slots and the
-    head outputs gathered back to rows, and the VJP does the reverse.
-    `blocked` (B, T, T) marks the keys each query may not attend to; a query
-    with every key blocked is an error. The -inf scores stay inside."""
+    `lengths` (B,) counts each patient's rows, at least one each, and row i
+    of x fills the i-th slot of padded_slots(lengths) in row-major order, so
+    a patient's rows are consecutive. Only the scores use the (B, T) layout:
+    the q|k|v projections are scattered into zeroed slots and the head
+    outputs gathered back to rows, and the VJP does the reverse. A query
+    attends to the real keys up to its own slot, so slot 0 leaves none with
+    every key blocked. The -inf scores stay inside."""
     if x.ndim != 2 or wqkv.ndim != 3 or wqkv.shape[1] != x.shape[1] or wqkv.shape[2] % 3:
         raise ValueError(f"causal_attention: x {x.shape} and wqkv {wqkv.shape} disagree")
     n, d = x.shape
     nh, dh = wqkv.shape[0], wqkv.shape[2] // 3
     if wo.shape != (nh, dh, d):
         raise ValueError(f"causal_attention: wo {wo.shape}, expected {(nh, dh, d)}")
-    real, blocked = np.asarray(real), np.asarray(blocked)
-    if real.dtype != np.bool_ or real.ndim != 2 or real.sum() != n:
+    lengths = np.asarray(lengths)
+    if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size
+            or lengths.min() < 1 or lengths.sum() != n):
         raise ValueError(
-            f"causal_attention: real must be a boolean (B, T) mask with {n} slots set, "
-            f"got {real.dtype} {real.shape}"
+            f"causal_attention: lengths must be 1-D integer counts >= 1 summing to {n}, "
+            f"got {lengths.dtype} {lengths.tolist()}"
         )
+    real = padded_slots(lengths)
     b, t = real.shape
-    if blocked.dtype != np.bool_ or blocked.shape != (b, t, t):
-        raise ValueError(
-            f"causal_attention: blocked must be a boolean {(b, t, t)} mask, "
-            f"got {blocked.dtype} {blocked.shape}"
-        )
+    blocked = np.triu(np.ones((t, t), dtype=bool), k=1) | ~real[:, None, :]
     xd, w3, wod = x.data, wqkv.data, wo.data
     slots = np.flatnonzero(real)
 
@@ -524,8 +521,6 @@ def causal_attention(
     # on, which would make a row depend on its batch's longest history.
     e = scores.transpose(3, 0, 1, 2).copy()
     m = np.maximum.reduce(e, axis=0)
-    if np.isneginf(m).any():
-        raise ValueError("causal_attention: a query is fully masked (every key blocked)")
     np.exp(np.subtract(e, m, out=e), out=e)
     weights = np.empty_like(scores)
     np.divide(e.transpose(1, 2, 3, 0), np.add.reduce(e, axis=0)[..., None], out=weights)

@@ -24,7 +24,9 @@ A JSONL export holds one task and one width. Each value is written as
 float32 (a negative zero as `-0.0`), and is read back through float32, so
 a file written with more digits reads to the same table. Given the sha256
 a run directory's manifest records for the file, the reader skips the
-`_ROW` shape walk on bytes that match it; every other check still runs.
+`_ROW` shape walk on bytes that match it; every other check still runs,
+and a row whose unwalked fields fail to read is walked then, so it is
+refused naming its line.
 
 Extraction never mutates the upstream models, so segments can be zeroed
 after the fact to produce every ablation variant from one pass.
@@ -191,20 +193,25 @@ def read_representations(path, task: str, *, recorded=None) -> Representations:
                 obj = json.loads(line)
                 if walk:
                     _ROW(obj)
-                z = np.array(obj["z"], dtype=np.float32)
+                try:  # an unwalked row that fails here is walked, to name the fault
+                    z = np.array(obj["z"], dtype=np.float32)
+                    (width,), key = z.shape, (obj["patient_id"], obj["visit_index"])
+                    row_task, held = obj["task"], line_of.get(key)
+                except Exception:
+                    _ROW(obj)
+                    raise
             except (ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad representation row ({exc})") from exc
-            key, row_task = (obj["patient_id"], obj["visit_index"]), obj["task"]
             if not rows:
-                first = (lineno, row_task, len(z))
-            if (row_task, len(z)) != first[1:]:
+                first = (lineno, row_task, width)
+            if (row_task, width) != first[1:]:
                 raise ValidationError(
-                    f"{path}:{lineno}: task {row_task!r} and width {len(z)}, but line "
+                    f"{path}:{lineno}: task {row_task!r} and width {width}, but line "
                     f"{first[0]} has task {first[1]!r} and width {first[2]}"
                 )
-            if key in line_of:
+            if held is not None:
                 raise ValidationError(
-                    f"{path}:{lineno}: line {line_of[key]} already holds visit {key!r}"
+                    f"{path}:{lineno}: line {held} already holds visit {key!r}"
                 )
             line_of[key] = lineno
             rows.append(z)

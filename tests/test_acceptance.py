@@ -29,6 +29,7 @@ from visitrep.code_embedder import (
 from visitrep.cohort import (
     CodeVocabulary,
     build_vocabulary,
+    encode_visit_codes,
     los_bucket,
     patient_kfold_split,
 )
@@ -39,7 +40,6 @@ from visitrep.evaluation import (
     crossval,
     frequency_baseline,
     next_code_recall,
-    recall_at_k,
 )
 from visitrep.numerics import Tensor
 from visitrep.synth import SynthConfig, generate_cohort
@@ -208,13 +208,28 @@ def test_c4_metric_oracles():
         expected = wins / (len(pos) * len(neg))
         assert abs(auc_roc(scores, labels) - expected) < 1e-12
 
-    for _ in range(50):
-        m = int(rng.integers(1, 41))
-        ranked = rng.permutation(100)[:m].tolist()
-        truth = set(rng.choice(100, size=int(rng.integers(1, 12)), replace=False).tolist())
-        for k in (1, 3, 10, 64, 200):
-            expected = len(set(ranked[:k]) & truth) / len(truth)
-            assert recall_at_k(ranked, truth, k) == expected
+    # recall@k of a fixed ranking: per system, the mean over next visits with
+    # a code in it of |top-k of the system's codes ∩ the visit's| / |visit's|.
+    cohort, _ = generate_cohort(SynthConfig(n_patients=12, visits_min=1, visits_max=4, seed=31))
+    vocab, ks = build_vocabulary(cohort), (1, 3, 10, 64, 200)
+    for _ in range(10):
+        ranking = rng.permutation(len(vocab))
+        means, _ = next_code_recall(None, cohort, vocab, ks, ranking=ranking)
+        expected = {}
+        for system in sorted({e.system for e in vocab.entries}):
+            idx = vocab.system_indices(system)
+            ranked = [c for c in ranking.tolist() if c in set(idx.tolist())]
+            for record in cohort.patients:
+                for visit in record.visits[1:]:
+                    truth = set(idx[encode_visit_codes(visit, vocab)[idx] > 0].tolist())
+                    if not truth:
+                        continue
+                    for k in ks:
+                        hit = len(set(ranked[:k]) & truth) / len(truth)
+                        expected.setdefault((system, k), []).append(hit)
+        assert means.keys() == expected.keys()
+        for key, hits in expected.items():
+            assert abs(means[key] - np.mean(hits)) < 1e-12, key
 
     table = {0: 1}
     table.update({d: d for d in range(1, 8)})

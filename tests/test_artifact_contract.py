@@ -214,3 +214,34 @@ def test_a_mutated_or_absent_manifest_changes_no_reader_outcome(built, tmp_path,
             if outcome(run, stage, code, capsys.readouterr().out) != want:
                 faults.append((mutation, stage, code))
     assert faults == []
+
+
+# A field the shape walk requires, deleted from line 2 of a recorded file,
+# and how the refusal names that line.
+DELETED_FIELDS = {"preprocessed.jsonl": ("demographics", ": line 2: "),
+                  "reps_mortality.jsonl": ("z", ":2: ")}
+
+
+@pytest.mark.parametrize("name", DELETED_FIELDS)
+def test_an_edit_under_a_rerecorded_digest_exits_1_naming_the_line(
+    built, tmp_path, capsys, name
+):
+    """The digest matches the edited bytes, so the reader skips the walk;
+    the record's failed parse walks it then, and the walk's refusal names
+    the line where a KeyError exited 2."""
+    field, at = DELETED_FIELDS[name]
+    source, config = built
+    edited = tmp_path / "edited"
+    shutil.copytree(source, edited)
+    lines = (source / name).read_bytes().splitlines(keepends=True)
+    obj = json.loads(lines[1])
+    del obj[field]
+    data = b"".join([lines[0], json.dumps(obj).encode() + b"\n", *lines[2:]])
+    digests = json.loads((source / "manifest.json").read_text())
+    digests[name]["sha256"] = hashlib.sha256(data).hexdigest()
+    (edited / "manifest.json").write_text(json.dumps(digests))
+    run = tmp_path / "run"
+    for stage in READERS[name]:
+        assert run_stage((edited, config), run, name, data, stage) == 1, stage
+        err = capsys.readouterr().err
+        assert f"{run / name}{at}" in err and f"missing field '{field}'" in err, (stage, err)

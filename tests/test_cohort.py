@@ -1,5 +1,6 @@
 """Ingestion, preprocessing, encodings, labels, text windows, and folds."""
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -69,6 +70,26 @@ def _with_visit(**fields):
     return edit
 
 
+# Records the shape walk refuses, and how it names the place of the fault.
+WRONG_STRUCTURE = pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o: 5, "line 2: record must be a JSON object, got int"),
+        (lambda o: {**o, "demographics": 3}, "line 2: demographics must be a JSON object"),
+        (lambda o: {**o, "visits": [7]}, "line 2, visit 0: visit must be a JSON object"),
+        (_with_visit(codes=4), "line 2, visit 0: codes must be a list, got int"),
+        (_with_visit(codes=[4]), "line 2, visit 0, code 0: code must be a JSON object"),
+        (_with_visit(codes=["system"]), "line 2, visit 0, code 0: code must be .*, got str"),
+        (_with_visit(notes=1), "line 2, visit 0: notes must be a list, got int"),
+        (_with_visit(notes=[None]), "line 2, visit 0, note 0: note must be .*, got NoneType"),
+    ],
+    ids=[
+        "record-int", "demographics-int", "visit-int", "codes-int", "code-int",
+        "code-str", "notes-int", "note-null",
+    ],
+)
+
+
 class TestIngest:
     def test_round_trip_two_patients(self, tmp_path):
         f = tmp_path / "c.jsonl"
@@ -123,28 +144,21 @@ class TestIngest:
         with pytest.raises(ValidationError, match="strictly ordered"):
             ingest_cohort(str(f))
 
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda o: 5, "line 2: record must be a JSON object, got int"),
-            (lambda o: {**o, "demographics": 3}, "line 2: demographics must be a JSON object"),
-            (lambda o: {**o, "visits": [7]}, "line 2, visit 0: visit must be a JSON object"),
-            (_with_visit(codes=4), "line 2, visit 0: codes must be a list, got int"),
-            (_with_visit(codes=[4]), "line 2, visit 0, code 0: code must be a JSON object"),
-            (_with_visit(codes=["system"]), "line 2, visit 0, code 0: code must be .*, got str"),
-            (_with_visit(notes=1), "line 2, visit 0: notes must be a list, got int"),
-            (_with_visit(notes=[None]), "line 2, visit 0, note 0: note must be .*, got NoneType"),
-        ],
-        ids=[
-            "record-int", "demographics-int", "visit-int", "codes-int", "code-int",
-            "code-str", "notes-int", "note-null",
-        ],
-    )
+    @WRONG_STRUCTURE
     def test_wrong_json_structure_names_the_line(self, tmp_path, edit, message):
         f = tmp_path / "c.jsonl"
         _write_jsonl(f, [_patient_obj("p1"), edit(_patient_obj("p2"))])
         with pytest.raises(ValidationError, match=message):
             ingest_cohort(str(f))
+
+    @WRONG_STRUCTURE
+    def test_an_unwalked_record_that_fails_to_parse_is_walked(self, tmp_path, edit, message):
+        """With the walk skipped on a matching digest, a record whose parse
+        fails meets the walk then, and its refusal names the line."""
+        f = tmp_path / "c.jsonl"
+        _write_jsonl(f, [_patient_obj("p1"), edit(_patient_obj("p2"))])
+        with pytest.raises(ValidationError, match=message):
+            ingest_cohort(str(f), recorded=hashlib.sha256(f.read_bytes()).hexdigest())
 
     @pytest.mark.parametrize("field", ["gender", "race"])
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from visitrep.numerics import (
     StepDecay,
     Tensor,
     adam_step,
+    add,
     fit,
     init_adam,
     load_state,
@@ -212,7 +213,7 @@ class LeastSquares:
         self.after_epoch = []  # the parameters after each epoch's last step
 
     def loss(self, rows):
-        err = matmul(Tensor(self.X[rows]), self.w) - Tensor(self.y[rows])
+        err = add(matmul(Tensor(self.X[rows]), self.w), scale(Tensor(self.y[rows]), -1.0))
         return scale(tsum(mul(err, err)), 1.0 / len(rows))
 
     def train_batches(self, order):
@@ -237,7 +238,7 @@ class TwoParameterLine(LeastSquares):
         self.params.append(self.b)
 
     def loss(self, rows):
-        err = matmul(Tensor(self.X[rows]), self.w) + self.b - Tensor(self.y[rows])
+        err = add(matmul(Tensor(self.X[rows]), self.w) + self.b, scale(Tensor(self.y[rows]), -1.0))
         return scale(tsum(mul(err, err)), 1.0 / len(rows))
 
 

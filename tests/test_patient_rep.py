@@ -1,6 +1,7 @@
 """Representation assembly: segment layout, history windows per task,
 missing-modality zeros, ablation zeroing, and the JSONL round trip."""
 
+import hashlib
 import json
 import re
 import warnings
@@ -412,6 +413,32 @@ class TestExport:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=re.escape(str(path)) + message):
             read_representations(path, "t")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('{"patient_id": "p", "visit_index": 1, "task": "t"}', "missing field 'z'"),
+            ('[1.0, 2.0]', "row must be a JSON object, got list"),
+            ('{"patient_id": "p", "visit_index": 1, "task": "t", "z": [[1.0], [2.0]]}',
+             "z item 0: z item must be a finite number, got [1.0]"),
+            ('{"patient_id": "p", "visit_index": 1, "task": "t", "z": 1.0}',
+             "z must be a list, got float"),
+            ('{"patient_id": ["p"], "visit_index": 1, "task": "t", "z": [1.0, 2.0]}',
+             "patient_id must be a non-empty string, got ['p']"),
+        ],
+        ids=["no-z", "list-row", "nested-z", "scalar-z", "list-patient"],
+    )
+    def test_an_unwalked_row_that_fails_to_read_is_walked(self, tmp_path, row, message):
+        """With the walk skipped on a matching digest, a row whose fields fail
+        to read meets the walk then, and its refusal names the line."""
+        path = tmp_path / "reps.jsonl"
+        path.write_text('{"patient_id": "p", "visit_index": 0, "task": "t", "z": [1.0, 2.0]}\n'
+                        + row + "\n")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        with pytest.raises(ValidationError, match=re.escape(
+            f"{path}:2: bad representation row ({message})"
+        )):
+            read_representations(path, "t", recorded=digest)
 
 
 class TestJoin:

@@ -137,20 +137,20 @@ def manual_summarize(model, u):
 def cell_step(cell, gx, h):
     """Next state from the input part gx (B, 3h) and the state h (B, h)."""
     d = cell.u.shape[0]
-    gh = h @ cell.u
+    gh = nm.matmul(h, cell.u)
     rz = nm.sigmoid(nm.slice_axis(gx + gh, 1, 0, 2 * d))
     r = nm.slice_axis(rz, 1, 0, d)
     z = nm.slice_axis(rz, 1, d, 2 * d)
     gh_n = nm.slice_axis(gh, 1, 2 * d, 3 * d)
     n = nm.tanh(nm.slice_axis(gx, 1, 2 * d, 3 * d) + nm.mul(r, gh_n))
-    return n + nm.mul(z, h - n)
+    return n + nm.mul(z, h + nm.scale(n, -1.0))
 
 
 def cell_direction(cell, u, reverse):
     """Every state of one direction over (B, m, d_in), as m (B, h) tensors."""
     b, m, _ = u.shape
     d = cell.u.shape[0]
-    gx = u @ cell.w + cell.b
+    gx = nm.matmul(u, cell.w) + cell.b
     h = Tensor(np.zeros((b, d)))
     states = [None] * m
     for t in reversed(range(m)) if reverse else range(m):
@@ -176,8 +176,8 @@ def cell_decode(model, states, u, coins):
     x = Tensor(np.zeros((b, d_t)))
     outputs = []
     for t in range(m):
-        h = cell_step(model.dec, x @ model.dec.w + model.dec.b, h)
-        y = h @ model.out_w + model.out_b
+        h = cell_step(model.dec, nm.matmul(x, model.dec.w) + model.dec.b, h)
+        y = nm.matmul(h, model.out_w) + model.out_b
         outputs.append(y)
         if t + 1 < m:
             x = nm.reshape(nm.slice_axis(u, 1, t, t + 1), (b, d_t)) if coins[t] else y
