@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Inside ``recording()`` an op keeps vector-Jacobian closures for the parents
-that need gradients and appends its node to the one open tape; ``backward()``
-walks that tape in reverse creation order into the leaves, dropping each
-node's closures as it passes, and empties it: a loss is back-propagated once.
-Outside the block an op records nothing. All arithmetic is float64;
-checkpointing elsewhere narrows to float32, never this module.
+Inside ``recording()`` an op records one node on the open tape: edges
+``(parent, position)`` to the parents that need gradients, and one
+vector-Jacobian function that returns a gradient for every parent, in
+parent order. ``backward()`` walks the tape in reverse creation order,
+calls each node's VJP once, adds its gradients along the edges, drops the
+node's edges and VJP as it passes, and empties the tape: a loss is
+back-propagated once. Outside the block an op records nothing. All
+arithmetic is float64; checkpointing elsewhere narrows to float32, never
+this module.
 
 The one operator is ``+``, which is ``add`` between two tensors. Any other
 operand (a float, an array) or operator is a ``TypeError``; products go
@@ -77,9 +80,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array plus the recorded closures needed for backward."""
+    """A float64 array plus what backward needs of the node that made it:
+    `_vjps`, the (parent, position) edges to the parents that need a
+    gradient, and `_vjp`, which maps this tensor's gradient to one gradient
+    per parent, in parent order."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_vjps", "_vjp")
     __array_ufunc__ = None  # numpy defers, so an array operand is a TypeError too
 
     def __init__(self, data, requires_grad: bool = False):
@@ -88,8 +94,9 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        # (parent, closure) pairs, populated only by _make_node.
+        # Populated only by _make_node.
         self._vjps: tuple = ()
+        self._vjp = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,16 +112,17 @@ class Tensor:
     # -- graph construction -------------------------------------------------
 
     @staticmethod
-    def _make_node(op: str, data: np.ndarray, parents_and_vjps) -> "Tensor":
+    def _make_node(op: str, data: np.ndarray, parents: tuple, vjp) -> "Tensor":
         if op != "masked_fill":
-            _check_finite(data, op, "output", (p for p, _ in parents_and_vjps))
+            _check_finite(data, op, "output", parents)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        vjps = () if _tape is None else tuple(pv for pv in parents_and_vjps if pv[0].requires_grad)
-        out._vjps = vjps
-        out.requires_grad = bool(vjps)
-        if vjps:
+        edges = () if _tape is None else tuple((p, i) for i, p in enumerate(parents) if p.requires_grad)
+        out._vjps = edges
+        out._vjp = vjp if edges else None
+        out.requires_grad = bool(edges)
+        if edges:
             _tape.append(out)
         return out
 
@@ -124,8 +132,8 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad, then
         empty the tape: an existing gradient array is added into in place, so
         a parameter's gradient stays a view into its arena. Each node's
-        closures are dropped as the walk passes it, so the step's
-        intermediates are freed during its own backward."""
+        edges, VJP and gradients are dropped as the walk passes it, so the
+        step's intermediates are freed during its own backward."""
         if self.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -136,15 +144,17 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(_tape):
             g, node.grad = node.grad, None  # needed once; freed eagerly
-            vjps, node._vjps = node._vjps, ()
+            edges, node._vjps = node._vjps, ()
+            vjp, node._vjp = node._vjp, None
             if g is None:
                 continue
-            for parent, vjp in vjps:
-                contrib = vjp(g)
+            grads = vjp(g)
+            for parent, i in edges:
                 if parent.grad is None:
-                    parent.grad = np.array(contrib, dtype=np.float64, copy=True)
+                    parent.grad = np.array(grads[i], dtype=np.float64, copy=True)
                 else:
-                    parent.grad += contrib
+                    parent.grad += grads[i]
+            del grads  # freed before the next node's VJP runs
         _tape.clear()
 
     def __add__(self, other):
@@ -198,12 +208,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ValueError(f"add: shapes {a.shape} and {b.shape} are not broadcastable")
     return Tensor._make_node(
-        "add",
-        out,
-        [
-            (a, lambda g: _unbroadcast(g, a.data.shape)),
-            (b, lambda g: _unbroadcast(g, b.data.shape)),
-        ],
+        "add", out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
     )
 
 
@@ -213,23 +218,23 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} are not broadcastable")
     ad, bd = a.data, b.data
-    return Tensor._make_node(
-        "mul",
-        out,
-        [
-            (a, lambda g: _unbroadcast(g * bd, ad.shape)),
-            (b, lambda g: _unbroadcast(g * ad, bd.shape)),
-        ],
-    )
+
+    def vjp(g):
+        return (
+            _unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
+            _unbroadcast(g * ad, bd.shape) if b.requires_grad else None,
+        )
+
+    return Tensor._make_node("mul", out, (a, b), vjp)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    return Tensor._make_node("scale", a.data * s, [(a, lambda g: g * s)])
+    return Tensor._make_node("scale", a.data * s, (a,), lambda g: (g * s,))
 
 
 def shift(a: Tensor, s: float) -> Tensor:
-    return Tensor._make_node("shift", a.data + float(s), [(a, lambda g: g)])
+    return Tensor._make_node("shift", a.data + float(s), (a,), lambda g: (g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -240,17 +245,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
     ad, bd = a.data, b.data
 
-    def vjp_a(g):
-        return _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
+    def vjp(g):
+        return (
+            _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape) if a.requires_grad else None,
+            _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape) if b.requires_grad else None,
+        )
 
-    def vjp_b(g):
-        return _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
-
-    return Tensor._make_node("matmul", out, [(a, vjp_a), (b, vjp_b)])
+    return Tensor._make_node("matmul", out, (a, b), vjp)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     if not tensors:
         raise ValueError("concat: empty tensor list")
     try:
@@ -258,21 +263,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
     except ValueError:
         shapes = [t.shape for t in tensors]
         raise ValueError(f"concat: incompatible shapes {shapes} along axis {axis}")
-
-    pairs = []
-    offset = 0
-    for t in tensors:
-        width = t.shape[axis]
-        start = offset
-
-        def vjp(g, start=start, width=width):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(start, start + width)
-            return g[tuple(index)]
-
-        pairs.append((t, vjp))
-        offset += width
-    return Tensor._make_node("concat", out, pairs)
+    ends = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+    return Tensor._make_node("concat", out, tensors, lambda g: np.split(g, ends, axis=axis))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -285,18 +277,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
-    return Tensor._make_node("sigmoid", out, [(a, lambda g: g * out * (1.0 - out))])
+    return Tensor._make_node("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    return Tensor._make_node("tanh", out, [(a, lambda g: g * (1.0 - out * out))])
+    return Tensor._make_node("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     mask = a.data > 0.0
-    return Tensor._make_node("relu", out, [(a, lambda g: g * mask)])
+    return Tensor._make_node("relu", out, (a,), lambda g: (g * mask,))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -311,9 +303,9 @@ def softmax(a: Tensor) -> Tensor:
 
     def vjp(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
-        return (g - inner) * out
+        return ((g - inner) * out,)
 
-    return Tensor._make_node("softmax", out, [(a, vjp)])
+    return Tensor._make_node("softmax", out, (a,), vjp)
 
 
 def masked_fill(a: Tensor, mask: np.ndarray) -> Tensor:
@@ -325,7 +317,7 @@ def masked_fill(a: Tensor, mask: np.ndarray) -> Tensor:
         raise ValueError(f"masked_fill: mask shape {mask.shape} != logits shape {a.shape}")
     out = np.where(mask, -np.inf, a.data)
     keep = ~mask
-    return Tensor._make_node("masked_fill", out, [(a, lambda g: g * keep)])
+    return Tensor._make_node("masked_fill", out, (a,), lambda g: (g * keep,))
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -339,9 +331,9 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     def vjp(g):
         gm = g.mean(axis=-1, keepdims=True)
         gym = (g * out).mean(axis=-1, keepdims=True)
-        return inv * (g - gm - out * gym)
+        return (inv * (g - gm - out * gym),)
 
-    return Tensor._make_node("layer_norm", out, [(a, vjp)])
+    return Tensor._make_node("layer_norm", out, (a,), vjp)
 
 
 def mean(a: Tensor, axis: int) -> Tensor:
@@ -350,23 +342,19 @@ def mean(a: Tensor, axis: int) -> Tensor:
     shape = a.data.shape
 
     def vjp(g):
-        return np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy()
+        return (np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy(),)
 
-    return Tensor._make_node("mean", out, [(a, vjp)])
+    return Tensor._make_node("mean", out, (a,), vjp)
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        out = np.asarray(a.data.sum())
-        shape = a.data.shape
-        return Tensor._make_node("sum", out, [(a, lambda g: np.broadcast_to(g, shape).copy())])
-    out = a.data.sum(axis=axis)
+    out = np.asarray(a.data.sum(axis=axis))
     shape = a.data.shape
 
     def vjp(g):
-        return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
+        return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy(),)
 
-    return Tensor._make_node("sum", out, [(a, vjp)])
+    return Tensor._make_node("sum", out, (a,), vjp)
 
 
 def log(a: Tensor) -> Tensor:
@@ -374,7 +362,7 @@ def log(a: Tensor) -> Tensor:
         raise ValueError("log: non-positive input")
     out = np.log(a.data)
     ad = a.data
-    return Tensor._make_node("log", out, [(a, lambda g: g / ad)])
+    return Tensor._make_node("log", out, (a,), lambda g: (g / ad,))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -383,7 +371,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
         raise ValueError(f"clip: require lo < hi, got [{lo}, {hi}]")
     out = np.clip(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
-    return Tensor._make_node("clip", out, [(a, lambda g: g * inside)])
+    return Tensor._make_node("clip", out, (a,), lambda g: (g * inside,))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -391,14 +379,14 @@ def transpose(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ValueError(f"transpose: needs at least 2 dims, got shape {a.shape}")
     out = a.data.swapaxes(-1, -2).copy()
-    return Tensor._make_node("transpose", out, [(a, lambda g: g.swapaxes(-1, -2))])
+    return Tensor._make_node("transpose", out, (a,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
     out = a.data.reshape(shape)
     orig = a.data.shape
-    return Tensor._make_node("reshape", out, [(a, lambda g: g.reshape(orig))])
+    return Tensor._make_node("reshape", out, (a,), lambda g: (g.reshape(orig),))
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -418,9 +406,9 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def vjp(g):
         z = np.zeros(shape, dtype=np.float64)
         np.add.at(z, idx, g)
-        return z
+        return (z,)
 
-    return Tensor._make_node("gather_rows", out, [(a, vjp)])
+    return Tensor._make_node("gather_rows", out, (a,), vjp)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -439,9 +427,9 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def vjp(g):
         z = np.zeros(shape, dtype=np.float64)
         z[index] = g
-        return z
+        return (z,)
 
-    return Tensor._make_node("slice_axis", out, [(a, vjp)])
+    return Tensor._make_node("slice_axis", out, (a,), vjp)
 
 
 # -- fused kernels ---------------------------------------------------------------
@@ -449,20 +437,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # Each is one graph node whose forward runs, in order, the numpy expressions
 # of the composed kernels it replaces, so its outputs are bitwise theirs
 # (causal_attention's at the real slots of the padded layout). The VJPs are
-# written by hand; work shared by several parents runs once per incoming
-# gradient.
-
-
-def _once_per_grad(compute):
-    """compute(g), evaluated once for each distinct incoming gradient array."""
-    memo = [None, None]
-
-    def shared(g):
-        if memo[0] is not g:
-            memo[0], memo[1] = g, compute(g)
-        return memo[1]
-
-    return shared
+# written by hand.
 
 
 def padded_slots(lengths: np.ndarray) -> np.ndarray:
@@ -489,15 +464,17 @@ def causal_attention(x: Tensor, wqkv: Tensor, wo: Tensor, bo: Tensor, lengths) -
     if wo.shape != (nh, dh, d):
         raise ValueError(f"causal_attention: wo {wo.shape}, expected {(nh, dh, d)}")
     lengths = np.asarray(lengths)
-    if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size
-            or lengths.min() < 1 or lengths.sum() != n):
+    counts = lengths.tolist()  # Python-int checks: cheaper than numpy reductions of B counts
+    if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not counts
+            or min(counts) < 1 or sum(counts) != n):
         raise ValueError(
             f"causal_attention: lengths must be 1-D integer counts >= 1 summing to {n}, "
-            f"got {lengths.dtype} {lengths.tolist()}"
+            f"got {lengths.dtype} {counts}"
         )
     real = padded_slots(lengths)
     b, t = real.shape
-    blocked = np.triu(np.ones((t, t), dtype=bool), k=1) | ~real[:, None, :]
+    steps = np.arange(t)
+    blocked = (steps > steps[:, None]) | ~real[:, None, :]
     xd, w3, wod = x.data, wqkv.data, wo.data
     slots = np.flatnonzero(real)
 
@@ -529,8 +506,7 @@ def causal_attention(x: Tensor, wqkv: Tensor, wo: Tensor, bo: Tensor, lengths) -
     heads = np.ascontiguousarray(heads[slots].transpose(1, 0, 2))
     out = np.matmul(heads, wod).sum(axis=0) + bo.data
 
-    @_once_per_grad
-    def grads(g):
+    def vjp(g):
         g_heads = np.zeros((b * t, nh * dh))
         g_heads[slots] = np.matmul(g, wod.transpose(2, 0, 1).reshape(d, nh * dh))
         [g_heads] = heads_view(g_heads)
@@ -545,18 +521,9 @@ def causal_attention(x: Tensor, wqkv: Tensor, wo: Tensor, bo: Tensor, lengths) -
         g_x = np.matmul(g_rows, w_rows.T)
         g_w3 = np.matmul(xd.T, g_rows).reshape(d, 3, nh, dh).transpose(2, 0, 1, 3)
         g_wo = np.matmul(heads.swapaxes(-1, -2), g)
-        return g_x, g_w3.reshape(nh, d, 3 * dh), g_wo
+        return g_x, g_w3.reshape(nh, d, 3 * dh), g_wo, _unbroadcast(g, bo.data.shape)
 
-    return Tensor._make_node(
-        "causal_attention",
-        out,
-        [
-            (x, lambda g: grads(g)[0]),
-            (wqkv, lambda g: grads(g)[1]),
-            (wo, lambda g: grads(g)[2]),
-            (bo, lambda g: _unbroadcast(g, bo.data.shape)),
-        ],
-    )
+    return Tensor._make_node("causal_attention", out, (x, wqkv, wo, bo), vjp)
 
 
 def add_layer_norm(x: Tensor, r: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
@@ -576,23 +543,19 @@ def add_layer_norm(x: Tensor, r: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5
     gd = g.data
     out = normed * gd + b.data
 
-    @_once_per_grad
-    def g_total(go):
+    def vjp(go):
         gn = go * gd
         gm = np.add.reduce(gn, -1, keepdims=True) / width
         gym = np.add.reduce(gn * normed, -1, keepdims=True) / width
-        return inv * (gn - gm - normed * gym)
+        g_total = inv * (gn - gm - normed * gym)
+        return (
+            _unbroadcast(g_total, x.data.shape),
+            _unbroadcast(g_total, r.data.shape),
+            _unbroadcast(go * normed, gd.shape),
+            _unbroadcast(go, b.data.shape),
+        )
 
-    return Tensor._make_node(
-        "add_layer_norm",
-        out,
-        [
-            (x, lambda go: _unbroadcast(g_total(go), x.data.shape)),
-            (r, lambda go: _unbroadcast(g_total(go), r.data.shape)),
-            (g, lambda go: _unbroadcast(go * normed, gd.shape)),
-            (b, lambda go: _unbroadcast(go, b.data.shape)),
-        ],
-    )
+    return Tensor._make_node("add_layer_norm", out, (x, r, g, b), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -607,19 +570,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         mask = out > 0.0
         out = np.maximum(out, 0.0)
 
-    @_once_per_grad
-    def pre(g):
-        return g * mask if relu else g
+    def vjp(g):
+        if relu:
+            g = g * mask
+        return (
+            np.matmul(g, wd.swapaxes(-1, -2)) if x.requires_grad else None,
+            np.matmul(xd.reshape(-1, d_in).T, g.reshape(-1, d_out)),
+            _unbroadcast(g, b.data.shape),
+        )
 
-    return Tensor._make_node(
-        "linear",
-        out,
-        [
-            (x, lambda g: np.matmul(pre(g), wd.swapaxes(-1, -2))),
-            (w, lambda g: np.matmul(xd.reshape(-1, d_in).T, pre(g).reshape(-1, d_out))),
-            (b, lambda g: _unbroadcast(pre(g), b.data.shape)),
-        ],
-    )
+    return Tensor._make_node("linear", out, (x, w, b), vjp)
 
 
 def binary_xent(p: Tensor, hit: np.ndarray, miss: np.ndarray, eps: float) -> Tensor:
@@ -641,9 +601,9 @@ def binary_xent(p: Tensor, hit: np.ndarray, miss: np.ndarray, eps: float) -> Ten
     def vjp(g):
         dp = np.where((pd > eps) & (pd < 1.0 - eps), hit / pc, 0.0)
         dq = np.where((qc > eps) & (qc < 1.0 - eps), miss / qc, 0.0)
-        return g * (dq - dp)
+        return (g * (dq - dp),)
 
-    return Tensor._make_node("binary_xent", total, [(p, vjp)])
+    return Tensor._make_node("binary_xent", total, (p,), vjp)
 
 
 # -- recurrent kernels -------------------------------------------------------------
@@ -711,8 +671,7 @@ def gru_sweep(gx: Tensor, u: Tensor, reverse: bool = False) -> Tensor:
         h, saved[t] = _gru_step(gxd[:, t], h, ud)
         out[:, t] = h
 
-    @_once_per_grad
-    def grads(g):
+    def vjp(g):
         g_gx = np.empty(gxd.shape)
         g_gh = np.empty((m, b, 3 * d))
         g_h = np.zeros((b, d))
@@ -721,9 +680,7 @@ def gru_sweep(gx: Tensor, u: Tensor, reverse: bool = False) -> Tensor:
         old = np.stack([s[0] for s in saved])
         return g_gx, np.matmul(_rows(old).T, _rows(g_gh))
 
-    return Tensor._make_node(
-        "gru_sweep", out, [(gx, lambda g: grads(g)[0]), (u, lambda g: grads(g)[1])]
-    )
+    return Tensor._make_node("gru_sweep", out, (gx, u), vjp)
 
 
 def gru_decode(
@@ -765,8 +722,7 @@ def gru_decode(
         if t + 1 < m:
             x = td[:, t].copy() if coins[t] else y
 
-    @_once_per_grad
-    def grads(g):
+    def vjp(g):
         g_gx = np.empty((m, bsz, 3 * d))
         g_gh = np.empty((m, bsz, 3 * d))
         g_y = np.empty((m, bsz, k))
@@ -794,7 +750,4 @@ def gru_decode(
             _rows(g_y).sum(axis=0),
         )
 
-    parents = (states, targets, *weights)
-    return Tensor._make_node(
-        "gru_decode", out, [(p, lambda g, i=i: grads(g)[i]) for i, p in enumerate(parents)]
-    )
+    return Tensor._make_node("gru_decode", out, (states, targets, *weights), vjp)

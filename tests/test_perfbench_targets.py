@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from test_cli import TINY_CONFIG
+from test_unreferenced_names import KERNEL_HOME, numerics_uses, package_sources
 
 from perfbench.layers import KERNELS, SPANS
 from perfbench.tracing import resolve
@@ -20,7 +21,7 @@ from perfbench.workloads import throughput_stages
 
 ROOT = Path(__file__).resolve().parents[1]
 # Kernels with no caller in src/visitrep, kept only because KERNELS names them.
-UNCALLED_KERNELS = {"relu", "layer_norm", "masked_fill", "shift", "concat", "slice_axis"}
+UNCALLED_KERNELS = {"concat", "layer_norm", "masked_fill", "relu", "shift", "slice_axis", "tanh"}
 
 # Runs in a fresh interpreter, so the rebinding cannot leak into other tests.
 TRACED_STAGES = """
@@ -59,15 +60,11 @@ def test_every_traced_name_resolves():
 
 
 def test_the_kernels_the_package_never_calls_are_pinned():
-    """Calls are matched by name, as a method or a function, like
-    tests/test_checked_once.py does."""
+    """A kernel is called only as a kernel (`numerics_uses`): `np.tanh(...)`
+    is no call of `tanh`."""
     called = set()
-    for path in (ROOT / "src" / "visitrep").rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                called.add(name)
+    for path, source in package_sources().items():
+        called |= numerics_uses(ast.parse(source), path == KERNEL_HOME, calls_only=True)
     assert set(KERNELS) - called == UNCALLED_KERNELS
 
 

@@ -572,32 +572,33 @@ def manual_backward(loss):
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         g = node.grad
-        if g is None:
+        if g is None or not node._vjps:
             continue
-        for parent, vjp in node._vjps:
-            contrib = vjp(g)
+        grads = node._vjp(g)
+        for parent, i in node._vjps:
             if parent.grad is None:
-                parent.grad = np.array(contrib, dtype=np.float64, copy=True)
+                parent.grad = np.array(grads[i], dtype=np.float64, copy=True)
             else:
-                parent.grad += contrib
-        if node._vjps:
-            node.grad = None
+                parent.grad += grads[i]
+        node.grad = None
 
 
 def walk_keeping_closures(loss):
-    """The tape's reverse walk with every node's closures left in place: the
-    bitwise oracle for the backward that drops them as it goes."""
+    """The tape's reverse walk with every node's edges, VJP and gradient
+    tuple left in place: the bitwise oracle for the backward that drops them
+    as it goes."""
     loss.grad = np.ones_like(loss.data)
+    kept = []
     for node in reversed(tensor_module._tape):
         g, node.grad = node.grad, None
         if g is None:
             continue
-        for parent, vjp in node._vjps:
-            contrib = vjp(g)
+        kept.append(node._vjp(g))
+        for parent, i in node._vjps:
             if parent.grad is None:
-                parent.grad = np.array(contrib, dtype=np.float64, copy=True)
+                parent.grad = np.array(kept[-1][i], dtype=np.float64, copy=True)
             else:
-                parent.grad += contrib
+                parent.grad += kept[-1][i]
     tensor_module._tape.clear()
 
 
@@ -690,6 +691,29 @@ INFERENCE = {
 }
 
 
+# Every kernel with several parents: (parent shapes, the kernel on them).
+MULTI_PARENT = {
+    "add": ([(3, 4), (1, 4)], add),
+    "mul": ([(2, 3, 4), (1, 4)], mul),
+    "matmul": ([(2, 3, 4), (4, 2)], matmul),
+    "concat": ([(2, 3), (2, 2), (2, 1)], lambda *parts: concat(parts, axis=1)),
+    "linear": ([(2, 3, 4), (4, 5), (1, 5)], lambda x, w, b: linear(x, w, b, relu=True)),
+    "add_layer_norm": ([(2, 3, 5), (2, 3, 5), (1, 5), (1, 5)], add_layer_norm),
+    "causal_attention": (
+        [(5, 4), (2, 4, 6), (2, 2, 4), (1, 4)],
+        lambda *parents: causal_attention(*parents, np.array([3, 2])),
+    ),
+    "gru_sweep": ([(2, 4, 9), (3, 9)], gru_sweep),
+    "gru_decode": (
+        [(2, 4, 3), (2, 4, 5), (5, 9), (3, 9), (9,), (3, 5), (5,)],
+        lambda states, targets, *weights: gru_decode(
+            states, targets, np.array([False, True, False]), *weights
+        ),
+    ),
+}
+CONSTANT_PARENT = [(name, i) for name, (shapes, _) in MULTI_PARENT.items() for i in range(len(shapes))]
+
+
 class TestRecording:
     @pytest.fixture
     def made(self, monkeypatch):
@@ -697,8 +721,8 @@ class TestRecording:
         nodes = []
         make = Tensor._make_node
 
-        def spy(op, data, parents_and_vjps):
-            nodes.append(make(op, data, parents_and_vjps))
+        def spy(op, data, parents, vjp):
+            nodes.append(make(op, data, parents, vjp))
             return nodes[-1]
 
         monkeypatch.setattr(Tensor, "_make_node", staticmethod(spy))
@@ -707,15 +731,40 @@ class TestRecording:
     def test_an_op_on_a_parameter_records_only_inside_the_block(self):
         w = Parameter(np.ones((2, 2)), "w")
         out = matmul(w, w)
-        assert out._vjps == () and not out.requires_grad
+        assert out._vjps == () and out._vjp is None and not out.requires_grad
         with recording():
-            assert len(matmul(w, w)._vjps) == 2
+            assert matmul(w, w)._vjps == ((w, 0), (w, 1))
+
+    @pytest.mark.parametrize(
+        "kernel, constant", CONSTANT_PARENT, ids=[f"{k}-{i}" for k, i in CONSTANT_PARENT]
+    )
+    def test_a_constant_parent_gets_no_edge_and_no_gradient(self, kernel, constant):
+        """The other parents' gradients are bitwise those of a pass where
+        every parent is a Parameter."""
+        shapes, op = MULTI_PARENT[kernel]
+        rng = np.random.default_rng(3)
+        values = [rng.uniform(-1.0, 1.0, size=shape) for shape in shapes]
+        weight = Tensor(rng.normal(size=op(*map(Tensor, values)).shape))
+        runs = {}
+        for constant_at in (None, constant):
+            parents = [Tensor(v) if i == constant_at else Parameter(v, f"p{i}")
+                       for i, v in enumerate(values)]
+            with recording():
+                out = op(*parents)
+                assert out._vjps == tuple((p, i) for i, p in enumerate(parents) if i != constant_at)
+                tsum(mul(out, weight)).backward()
+            runs[constant_at] = parents
+        assert runs[constant][constant].grad is None
+        for i, (every, some) in enumerate(zip(runs[None], runs[constant])):
+            if i != constant:
+                assert some.grad.tobytes() == every.grad.tobytes(), i
 
     @pytest.mark.parametrize("entry", INFERENCE)
     def test_inference_records_nothing(self, entry, made):
         cohort, pipeline, head = tiny_models()
         INFERENCE[entry](cohort, pipeline, head)
-        assert made and all(n._vjps == () and not n.requires_grad for n in made)
+        assert made and all(n._vjps == () and n._vjp is None and not n.requires_grad
+                            for n in made)
 
     def test_backward_outside_the_block_is_refused(self):
         w = Parameter(np.ones(2), "w")
@@ -748,7 +797,7 @@ class TestRecording:
                 loss = build()
                 walk(loss)
             results.append([loss.data.tobytes(), *(p.grad.tobytes() for p in params)])
-        assert made and all(n._vjps == () for n in made)
+        assert made and all(n._vjps == () and n._vjp is None for n in made)
         assert results[1] == results[0]
 
     def test_backward_empties_the_tape(self):
